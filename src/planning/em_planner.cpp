@@ -33,7 +33,7 @@ obstacleCost(const Vec2 &p, double t_hint,
         }
         if (!best)
             continue;
-        const double d = best->footprint.pose.position.distanceTo(p);
+        const double d = best->footprint.box().pose.position.distanceTo(p);
         if (d < radius) {
             const double x = 1.0 - d / radius;
             cost += 50.0 * x * x;

@@ -14,11 +14,12 @@
 
 namespace sov {
 
-/** A predicted object footprint at one future instant. */
+/** A predicted object footprint at one future instant, prepared once
+ *  for the collision checks that query it at every path sample. */
 struct PredictedState
 {
     Timestamp time;
-    OrientedBox2 footprint;
+    PreparedBox footprint;
 };
 
 /** A predicted trajectory of one object. */

@@ -1,7 +1,5 @@
 #include "sim/simulator.h"
 
-#include <memory>
-
 #include "core/logging.h"
 
 namespace sov {
@@ -24,22 +22,16 @@ void
 Simulator::schedulePeriodic(Duration period, Duration phase, Callback fn)
 {
     SOV_ASSERT(period > Duration::zero());
-    // The repeating wrapper copies itself into the next event, so the
-    // pending event is the only owner of the chain (a self-capturing
-    // shared_ptr lambda would leak the cycle).
-    struct Repeater
-    {
-        Simulator *sim;
-        Duration period;
-        std::shared_ptr<Callback> user;
-        void operator()() const
-        {
-            (*user)();
-            sim->schedule(period, *this);
-        }
-    };
-    schedule(phase, Repeater{this, period,
-                             std::make_shared<Callback>(std::move(fn))});
+    periodics_.push_back(Periodic{period, std::move(fn)});
+    schedule(phase, PeriodicTick{this, periodics_.size() - 1});
+}
+
+void
+Simulator::firePeriodic(std::size_t index)
+{
+    Periodic &p = periodics_[index];
+    p.fn();
+    schedule(p.period, PeriodicTick{this, index});
 }
 
 void

@@ -10,7 +10,9 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <queue>
 #include <vector>
@@ -44,7 +46,8 @@ class Simulator
     /**
      * Schedule @p fn every @p period, starting at now + phase.
      * The callback keeps repeating until the simulation stops or the
-     * horizon passes.
+     * horizon passes. Each firing reschedules after @p fn returns, so
+     * events @p fn schedules at the next firing's time run first.
      */
     void schedulePeriodic(Duration period, Duration phase, Callback fn);
 
@@ -82,7 +85,28 @@ class Simulator
         }
     };
 
+    /** A periodic callback; its queued firing refers to it by index
+     *  (PeriodicTick), so the firing fits std::function's small buffer
+     *  and rescheduling allocates nothing. */
+    struct Periodic
+    {
+        Duration period;
+        Callback fn;
+    };
+
+    struct PeriodicTick
+    {
+        Simulator *sim;
+        std::size_t index;
+        void operator()() const { sim->firePeriodic(index); }
+    };
+
+    void firePeriodic(std::size_t index);
+
     std::priority_queue<Item, std::vector<Item>, Later> queue_;
+    /** A deque keeps each entry in place while a firing callback
+     *  registers another periodic. */
+    std::deque<Periodic> periodics_;
     Timestamp now_ = Timestamp::origin();
     std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;

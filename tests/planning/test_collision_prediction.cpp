@@ -24,8 +24,8 @@ TEST(Prediction, StaticObjectStaysPut)
     ASSERT_GE(preds[0].states.size(), 2u);
     const auto &first = preds[0].states.front();
     const auto &last = preds[0].states.back();
-    EXPECT_NEAR(first.footprint.pose.position.x(), 10.0, 1e-12);
-    EXPECT_NEAR(last.footprint.pose.position.x(), 10.0, 1e-12);
+    EXPECT_NEAR(first.footprint.box().pose.position.x(), 10.0, 1e-12);
+    EXPECT_NEAR(last.footprint.box().pose.position.x(), 10.0, 1e-12);
 }
 
 TEST(Prediction, MovingObjectAdvances)
@@ -36,10 +36,10 @@ TEST(Prediction, MovingObjectAdvances)
     const auto preds = predictObjects({object(0.0, 0.0, 3.0, 0.0)},
                                       Timestamp::origin(), cfg);
     ASSERT_EQ(preds[0].states.size(), 3u);
-    EXPECT_NEAR(preds[0].states[2].footprint.pose.position.x(), 6.0,
+    EXPECT_NEAR(preds[0].states[2].footprint.box().pose.position.x(), 6.0,
                 1e-12);
     // Heading aligned with the velocity.
-    EXPECT_NEAR(preds[0].states[0].footprint.pose.heading, 0.0, 1e-12);
+    EXPECT_NEAR(preds[0].states[0].footprint.box().pose.heading, 0.0, 1e-12);
 }
 
 TEST(Collision, DetectsStaticBlockerAhead)
