@@ -185,7 +185,9 @@ TEST(ScenarioService, CacheDisabledMeansNoHits)
 TEST(ScenarioService, CancelledJobKeepsMergedPrefixConsistent)
 {
     ScenarioService service(smallConfig(2));
-    const auto specs = smallJob(4); // 8 scenarios
+    // 128 scenarios: enough work that the job is still running when
+    // cancel() lands, even when the submitting thread is preempted.
+    const auto specs = smallJob(64);
     const auto submitted =
         service.submit(JobRequest{"t0", "", specs, std::nullopt});
     ASSERT_TRUE(submitted.admitted);
