@@ -2,24 +2,26 @@
  * @file
  * Ablation: why "the throughput requirement is relatively easier to
  * meet than latency due to techniques such as pipelining"
- * (Sec. III-A). Sweeps the SoV stage structure through the TaskGraph
- * executor: pipelined throughput is set by the slowest stage while
+ * (Sec. III-A). Sweeps the SoV stage structure through the runtime
+ * dataflow executor: pipelined throughput is set by the slowest stage while
  * single-frame latency is the sum — and splitting a stage helps
  * throughput but never latency.
  */
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "harness.h"
 #include "runtime/dataflow.h"
-#include "runtime/task_graph.h"
 
 using namespace sov;
 
 namespace {
 
-/** Same chain lowered straight to a runtime StageGraph. */
+constexpr std::size_t kFrames = 128;
+
+/** Serial chain of @p stage_ms stage durations on distinct hardware. */
 runtime::StageGraph
 stageChain(const std::vector<double> &stage_ms)
 {
@@ -37,17 +39,28 @@ stageChain(const std::vector<double> &stage_ms)
     return g;
 }
 
+/** Frame f released at f / @p input_hz; the admission window spans
+ *  the whole run, so no frame ever waits for admission. */
+runtime::RunResult
+runPipelined(runtime::StageGraph &g, double input_hz,
+             std::optional<Duration> deadline = std::nullopt)
+{
+    runtime::AsyncOptions opts;
+    opts.frames = kFrames;
+    opts.max_in_flight = kFrames;
+    opts.period = Duration::seconds(1.0 / input_hz);
+    opts.deadline = deadline;
+    return runtime::DataflowExecutor::runAsync(g, opts);
+}
+
 void
 reportDeadline(const char *label, const std::vector<double> &stage_ms,
                double input_hz, double deadline_ms,
                bench::BenchReport &out)
 {
     runtime::StageGraph g = stageChain(stage_ms);
-    runtime::RunOptions opts;
-    opts.frames = 128;
-    opts.period = Duration::seconds(1.0 / input_hz);
-    opts.deadline = Duration::millisF(deadline_ms);
-    const runtime::RunResult run = runtime::DataflowExecutor::run(g, opts);
+    const runtime::RunResult run =
+        runPipelined(g, input_hz, Duration::millisF(deadline_ms));
     // The bottleneck stage's queue is where the backlog accumulates.
     Duration worst_queue = Duration::zero();
     for (const auto &frame : run.frames)
@@ -66,48 +79,26 @@ reportDeadline(const char *label, const std::vector<double> &stage_ms,
         .set("throughput_hz", run.steadyStateThroughputHz());
 }
 
-/** Serial chain of @p stage_ms stage durations on distinct hardware. */
-TaskGraph
-chain(const std::vector<double> &stage_ms)
-{
-    TaskGraph g;
-    TaskId prev = 0;
-    for (std::size_t i = 0; i < stage_ms.size(); ++i) {
-        const std::string name = "stage" + std::to_string(i);
-        const std::string hw = "hw" + std::to_string(i);
-        if (i == 0) {
-            prev = g.addFixedTask(name, hw,
-                                  Duration::millisF(stage_ms[i]));
-        } else {
-            prev = g.addFixedTask(name, hw,
-                                  Duration::millisF(stage_ms[i]),
-                                  {prev});
-        }
-    }
-    return g;
-}
-
 /** Returns pipelined steady-state throughput for the gate below. */
 double
 report(const char *label, const std::vector<double> &stage_ms,
        double input_hz, bench::BenchReport &out)
 {
-    const TaskGraph g = chain(stage_ms);
-    const auto schedule =
-        g.schedule(128, Duration::seconds(1.0 / input_hz));
+    runtime::StageGraph g = stageChain(stage_ms);
+    const double latency_ms = g.criticalPathLatency().toMillis();
+    const runtime::RunResult run = runPipelined(g, input_hz);
+    const double steady_ms = run.frames.back().latency().toMillis();
     std::printf("%-34s latency=%7.1f ms  throughput=%5.1f Hz  "
                 "steady-frame-latency=%7.1f ms\n",
-                label, g.criticalPathLatency().toMillis(),
-                schedule.steadyStateThroughputHz(),
-                schedule.frame_latency.back().toMillis());
+                label, latency_ms, run.steadyStateThroughputHz(),
+                steady_ms);
     out.addRow("schedules")
         .set("schedule", label)
         .set("input_hz", input_hz)
-        .set("latency_ms", g.criticalPathLatency().toMillis())
-        .set("throughput_hz", schedule.steadyStateThroughputHz())
-        .set("steady_frame_latency_ms",
-             schedule.frame_latency.back().toMillis());
-    return schedule.steadyStateThroughputHz();
+        .set("latency_ms", latency_ms)
+        .set("throughput_hz", run.steadyStateThroughputHz())
+        .set("steady_frame_latency_ms", steady_ms);
+    return run.steadyStateThroughputHz();
 }
 
 } // namespace

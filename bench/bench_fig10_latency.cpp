@@ -89,13 +89,16 @@ main(int argc, char **argv)
                 "deadline (%zu frames) ===\n\n",
                 SovPipelineConfig{}.frame_rate_hz, deadline_ms,
                 pipelined_frames);
-    runtime::RunOptions opts;
+    // An admission window as wide as the run: every frame releases on
+    // its tick, however far the lanes fall behind.
+    runtime::AsyncOptions opts;
     opts.frames = pipelined_frames;
+    opts.max_in_flight = pipelined_frames;
     opts.period =
         Duration::seconds(1.0 / SovPipelineConfig{}.frame_rate_hz);
     opts.deadline = Duration::millisF(deadline_ms);
     const runtime::RunResult run =
-        runtime::DataflowExecutor::run(pipeline.graph(), opts);
+        runtime::DataflowExecutor::runAsync(pipeline.graph(), opts);
     obs::MetricRegistry spans;
     run.emit(pipeline.graph(), spans);
     std::printf("%-14s %10s %10s\n", "stage", "queue mean", "queue p99");

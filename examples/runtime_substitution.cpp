@@ -214,12 +214,13 @@ main(int argc, char **argv)
                      {depth, track, loc});
 
     // --------------------- run both through the same dataflow engine
-    runtime::RunOptions opts;
-    opts.frames = frames; // single-shot: no cross-frame contention
+    runtime::AsyncOptions opts;
+    opts.frames = frames;
+    opts.max_in_flight = 1; // single-shot: no cross-frame contention
     const runtime::RunResult model_run =
-        runtime::DataflowExecutor::run(analytic, opts);
+        runtime::DataflowExecutor::runAsync(analytic, opts);
     const runtime::RunResult kernel_run =
-        runtime::DataflowExecutor::run(kernels, opts);
+        runtime::DataflowExecutor::runAsync(kernels, opts);
 
     std::printf("=== Executor substitution: analytic model vs real "
                 "kernels (x%.0f host scale, %s backend) ===\n\n",

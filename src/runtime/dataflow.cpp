@@ -23,22 +23,14 @@ fnvMix(std::uint64_t &h, std::uint64_t v)
 double
 RunResult::steadyStateThroughputHz() const
 {
-    const std::vector<Timestamp> *times = &finish_times;
-    std::vector<Timestamp> from_traces;
-    if (times->empty()) {
-        from_traces.reserve(frames.size());
-        for (const auto &frame : frames)
-            from_traces.push_back(frame.finish);
-        times = &from_traces;
-    }
-    if (times->size() < 4)
+    if (finish_times.size() < 4)
         return 0.0;
-    const std::size_t half = times->size() / 2;
+    const std::size_t half = finish_times.size() / 2;
     const double seconds =
-        (times->back() - (*times)[half]).toSeconds();
+        (finish_times.back() - finish_times[half]).toSeconds();
     if (seconds <= 0.0)
         return 0.0;
-    return static_cast<double>(times->size() - 1 - half) / seconds;
+    return static_cast<double>(finish_times.size() - 1 - half) / seconds;
 }
 
 std::uint64_t
@@ -407,60 +399,6 @@ DataflowExecutor::failFrame(std::uint32_t slot_idx, StageId stage)
 }
 
 RunResult
-DataflowExecutor::run(StageGraph &graph, const RunOptions &opts)
-{
-    Simulator sim;
-    DataflowExecutor exec(sim, graph);
-    exec.setDeadline(opts.deadline);
-    if (opts.trace)
-        exec.attachTrace(opts.trace);
-
-    if (opts.period > Duration::zero()) {
-        // Pipelined: frame f releases at f * period regardless of the
-        // progress of earlier frames.
-        for (std::size_t f = 0; f < opts.frames; ++f) {
-            sim.scheduleAt(Timestamp::origin() +
-                               opts.period * static_cast<double>(f),
-                           [&exec] { exec.releaseFrame(); });
-        }
-        sim.run();
-    } else {
-        // Single-shot: chain releases so frames never contend.
-        struct SerialDriver
-        {
-            DataflowExecutor &exec;
-            std::size_t total;
-            std::size_t released = 0;
-
-            void
-            releaseNext()
-            {
-                if (released >= total)
-                    return;
-                ++released;
-                exec.releaseFrame(
-                    [this](const FrameTrace &) { releaseNext(); });
-            }
-        };
-        SerialDriver driver{exec, opts.frames};
-        driver.releaseNext();
-        sim.run();
-    }
-
-    SOV_ASSERT(exec.framesCompleted() == opts.frames);
-    RunResult result;
-    result.frames = std::move(exec.traces_);
-    result.finish_times.reserve(result.frames.size());
-    for (const auto &frame : result.frames)
-        result.finish_times.push_back(frame.finish);
-    result.deadline_misses = exec.deadlineMisses();
-    result.frames_failed = exec.framesFailed();
-    result.stage_cancellations = exec.stageCancellations();
-    result.growth_events = exec.coreGrowthEvents();
-    return result;
-}
-
-RunResult
 DataflowExecutor::runAsync(StageGraph &graph, const AsyncOptions &opts)
 {
     Simulator sim;
@@ -485,13 +423,11 @@ DataflowExecutor::runAsync(Simulator &sim, StageGraph &graph,
     result.finish_times.reserve(opts.frames);
 
     // Admission-windowed release: a frame enters only while fewer than
-    // `window` frames are in flight. overlap=false forces the window to
-    // 1, which (with a zero period) reproduces single-shot scheduling
-    // bit for bit.
-    const std::size_t window =
-        opts.overlap ? std::max<std::size_t>(std::size_t{1},
-                                             opts.max_in_flight)
-                     : 1;
+    // `window` frames are in flight. Window 1 with a zero period is
+    // single-shot scheduling; a window as wide as the run with a
+    // positive period is pipelined release at a fixed input rate.
+    SOV_ASSERT(opts.max_in_flight >= 1);
+    const std::size_t window = opts.max_in_flight;
     // Steady state begins once the window has cycled a few times; any
     // container growth after this many completions is a leak in the
     // recycling design (the bench gate).

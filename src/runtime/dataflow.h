@@ -13,26 +13,29 @@
  *
  * The arbitration state (resource lanes, recycled frame slots, payload
  * double-buffers) lives in runtime/sched_core.h; this front end adds
- * supervision (watchdog timeouts, retries, frame abandonment),
- * observability (metric streams, trace spans) and the release
- * strategies:
+ * supervision (watchdog timeouts, retries, frame abandonment) and
+ * observability (metric streams, trace spans).
  *
- *  - single-shot (RunOptions, period 0): frame f+1 releases when f
+ * Frames enter through one primitive, releaseFrame(). The batch driver
+ * runAsync() releases them on a period under an admission window (at
+ * most max_in_flight frames in flight), and the paper's
+ * characterizations of the Fig. 5 pipeline are settings of those two
+ * knobs:
+ *
+ *  - single-shot (window 1, period 0): frame f+1 releases when f
  *    completes — the resource-constrained critical path (Fig. 10);
- *  - pipelined (RunOptions, period > 0): frame f releases at f*period
- *    unconditionally — throughput under a fixed input rate;
- *  - asynchronous pipeline-parallel (AsyncOptions / runAsync): frames
- *    release on a period *under an admission window*, so frame N+1's
- *    sensing overlaps frame N's perception across lanes while the
- *    in-flight count — and therefore the payload double-buffer depth —
- *    stays bounded, and steady state allocates nothing.
+ *  - pipelined (window = frames, period > 0): frame f releases at
+ *    f*period unconditionally — throughput under a fixed input rate
+ *    (Sec. III-A);
+ *  - asynchronous pipeline-parallel (a small window, e.g. 2-3): frame
+ *    N+1's sensing overlaps frame N's perception across lanes while
+ *    the in-flight count — and therefore the payload double-buffer
+ *    depth — stays bounded, and steady state allocates nothing.
  *
  * Per stage instance the executor records a StageSpan (release / ready
  * / start / finish, hence queueing delay = start - ready), and per
- * frame a deadline verdict, giving the characterizations of the same
- * graph: single-shot latency, pipelined throughput, and closed-loop
- * timing — the paper's Fig. 5 pipeline measured as in Fig. 10,
- * Sec. III-A, and Sec. IV/V-C respectively.
+ * frame a deadline verdict. The closed-loop simulation drives
+ * releaseFrame() from its own event loop (Sec. IV/V-C timing).
  */
 #pragma once
 
@@ -92,24 +95,6 @@ class DataflowHealthListener
     virtual void onFrameCompleted(const FrameTrace &trace) { (void)trace; }
 };
 
-/** Options for a batch run of a StageGraph. */
-struct RunOptions
-{
-    std::size_t frames = 1;
-    /**
-     * Frame release cadence. Zero means single-shot mode: each frame
-     * is released when the previous one finishes, so frames never
-     * contend and per-frame latency equals the resource-constrained
-     * critical path (the Fig. 10 characterization). A positive period
-     * releases frame f at f * period and lets frames pipeline.
-     */
-    Duration period = Duration::zero();
-    /** Per-frame deadline measured from release; unset = no deadline. */
-    std::optional<Duration> deadline;
-    /** Stream stage spans into this recorder (not owned; optional). */
-    obs::TraceRecorder *trace = nullptr;
-};
-
 /** Options for an asynchronous pipeline-parallel batch run. */
 struct AsyncOptions
 {
@@ -124,14 +109,12 @@ struct AsyncOptions
     Duration period = Duration::zero();
     /**
      * Admission window: maximum frames in flight, i.e. the payload
-     * double-buffer depth. 2 = classic double buffering (frame N+1
-     * sensing while frame N perceives).
+     * double-buffer depth; must be at least 1. 2 = classic double
+     * buffering (frame N+1 sensing while frame N perceives); 1 with a
+     * zero period = single-shot; the frame count with a positive
+     * period = pipelined at a fixed input rate.
      */
     std::size_t max_in_flight = 2;
-    /** False forces the window to 1 — no cross-frame overlap. With a
-     *  zero period this reproduces single-shot mode bit for bit (the
-     *  sync-equivalence gate of bench_dataflow). */
-    bool overlap = true;
     /** Per-frame deadline measured from release; unset = no deadline. */
     std::optional<Duration> deadline;
     /** Stream stage spans into this recorder (not owned; optional). */
@@ -155,7 +138,8 @@ struct AsyncOptions
 struct RunResult
 {
     std::vector<FrameTrace> frames; //!< in completion (== frame) order
-    /** Completion time per frame, kept even when traces are not. */
+    /** Resolution time per frame (completed or abandoned), kept even
+     *  when traces are not. */
     std::vector<Timestamp> finish_times;
     std::uint64_t deadline_misses = 0;
     std::uint64_t frames_failed = 0; //!< abandoned by the watchdog
@@ -192,16 +176,14 @@ struct RunResult
 /**
  * Event-driven executor binding one StageGraph to one Simulator.
  *
- * Three modes of use:
+ * Two ways in:
  *  - releaseFrame() from your own event loop (the closed-loop sim
  *    releases one frame per planning cycle and transmits the actuation
  *    command from the completion callback);
- *  - the static run() convenience, which owns a private Simulator and
- *    releases a fixed number of frames (batch characterization and the
- *    TaskGraph scheduling front-end);
- *  - the static runAsync() convenience: admission-windowed pipeline
- *    parallelism with recycled per-frame state (bench_dataflow and the
- *    throughput side of the Fig. 5 characterizations).
+ *  - the static runAsync() batch driver: a fixed number of frames
+ *    under an admission window and release period, with recycled
+ *    per-frame state (every single-shot, pipelined and overlapped
+ *    characterization of the Fig. 5 graph).
  */
 class DataflowExecutor
 {
@@ -290,11 +272,8 @@ class DataflowExecutor
     /** Scheduler-core container growths (steady state: constant). */
     std::uint64_t coreGrowthEvents() const { return core_.growthEvents(); }
 
-    /** Run @p opts.frames frames of @p graph on a private Simulator. */
-    static RunResult run(StageGraph &graph, const RunOptions &opts);
-
-    /** Asynchronous pipeline-parallel batch run of @p graph on a
-     *  private Simulator (see AsyncOptions). */
+    /** Batch run of @p opts.frames frames of @p graph on a private
+     *  Simulator (see AsyncOptions). */
     static RunResult runAsync(StageGraph &graph, const AsyncOptions &opts);
 
     /** Same, but on the caller's Simulator — the closed-loop sim and

@@ -7,10 +7,10 @@
  * lanes), dependencies, and a pluggable StageExecutor — and is then
  * retargeted to different execution substrates: analytic single-shot
  * characterization, pipelined throughput scheduling, closed-loop
- * event-driven execution, or measured kernel runs. The three former
- * per-experiment DAG encodings (runtime/task_graph,
- * sovpipe/pipeline_model, sovpipe/closed_loop) are all front-ends over
- * this type.
+ * event-driven execution, or measured kernel runs. The Fig. 10
+ * characterization (sovpipe/pipeline_model), the closed loop
+ * (sovpipe/closed_loop) and every dataflow bench build this one type
+ * and execute it through runtime::DataflowExecutor.
  */
 #pragma once
 

@@ -1,17 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "runtime/dataflow.h"
-#include "runtime/task_graph.h"
 
 namespace sov::runtime {
 namespace {
 
-// Fig. 5 DAG with the paper's mean stage durations, encoded twice:
-// once as a runtime StageGraph, once through the legacy TaskGraph
-// front-end. The two must schedule identically span for span.
+// Fig. 5 DAG with the paper's mean stage durations.
 constexpr double kSense = 50.0, kDepth = 32.0, kDet = 54.0, kTrack = 1.0,
                  kLoc = 24.0, kPlan = 3.0;
 
@@ -33,57 +31,142 @@ fig5StageGraph()
     return g;
 }
 
-TaskGraph
-fig5TaskGraph()
+// A miniature Fig. 5: sensing -> {localization, scene} -> planning,
+// with localization sharing the sensing FPGA.
+StageGraph
+miniPipeline(Duration sense, Duration loc, Duration scene, Duration plan)
 {
-    TaskGraph g;
-    const TaskId s = g.addFixedTask("sensing", "sensor-fpga",
-                                    Duration::millisF(kSense));
-    const TaskId d =
-        g.addFixedTask("depth", "scene", Duration::millisF(kDepth), {s});
-    const TaskId o =
-        g.addFixedTask("detection", "scene", Duration::millisF(kDet), {s});
-    const TaskId t =
-        g.addFixedTask("tracking", "cpu", Duration::millisF(kTrack), {o});
-    const TaskId l = g.addFixedTask("localization", "loc",
-                                    Duration::millisF(kLoc), {s});
-    g.addFixedTask("planning", "cpu", Duration::millisF(kPlan),
-                   {d, t, l});
+    StageGraph g;
+    const StageId s = g.addFixed("sensing", "fpga", sense);
+    const StageId l = g.addFixed("localization", "fpga", loc, {s});
+    const StageId u = g.addFixed("scene", "gpu", scene, {s});
+    g.addFixed("planning", "cpu", plan, {l, u});
     return g;
 }
 
-TEST(Dataflow, PipelinedScheduleMatchesTaskGraphSpanForSpan)
+/** Single-shot: admission window 1, zero period. */
+RunResult
+singleShot(StageGraph &g, std::size_t frames)
 {
-    // Satellite acceptance: the runtime's pipelined schedule of the
-    // Fig. 5 DAG matches TaskGraph::schedule exactly.
-    const std::size_t frames = 32;
-    const Duration period = Duration::millis(100);
-
-    StageGraph sg = fig5StageGraph();
-    RunOptions opts;
+    AsyncOptions opts;
     opts.frames = frames;
+    opts.max_in_flight = 1;
+    return DataflowExecutor::runAsync(g, opts);
+}
+
+/** Pipelined: frame f released at f * period; the window spans the
+ *  run, so no frame waits for admission. */
+RunResult
+pipelined(StageGraph &g, std::size_t frames, Duration period,
+          std::optional<Duration> deadline = std::nullopt)
+{
+    AsyncOptions opts;
+    opts.frames = frames;
+    opts.max_in_flight = frames;
     opts.period = period;
-    const RunResult rt = DataflowExecutor::run(sg, opts);
+    opts.deadline = deadline;
+    return DataflowExecutor::runAsync(g, opts);
+}
 
-    const ScheduleResult legacy = fig5TaskGraph().schedule(frames, period);
+TEST(Dataflow, CriticalPathTakesSlowerBranch)
+{
+    StageGraph g = miniPipeline(Duration::millis(50), Duration::millis(24),
+                                Duration::millis(77), Duration::millis(3));
+    // 50 + max(24, 77) + 3 = 130, both as the analytic bound and as
+    // the executed single-shot frame.
+    EXPECT_DOUBLE_EQ(g.criticalPathLatency().toMillis(), 130.0);
+    EXPECT_DOUBLE_EQ(singleShot(g, 1).frames[0].latency().toMillis(),
+                     130.0);
+}
 
-    ASSERT_EQ(rt.frames.size(), frames);
-    for (std::size_t f = 0; f < frames; ++f) {
-        EXPECT_EQ(rt.frames[f].release.ns(), legacy.frame_release[f].ns());
-        EXPECT_EQ(rt.frames[f].latency().ns(),
-                  legacy.frame_latency[f].ns());
-        ASSERT_EQ(rt.frames[f].spans.size(), legacy.spans[f].size());
-        for (std::size_t s = 0; s < sg.size(); ++s) {
-            const StageSpan &a = rt.frames[f].spans[s];
-            const TaskSpan &b = legacy.spans[f][s];
-            EXPECT_EQ(a.start.ns(), b.start.ns())
-                << "frame " << f << " stage " << sg.stage(s).name;
-            EXPECT_EQ(a.finish.ns(), b.finish.ns())
-                << "frame " << f << " stage " << sg.stage(s).name;
-        }
+TEST(Dataflow, ParallelBranchesStartTogether)
+{
+    StageGraph g = miniPipeline(Duration::millis(10), Duration::millis(20),
+                                Duration::millis(30), Duration::millis(5));
+    const RunResult r = pipelined(g, 1, Duration::millis(100));
+    // localization and scene start together right after sensing.
+    EXPECT_EQ(r.span(0, 1).start.toMillis(), 10.0);
+    EXPECT_EQ(r.span(0, 2).start.toMillis(), 10.0);
+    // planning starts when the slower branch ends.
+    EXPECT_EQ(r.span(0, 3).start.toMillis(), 40.0);
+    EXPECT_EQ(r.frames[0].latency().toMillis(), 45.0);
+}
+
+TEST(Dataflow, ResourceSerializationWithinFrame)
+{
+    // Two independent stages on one resource must serialize.
+    StageGraph g;
+    g.addFixed("a", "gpu", Duration::millis(10));
+    g.addFixed("b", "gpu", Duration::millis(10));
+    const RunResult r = pipelined(g, 1, Duration::millis(100));
+    EXPECT_EQ(r.frames[0].latency().toMillis(), 20.0);
+    // Critical path (infinite resources) would be 10 ms.
+    EXPECT_EQ(g.criticalPathLatency().toMillis(), 10.0);
+}
+
+TEST(Dataflow, PipeliningOverlapsFrames)
+{
+    // Stage times 50/77/3: throughput is set by the 77 ms bottleneck
+    // even though single-frame latency is 130 ms (Sec. III-A:
+    // "throughput ... easier to meet than latency due to pipelining").
+    StageGraph g;
+    const StageId s = g.addFixed("sense", "fpga", Duration::millis(50));
+    const StageId p =
+        g.addFixed("perceive", "gpu", Duration::millis(77), {s});
+    g.addFixed("plan", "cpu", Duration::millis(3), {p});
+
+    const RunResult r = pipelined(g, 64, Duration::millis(77));
+    EXPECT_NEAR(r.steadyStateThroughputHz(), 1000.0 / 77.0, 0.5);
+    // Latency of late frames remains bounded (no queue explosion).
+    EXPECT_LT(r.frames.back().latency().toMillis(), 200.0);
+}
+
+TEST(Dataflow, SlowInputPeriodThrottlesThroughput)
+{
+    StageGraph g;
+    g.addFixed("only", "cpu", Duration::millis(10));
+    const RunResult r = pipelined(g, 32, Duration::millis(100));
+    EXPECT_NEAR(r.steadyStateThroughputHz(), 10.0, 0.3);
+}
+
+TEST(Dataflow, PerFrameDurationCallback)
+{
+    StageGraph g;
+    g.addAnalytic("var", "cpu", [](std::size_t f) {
+        return Duration::millis(10 + static_cast<std::int64_t>(f) * 5);
+    });
+    const RunResult r = pipelined(g, 3, Duration::millis(1000));
+    EXPECT_EQ(r.frames[0].latency().toMillis(), 10.0);
+    EXPECT_EQ(r.frames[1].latency().toMillis(), 15.0);
+    EXPECT_EQ(r.frames[2].latency().toMillis(), 20.0);
+}
+
+TEST(Dataflow, StageLookupIndexesRunSpans)
+{
+    StageGraph g = miniPipeline(Duration::millis(1), Duration::millis(2),
+                                Duration::millis(3), Duration::millis(4));
+    EXPECT_EQ(g.findStage("sensing"), 0u);
+    EXPECT_EQ(g.findStage("planning"), 3u);
+    const std::vector<std::string> names = g.stageNames();
+    ASSERT_EQ(names.size(), 4u);
+    EXPECT_EQ(names[2], "scene");
+    // A looked-up id indexes the run's spans of that stage.
+    const RunResult r = singleShot(g, 1);
+    for (std::size_t s = 0; s < names.size(); ++s) {
+        const StageSpan &span = r.span(0, g.findStage(names[s]));
+        EXPECT_EQ(span.stage, s);
+        EXPECT_EQ(span.duration().toMillis(), static_cast<double>(s + 1));
     }
-    EXPECT_NEAR(rt.steadyStateThroughputHz(),
-                legacy.steadyStateThroughputHz(), 1e-9);
+}
+
+TEST(Dataflow, FrameReleaseTimes)
+{
+    StageGraph g;
+    g.addFixed("t", "cpu", Duration::millis(1));
+    const RunResult r = pipelined(g, 3, Duration::millis(33));
+    EXPECT_EQ(r.frames[2].release.toMillis(), 66.0);
+    EXPECT_EQ(r.frames[2].finish.toMillis(), 67.0);
+    EXPECT_EQ(r.finish_times[2].toMillis(), 67.0);
 }
 
 TEST(Dataflow, SingleShotFrameLatencyIsResourceConstrainedCriticalPath)
@@ -92,9 +175,7 @@ TEST(Dataflow, SingleShotFrameLatencyIsResourceConstrainedCriticalPath)
     // serialized on the scene lane the frame latency is
     // 50 + max(32 + 54 + 1, 24) + 3 = 140 ms, every frame.
     StageGraph sg = fig5StageGraph();
-    RunOptions opts;
-    opts.frames = 8;
-    const RunResult r = DataflowExecutor::run(sg, opts);
+    const RunResult r = singleShot(sg, 8);
     ASSERT_EQ(r.frames.size(), 8u);
     for (const auto &frame : r.frames)
         EXPECT_DOUBLE_EQ(frame.latency().toMillis(), 140.0);
@@ -112,11 +193,8 @@ TEST(Dataflow, DeadlineMissesAtOverloadedFrameRate)
     // 110 + 10 f and a 120 ms deadline is blown from frame 2 on.
     StageGraph g;
     g.addFixed("only", "accel", Duration::millis(110));
-    RunOptions opts;
-    opts.frames = 32;
-    opts.period = Duration::millis(100);
-    opts.deadline = Duration::millis(120);
-    const RunResult r = DataflowExecutor::run(g, opts);
+    const RunResult r =
+        pipelined(g, 32, Duration::millis(100), Duration::millis(120));
 
     EXPECT_EQ(r.deadline_misses, 30u);
     EXPECT_FALSE(r.frames[0].deadline_missed);
@@ -132,11 +210,8 @@ TEST(Dataflow, NoMissesWhenPipelineKeepsUp)
 {
     StageGraph g;
     g.addFixed("only", "accel", Duration::millis(90));
-    RunOptions opts;
-    opts.frames = 16;
-    opts.period = Duration::millis(100);
-    opts.deadline = Duration::millis(120);
-    const RunResult r = DataflowExecutor::run(g, opts);
+    const RunResult r =
+        pipelined(g, 16, Duration::millis(100), Duration::millis(120));
     EXPECT_EQ(r.deadline_misses, 0u);
     for (const auto &frame : r.frames)
         EXPECT_DOUBLE_EQ(frame.latency().toMillis(), 90.0);
