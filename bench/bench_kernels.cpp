@@ -58,7 +58,6 @@
 
 using namespace sov;
 using bench::bestNs;
-using bench::fnv1a;
 using bench::hex;
 
 namespace {
@@ -67,16 +66,16 @@ std::uint64_t
 fingerprint(const DisparityMap &map)
 {
     std::uint64_t h = bench::kFnvOffset;
-    h = fnv1a(map.disparity.data().data(),
-              map.disparity.data().size() * sizeof(float), h);
-    h = fnv1a(&map.density, sizeof(map.density), h);
+    h = bench::fnv1a(map.disparity.data().data(),
+                     map.disparity.data().size() * sizeof(float), h);
+    h = bench::fnv1a(&map.density, sizeof(map.density), h);
     return h;
 }
 
 std::uint64_t
 fingerprint(const Tensor &t)
 {
-    return fnv1a(t.data().data(), t.data().size() * sizeof(float));
+    return bench::fnv1a(t.data().data(), t.data().size() * sizeof(float));
 }
 
 /**
@@ -448,9 +447,9 @@ main(int argc, char **argv)
             plan.inverse(planned.data(), simd_level);
         });
         row.checksum_ref =
-            fnv1a(adhoc.data(), adhoc.size() * sizeof(Complex));
+            bench::fnv1a(adhoc.data(), adhoc.size() * sizeof(Complex));
         row.checksum_fast =
-            fnv1a(planned.data(), planned.size() * sizeof(Complex));
+            bench::fnv1a(planned.data(), planned.size() * sizeof(Complex));
         // The plan replays the ad-hoc twiddle rounding and the vector
         // butterflies round like the scalar ones: bitwise gate.
         row.equivalent = row.checksum_ref == row.checksum_fast;
@@ -485,7 +484,7 @@ main(int argc, char **argv)
                 r.transform.translation.x(),
                 r.transform.translation.y(),
                 r.transform.translation.z()};
-            return fnv1a(v, sizeof(v));
+            return bench::fnv1a(v, sizeof(v));
         };
         const auto transformDelta = [](const IcpResult &a,
                                        const IcpResult &b) {

@@ -8,17 +8,6 @@
 
 namespace sov::bench {
 
-std::uint64_t
-fnv1a(const void *bytes, std::size_t n, std::uint64_t h)
-{
-    const auto *p = static_cast<const unsigned char *>(bytes);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
 std::string
 hex(std::uint64_t v)
 {

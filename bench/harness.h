@@ -25,16 +25,21 @@
 #include <utility>
 #include <vector>
 
+#include "core/hash.h"
 #include "obs/metrics.h"
 
 namespace sov::bench {
 
-/** FNV-1a offset basis (the repo-wide fingerprint hash). */
-inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
+/** Basis of the bench digests (see core/hash.h for why it is the
+ *  truncated one). */
+inline constexpr std::uint64_t kFnvOffset = kFnv1aTruncatedOffset;
 
 /** FNV-1a over raw bytes, chainable through @p h. */
-std::uint64_t fnv1a(const void *bytes, std::size_t n,
-                    std::uint64_t h = kFnvOffset);
+inline std::uint64_t
+fnv1a(const void *bytes, std::size_t n, std::uint64_t h = kFnvOffset)
+{
+    return sov::fnv1a(bytes, n, h);
+}
 
 /** 16-digit zero-padded lowercase hex (fingerprint formatting). */
 std::string hex(std::uint64_t v);

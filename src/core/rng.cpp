@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/hash.h"
 #include "core/logging.h"
 
 namespace sov {
@@ -25,18 +26,6 @@ rotl(std::uint64_t x, int k)
     return (x << k) | (x >> (64 - k));
 }
 
-/** FNV-1a over a string, for fork tags. */
-std::uint64_t
-hashTag(const std::string &tag)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : tag) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -52,7 +41,7 @@ Rng::fork(const std::string &tag) const
     // Mix the current state (not advanced) with the tag hash so forks
     // are independent of each other and of the parent's future output.
     std::uint64_t mixed = s_[0] ^ rotl(s_[1], 17) ^ rotl(s_[2], 31) ^ s_[3];
-    return Rng(mixed ^ hashTag(tag));
+    return Rng(mixed ^ fnv1a(tag.data(), tag.size()));
 }
 
 std::uint64_t

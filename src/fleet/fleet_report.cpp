@@ -2,76 +2,39 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
+#include "core/hash.h"
 #include "core/logging.h"
 
 namespace sov::fleet {
 
 namespace {
 
-// ---- FNV-1a fingerprinting ------------------------------------------
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void
-hashBytes(std::uint64_t &h, const void *data, std::size_t n)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-}
-
-void
-hashU64(std::uint64_t &h, std::uint64_t v)
-{
-    hashBytes(h, &v, sizeof(v));
-}
-
-void
-hashDouble(std::uint64_t &h, double v)
-{
-    // Hash the bit pattern: "bit-identical" means exactly that.
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    hashU64(h, bits);
-}
-
-void
-hashString(std::uint64_t &h, const std::string &s)
-{
-    hashU64(h, s.size());
-    hashBytes(h, s.data(), s.size());
-}
-
 void
 hashOutcome(std::uint64_t &h, const ScenarioOutcome &o)
 {
-    hashString(h, o.name);
-    hashU64(h, o.index);
-    hashU64(h, o.seed);
-    hashU64(h, o.collided ? 1 : 0);
-    hashU64(h, o.stopped ? 1 : 0);
-    hashDouble(h, o.min_gap);
-    hashDouble(h, o.distance_travelled);
-    hashDouble(h, o.availability);
-    hashDouble(h, o.reactive_fraction);
-    hashU64(h, o.reactive_triggers);
-    hashU64(h, o.deadline_misses);
-    hashU64(h, o.frames_dropped);
-    hashU64(h, o.pipeline_frames_failed);
-    hashU64(h, o.can_frames_lost);
-    hashU64(h, o.sensor_dropouts);
-    hashU64(h, static_cast<std::uint64_t>(o.worst_level));
-    hashU64(h, static_cast<std::uint64_t>(o.final_level));
-    hashDouble(h, o.sim_elapsed_s);
-    hashDouble(h, o.pipeline_mean_ms);
-    hashDouble(h, o.pipeline_p99_ms);
-    hashU64(h, o.pipeline_frames);
+    fnv1aSizedString(h, o.name);
+    fnv1aU64(h, o.index);
+    fnv1aU64(h, o.seed);
+    fnv1aU64(h, o.collided ? 1 : 0);
+    fnv1aU64(h, o.stopped ? 1 : 0);
+    fnv1aDouble(h, o.min_gap);
+    fnv1aDouble(h, o.distance_travelled);
+    fnv1aDouble(h, o.availability);
+    fnv1aDouble(h, o.reactive_fraction);
+    fnv1aU64(h, o.reactive_triggers);
+    fnv1aU64(h, o.deadline_misses);
+    fnv1aU64(h, o.frames_dropped);
+    fnv1aU64(h, o.pipeline_frames_failed);
+    fnv1aU64(h, o.can_frames_lost);
+    fnv1aU64(h, o.sensor_dropouts);
+    fnv1aU64(h, static_cast<std::uint64_t>(o.worst_level));
+    fnv1aU64(h, static_cast<std::uint64_t>(o.final_level));
+    fnv1aDouble(h, o.sim_elapsed_s);
+    fnv1aDouble(h, o.pipeline_mean_ms);
+    fnv1aDouble(h, o.pipeline_p99_ms);
+    fnv1aU64(h, o.pipeline_frames);
 }
 
 // ---- JSON helpers (no external deps) --------------------------------
@@ -188,8 +151,8 @@ FleetReport::deriveAggregates()
 std::uint64_t
 FleetReport::fingerprint() const
 {
-    std::uint64_t h = kFnvOffset;
-    hashU64(h, rows_.size());
+    std::uint64_t h = kFnv1aTruncatedOffset;
+    fnv1aU64(h, rows_.size());
     for (const ScenarioOutcome &o : rows_)
         hashOutcome(h, o);
     return h;

@@ -1,40 +1,13 @@
 #include "fleet/triage.h"
 
 #include <algorithm>
-#include <cstring>
 
+#include "core/hash.h"
 #include "core/logging.h"
 
 namespace sov::fleet {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void
-hashBytes(std::uint64_t &h, const void *data, std::size_t n)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-}
-
-void
-hashU64(std::uint64_t &h, std::uint64_t v)
-{
-    hashBytes(h, &v, sizeof(v));
-}
-
-void
-hashDouble(std::uint64_t &h, double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    hashU64(h, bits);
-}
 
 bool
 isNearMiss(const TriageRow &r, double near_miss_gap, double near_miss_ttc)
@@ -98,17 +71,16 @@ TriageReport::incidents(double near_miss_gap, double near_miss_ttc) const
 std::uint64_t
 TriageReport::fingerprint() const
 {
-    std::uint64_t h = kFnvOffset;
-    hashU64(h, rows_.size());
+    std::uint64_t h = kFnv1aTruncatedOffset;
+    fnv1aU64(h, rows_.size());
     for (const TriageRow &r : rows_) {
-        hashU64(h, r.scenario.size());
-        hashBytes(h, r.scenario.data(), r.scenario.size());
-        hashU64(h, r.index);
-        hashU64(h, r.fuzz_seed);
-        hashU64(h, r.collided ? 1 : 0);
-        hashDouble(h, r.min_gap);
-        hashDouble(h, r.min_ttc);
-        hashU64(h, r.offender);
+        fnv1aSizedString(h, r.scenario);
+        fnv1aU64(h, r.index);
+        fnv1aU64(h, r.fuzz_seed);
+        fnv1aU64(h, r.collided ? 1 : 0);
+        fnv1aDouble(h, r.min_gap);
+        fnv1aDouble(h, r.min_ttc);
+        fnv1aU64(h, r.offender);
     }
     return h;
 }

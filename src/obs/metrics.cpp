@@ -4,39 +4,12 @@
 #include <ostream>
 #include <sstream>
 
+#include "core/hash.h"
 #include "core/logging.h"
 
 namespace sov::obs {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void
-fnvBytes(std::uint64_t &h, const void *data, std::size_t n)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-}
-
-template <typename T>
-void
-fnvPod(std::uint64_t &h, const T &v)
-{
-    fnvBytes(h, &v, sizeof(v));
-}
-
-void
-fnvString(std::uint64_t &h, const std::string &s)
-{
-    fnvBytes(h, s.data(), s.size());
-    const char nul = '\0';
-    fnvBytes(h, &nul, 1);
-}
 
 template <typename Map>
 std::vector<std::string>
@@ -235,19 +208,19 @@ MetricRegistry::merge(const MetricRegistry &other)
 std::uint64_t
 MetricRegistry::fingerprint() const
 {
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = kFnv1aOffset;
     for (const auto &[name, value] : counters_) {
-        fnvString(h, name);
-        fnvPod(h, value);
+        fnv1aTerminatedString(h, name);
+        fnv1aPod(h, value);
     }
     for (const auto &[name, value] : gauges_) {
-        fnvString(h, name);
-        fnvPod(h, value);
+        fnv1aTerminatedString(h, name);
+        fnv1aPod(h, value);
     }
     for (auto &[name, hist] : hists_) {
-        fnvString(h, name);
+        fnv1aTerminatedString(h, name);
         const std::uint64_t n = hist.samples.size();
-        fnvPod(h, n);
+        fnv1aPod(h, n);
         // Sorted samples: insertion order (completion order under a
         // thread pool) must not leak into the fingerprint.
         if (!hist.sorted) {
@@ -255,10 +228,10 @@ MetricRegistry::fingerprint() const
             hist.sorted = true;
         }
         for (double x : hist.samples)
-            fnvPod(h, x);
+            fnv1aPod(h, x);
         for (const auto &[index, weight] : hist.digest.buckets()) {
-            fnvPod(h, index);
-            fnvPod(h, weight);
+            fnv1aPod(h, index);
+            fnv1aPod(h, weight);
         }
     }
     return h;

@@ -10,6 +10,7 @@
 #include <ostream>
 #include <tuple>
 
+#include "core/hash.h"
 #include "core/logging.h"
 
 namespace sov::obs {
@@ -32,34 +33,6 @@ wallNowNs()
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void
-fnvBytes(std::uint64_t &h, const void *data, std::size_t n)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-}
-
-template <typename T>
-void
-fnvPod(std::uint64_t &h, const T &v)
-{
-    fnvBytes(h, &v, sizeof(v));
-}
-
-void
-fnvString(std::uint64_t &h, const std::string &s)
-{
-    fnvBytes(h, s.data(), s.size());
-    const char nul = '\0';
-    fnvBytes(h, &nul, 1);
 }
 
 /** Logging sink: land the dying message as a final instant in the
@@ -288,16 +261,16 @@ TraceRecorder::fingerprint() const
 {
     const std::vector<TraceEvent> events = snapshot();
     std::lock_guard<std::mutex> lock(mu_);
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = kFnv1aOffset;
     for (const TraceEvent &e : events) {
-        fnvPod(h, static_cast<std::uint8_t>(e.kind));
-        fnvString(h, names_[e.name]);
-        fnvString(h, names_[e.category]);
-        fnvString(h, names_[e.track]);
-        fnvPod(h, e.ts_ns);
-        fnvPod(h, e.dur_ns);
-        fnvPod(h, e.frame);
-        fnvPod(h, e.value);
+        fnv1aPod(h, static_cast<std::uint8_t>(e.kind));
+        fnv1aTerminatedString(h, names_[e.name]);
+        fnv1aTerminatedString(h, names_[e.category]);
+        fnv1aTerminatedString(h, names_[e.track]);
+        fnv1aPod(h, e.ts_ns);
+        fnv1aPod(h, e.dur_ns);
+        fnv1aPod(h, e.frame);
+        fnv1aPod(h, e.value);
         // wall_ns deliberately excluded: wall time is diagnostics,
         // never part of the determinism contract.
     }

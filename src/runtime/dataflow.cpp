@@ -2,23 +2,10 @@
 
 #include <algorithm>
 
+#include "core/hash.h"
 #include "core/logging.h"
 
 namespace sov::runtime {
-
-namespace {
-
-/** FNV-1a over the 8 bytes of @p v. */
-void
-fnvMix(std::uint64_t &h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xffu;
-        h *= 1099511628211ULL;
-    }
-}
-
-} // namespace
 
 double
 RunResult::steadyStateThroughputHz() const
@@ -36,27 +23,27 @@ RunResult::steadyStateThroughputHz() const
 std::uint64_t
 RunResult::fingerprint() const
 {
-    std::uint64_t h = 14695981039346656037ULL;
+    std::uint64_t h = kFnv1aOffset;
     for (const auto &frame : frames) {
-        fnvMix(h, frame.frame);
-        fnvMix(h, static_cast<std::uint64_t>(frame.release.ns()));
-        fnvMix(h, static_cast<std::uint64_t>(frame.finish.ns()));
-        fnvMix(h, (frame.deadline_missed ? 1u : 0u) |
-                      (frame.failed ? 2u : 0u));
-        fnvMix(h, frame.failed ? frame.failed_stage : 0u);
+        fnv1aU64(h, frame.frame);
+        fnv1aU64(h, static_cast<std::uint64_t>(frame.release.ns()));
+        fnv1aU64(h, static_cast<std::uint64_t>(frame.finish.ns()));
+        fnv1aU64(h, (frame.deadline_missed ? 1u : 0u) |
+                        (frame.failed ? 2u : 0u));
+        fnv1aU64(h, frame.failed ? frame.failed_stage : 0u);
         for (const auto &span : frame.spans) {
-            fnvMix(h, span.stage);
-            fnvMix(h, static_cast<std::uint64_t>(span.ready.ns()));
-            fnvMix(h, static_cast<std::uint64_t>(span.start.ns()));
-            fnvMix(h, static_cast<std::uint64_t>(span.finish.ns()));
-            fnvMix(h, span.attempts);
-            fnvMix(h, (span.timed_out ? 1u : 0u) |
-                          (span.crashed ? 2u : 0u) |
-                          (span.cancelled ? 4u : 0u));
+            fnv1aU64(h, span.stage);
+            fnv1aU64(h, static_cast<std::uint64_t>(span.ready.ns()));
+            fnv1aU64(h, static_cast<std::uint64_t>(span.start.ns()));
+            fnv1aU64(h, static_cast<std::uint64_t>(span.finish.ns()));
+            fnv1aU64(h, span.attempts);
+            fnv1aU64(h, (span.timed_out ? 1u : 0u) |
+                            (span.crashed ? 2u : 0u) |
+                            (span.cancelled ? 4u : 0u));
         }
     }
     for (const Timestamp t : finish_times)
-        fnvMix(h, static_cast<std::uint64_t>(t.ns()));
+        fnv1aU64(h, static_cast<std::uint64_t>(t.ns()));
     return h;
 }
 

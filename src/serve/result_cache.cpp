@@ -1,95 +1,56 @@
 #include "serve/result_cache.h"
 
-#include <cstring>
-
+#include "core/hash.h"
 #include "core/logging.h"
 
 namespace sov::serve {
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void
-hashBytes(std::uint64_t &h, const void *data, std::size_t n)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-}
-
-void
-hashU64(std::uint64_t &h, std::uint64_t v)
-{
-    hashBytes(h, &v, sizeof(v));
-}
-
-void
-hashDouble(std::uint64_t &h, double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    hashU64(h, bits);
-}
-
-void
-hashString(std::uint64_t &h, const std::string &s)
-{
-    hashU64(h, s.size());
-    hashBytes(h, s.data(), s.size());
-}
-
-} // namespace
 
 std::uint64_t
 scenarioFingerprint(const fleet::ScenarioSpec &spec,
                     std::uint64_t master_seed)
 {
-    std::uint64_t h = kFnvOffset;
-    hashU64(h, master_seed);
-    hashU64(h, spec.seed);
+    std::uint64_t h = kFnv1aTruncatedOffset;
+    fnv1aU64(h, master_seed);
+    fnv1aU64(h, spec.seed);
 
     // World preset: name stands for the build closure (registry
     // discipline); horizon and route geometry are hashed outright
     // because the registry parameterizes them per entry.
-    hashString(h, spec.world.name);
-    hashDouble(h, spec.world.horizon_s);
-    hashU64(h, spec.world.route.size());
+    fnv1aSizedString(h, spec.world.name);
+    fnv1aDouble(h, spec.world.horizon_s);
+    fnv1aU64(h, spec.world.route.size());
     for (const Vec2 &p : spec.world.route.points()) {
-        hashDouble(h, p.x());
-        hashDouble(h, p.y());
+        fnv1aDouble(h, p.x());
+        fnv1aDouble(h, p.y());
     }
 
     // Fault preset: every spec field is a value; hash them all.
-    hashString(h, spec.faults.name);
-    hashU64(h, spec.faults.specs.size());
+    fnv1aSizedString(h, spec.faults.name);
+    fnv1aU64(h, spec.faults.specs.size());
     for (const fault::FaultSpec &f : spec.faults.specs) {
-        hashString(h, f.name);
-        hashU64(h, static_cast<std::uint64_t>(f.target));
-        hashU64(h, static_cast<std::uint64_t>(f.mode));
-        hashString(h, f.stage);
-        hashU64(h, static_cast<std::uint64_t>(f.window_start.ns()));
-        hashU64(h, static_cast<std::uint64_t>(f.window_end.ns()));
-        hashDouble(h, f.probability);
-        hashU64(h, static_cast<std::uint64_t>(f.latency.ns()));
-        hashDouble(h, f.multiplier);
-        hashDouble(h, f.corruption_sigma);
+        fnv1aSizedString(h, f.name);
+        fnv1aU64(h, static_cast<std::uint64_t>(f.target));
+        fnv1aU64(h, static_cast<std::uint64_t>(f.mode));
+        fnv1aSizedString(h, f.stage);
+        fnv1aU64(h, static_cast<std::uint64_t>(f.window_start.ns()));
+        fnv1aU64(h, static_cast<std::uint64_t>(f.window_end.ns()));
+        fnv1aDouble(h, f.probability);
+        fnv1aU64(h, static_cast<std::uint64_t>(f.latency.ns()));
+        fnv1aDouble(h, f.multiplier);
+        fnv1aDouble(h, f.corruption_sigma);
     }
 
     // Stack preset: name for the registry identity, plus the loop
     // knobs the registry actually varies — a second line of defense
     // should two same-named stacks ever diverge on these.
-    hashString(h, spec.stack.name);
-    hashU64(h, spec.stack.loop.max_frames_in_flight);
-    hashU64(h, static_cast<std::uint64_t>(spec.stack.loop.pipeline_mode));
-    hashU64(h, spec.stack.loop.enable_health ? 1 : 0);
-    hashU64(h, spec.stack.loop.enable_reactive ? 1 : 0);
-    hashU64(h, spec.stack.loop.enable_proactive ? 1 : 0);
-    hashDouble(h, spec.stack.loop.cruise_speed);
-    hashDouble(h, spec.stack.loop.planner_rate_hz);
+    fnv1aSizedString(h, spec.stack.name);
+    fnv1aU64(h, spec.stack.loop.max_frames_in_flight);
+    fnv1aU64(h, static_cast<std::uint64_t>(spec.stack.loop.pipeline_mode));
+    fnv1aU64(h, spec.stack.loop.enable_health ? 1 : 0);
+    fnv1aU64(h, spec.stack.loop.enable_reactive ? 1 : 0);
+    fnv1aU64(h, spec.stack.loop.enable_proactive ? 1 : 0);
+    fnv1aDouble(h, spec.stack.loop.cruise_speed);
+    fnv1aDouble(h, spec.stack.loop.planner_rate_hz);
     return h;
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Pins the shared bench-report envelope: exact JSON layout (golden
  * string), gate -> pass -> exit-code semantics, meta overwrite, string
- * escaping, and the fingerprint helpers every bench shares.
+ * escaping, and the fingerprint formatting every bench shares.
  */
 #include <gtest/gtest.h>
 
@@ -25,19 +25,6 @@ render(const bench::BenchReport &report)
 }
 
 } // namespace
-
-TEST(BenchHarness, Fnv1aMatchesKnownVectors)
-{
-    // Empty input returns the repo-wide offset basis unchanged.
-    EXPECT_EQ(bench::fnv1a("", 0), bench::kFnvOffset);
-    // One round: xor the byte, multiply by the 64-bit FNV prime.
-    EXPECT_EQ(bench::fnv1a("a", 1),
-              (bench::kFnvOffset ^ std::uint64_t{'a'}) *
-                  1099511628211ULL);
-    // Chaining through h must equal one pass over the concatenation.
-    const std::uint64_t h = bench::fnv1a("ab", 2);
-    EXPECT_EQ(bench::fnv1a("b", 1, bench::fnv1a("a", 1)), h);
-}
 
 TEST(BenchHarness, HexIsZeroPadded16Lowercase)
 {

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "core/hash.h"
 #include "core/thread_pool.h"
 #include "vision/cnn.h"
 #include "vision/stereo.h"
@@ -53,23 +54,12 @@ makeShiftedPair(std::size_t w, std::size_t h, double d_true,
 }
 
 std::uint64_t
-fnv1a(const void *bytes, std::size_t n, std::uint64_t h)
-{
-    const auto *p = static_cast<const unsigned char *>(bytes);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
-std::uint64_t
 fingerprint(const DisparityMap &map)
 {
-    std::uint64_t h = 1469598103934665603ULL;
-    h = fnv1a(map.disparity.data().data(),
-              map.disparity.data().size() * sizeof(float), h);
-    h = fnv1a(&map.density, sizeof(map.density), h);
+    std::uint64_t h = kFnv1aTruncatedOffset;
+    fnv1aBytes(h, map.disparity.data().data(),
+               map.disparity.data().size() * sizeof(float));
+    fnv1aPod(h, map.density);
     return h;
 }
 
