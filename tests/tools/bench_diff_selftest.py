@@ -15,11 +15,13 @@ import tempfile
 
 REPORT = {
     "schema": "sov-bench-report-v1", "bench": "demo", "smoke": True,
-    "meta": {"scenarios": 12, "wall_s": 0.5},
+    "meta": {"scenarios": 12, "wall_s": 0.5,
+             "sync_fingerprint": "fb5448b31b7b39eb"},
     "rows": {"runs": [{"threads": 1, "wall_s": 0.4,
                        "scenarios_per_sec": 30.0,
                        "fleet_fingerprint": "a1bbbef1e45adddd",
-                       "triage_fingerprint": "53a5f933da213b7b"}]},
+                       "triage_fingerprint": "53a5f933da213b7b",
+                       "failover_fingerprint": "ec3c3c766f31d0de"}]},
     "gates": [{"name": "fleet_deterministic", "pass": True}],
     "extra": {"report": {"scenarios": 12,
                          "fingerprint": "4946764c63613b35"}},
@@ -53,6 +55,12 @@ def main(argv):
         "row triage_fingerprint":
             lambda r: r["rows"]["runs"][0].update(
                 triage_fingerprint="0000000000000000"),
+        "meta sync_fingerprint":
+            lambda r: r["meta"].update(
+                sync_fingerprint="0000000000000000"),
+        "row failover_fingerprint":
+            lambda r: r["rows"]["runs"][0].update(
+                failover_fingerprint="ec3c3c766f31d0df"),
         "extra.report.fingerprint":
             lambda r: r["extra"]["report"].update(
                 fingerprint="4946764c63613b36"),

@@ -15,11 +15,12 @@ These changes fail the diff:
     fault-matrix regression (a scenario that used to stop now
     collides, a policy that used to stay Degraded now hits SafeStop)
     into a CI failure;
-  * fingerprint drift — a "fingerprint", "fleet_fingerprint" or
-    "triage_fingerprint" changing anywhere in a row, the meta block,
-    the top level or the "extra" section. Fingerprints fold every
-    simulated result bit for bit, so a change is a behaviour change
-    even when every perf value stays within tolerance.
+  * fingerprint drift — any "fingerprint" or "*_fingerprint" key
+    (fleet_, triage_, sync_, async_, failover_...) changing anywhere
+    in a row, the meta block, the top level or the "extra" section.
+    Fingerprints fold every simulated result bit for bit, so a change
+    is a behaviour change even when every perf value stays within
+    tolerance.
 
 Performance keys are recognised by name: anything containing
 "latency", "throughput", "availability", "ttfr" or "fairness", or
@@ -67,9 +68,10 @@ LABEL_KEYS = ("fault", "scenario", "policy", "mode", "preset", "stack",
 OUTCOME_KEYS = ("outcome", "worst_level", "final_state", "equivalent",
                 "checksum_ref", "checksum_fast")
 
-# Bit-identity digests: categorical wherever they appear.
-FINGERPRINT_KEYS = ("fingerprint", "fleet_fingerprint",
-                    "triage_fingerprint")
+
+def is_fingerprint_key(key):
+    """Bit-identity digests: categorical wherever they appear."""
+    return key == "fingerprint" or key.endswith("_fingerprint")
 
 
 def is_perf_key(key):
@@ -96,7 +98,7 @@ def row_label(row, index):
     # hide its change behind "row missing" and fold every row sharing
     # it (one per thread count) onto one candidate row.
     for key, value in row.items():
-        if isinstance(value, str) and key not in FINGERPRINT_KEYS:
+        if isinstance(value, str) and not is_fingerprint_key(key):
             return value
     return f"#{index}"
 
@@ -121,11 +123,12 @@ def diff_values(path, base, cand, tolerance, problems):
                 f"({drift * 100.0:+.1f}% > {tolerance * 100.0:.0f}%)")
 
 
-def diff_outcomes(path, base, cand, problems,
-                  keys=OUTCOME_KEYS + FINGERPRINT_KEYS):
-    """Flag any change in a row's categorical fault outcome."""
-    for key in keys:
-        if key not in base:
+def diff_outcomes(path, base, cand, problems, outcomes=True):
+    """Flag any change in a categorical field: every fingerprint, plus
+    the row outcome keys when @p outcomes is set."""
+    for key in base:
+        if not (is_fingerprint_key(key)
+                or (outcomes and key in OUTCOME_KEYS)):
             continue
         if base.get(key) != cand.get(key):
             problems.append(f"{path}.{key}: '{base.get(key)}' -> "
@@ -135,7 +138,7 @@ def diff_outcomes(path, base, cand, problems,
 def diff_report_fingerprints(path, base, cand, problems):
     """Fingerprints outside the row tables: the top level, meta and
     any nested object (e.g. extra.report.fingerprint)."""
-    diff_outcomes(path, base, cand, problems, FINGERPRINT_KEYS)
+    diff_outcomes(path, base, cand, problems, outcomes=False)
     for key, value in base.items():
         if key != "rows" and isinstance(value, dict):
             cand_value = cand.get(key)
