@@ -39,16 +39,13 @@ stageChain(const std::vector<double> &stage_ms)
     return g;
 }
 
-/** Frame f released at f / @p input_hz; the admission window spans
- *  the whole run, so no frame ever waits for admission. */
+/** Pipelined run: frame f released at f / @p input_hz. */
 runtime::RunResult
 runPipelined(runtime::StageGraph &g, double input_hz,
              std::optional<Duration> deadline = std::nullopt)
 {
-    runtime::AsyncOptions opts;
-    opts.frames = kFrames;
-    opts.max_in_flight = kFrames;
-    opts.period = Duration::seconds(1.0 / input_hz);
+    runtime::AsyncOptions opts = runtime::AsyncOptions::pipelined(
+        kFrames, Duration::seconds(1.0 / input_hz));
     opts.deadline = deadline;
     return runtime::DataflowExecutor::runAsync(g, opts);
 }

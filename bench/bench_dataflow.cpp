@@ -75,17 +75,6 @@ meanGraph(const PlatformModel &model, const SovPipelineConfig &config)
     return graph;
 }
 
-/** Single-shot run: admission window 1 and a zero period, so frame
- *  f+1 releases when frame f completes. */
-runtime::RunResult
-singleShot(runtime::StageGraph &graph, std::size_t frames)
-{
-    runtime::AsyncOptions opts;
-    opts.frames = frames;
-    opts.max_in_flight = 1;
-    return runtime::DataflowExecutor::runAsync(graph, opts);
-}
-
 /** True when @p run's frames executed strictly one after another:
  *  frame 0 released at the origin, each later frame released exactly
  *  at its predecessor's finish, and every span inside its own frame's
@@ -289,7 +278,8 @@ main(int argc, char **argv)
 
     // ---- sequential: single-shot critical path ----------------------
     runtime::StageGraph seq_graph = meanGraph(model, pipe_config);
-    const runtime::RunResult seq = singleShot(seq_graph, frames);
+    const runtime::RunResult seq = runtime::DataflowExecutor::runAsync(
+        seq_graph, runtime::AsyncOptions::singleShot(frames));
     const double seq_latency_ms = seq.frames.front().latency().toMillis();
     const double seq_hz = seq.steadyStateThroughputHz();
 
@@ -309,7 +299,8 @@ main(int argc, char **argv)
     runtime::StageGraph accel_graph;
     buildFig5AcceleratorGraph(accel_graph, model, accel, pipe_config,
                               kOverlap);
-    const runtime::RunResult accel_seq = singleShot(accel_graph, frames);
+    const runtime::RunResult accel_seq = runtime::DataflowExecutor::runAsync(
+        accel_graph, runtime::AsyncOptions::singleShot(frames));
     runtime::AsyncOptions accel_async_opts;
     accel_async_opts.frames = frames;
     accel_async_opts.max_in_flight = kOverlap;
@@ -364,8 +355,8 @@ main(int argc, char **argv)
 
     // ---- gate: the window-1 schedule is strictly serial ------------
     runtime::StageGraph sync_graph = meanGraph(model, pipe_config);
-    const runtime::RunResult sync =
-        singleShot(sync_graph, smoke ? 16 : 64);
+    const runtime::RunResult sync = runtime::DataflowExecutor::runAsync(
+        sync_graph, runtime::AsyncOptions::singleShot(smoke ? 16 : 64));
     report.meta("sync_fingerprint", bench::hex(sync.fingerprint()));
     report.gate("sync_equivalence", isSerialSchedule(sync),
                 "window-1 schedule is serial: frame 0 at the origin, "

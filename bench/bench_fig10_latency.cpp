@@ -89,13 +89,9 @@ main(int argc, char **argv)
                 "deadline (%zu frames) ===\n\n",
                 SovPipelineConfig{}.frame_rate_hz, deadline_ms,
                 pipelined_frames);
-    // An admission window as wide as the run: every frame releases on
-    // its tick, however far the lanes fall behind.
-    runtime::AsyncOptions opts;
-    opts.frames = pipelined_frames;
-    opts.max_in_flight = pipelined_frames;
-    opts.period =
-        Duration::seconds(1.0 / SovPipelineConfig{}.frame_rate_hz);
+    runtime::AsyncOptions opts = runtime::AsyncOptions::pipelined(
+        pipelined_frames,
+        Duration::seconds(1.0 / SovPipelineConfig{}.frame_rate_hz));
     opts.deadline = Duration::millisF(deadline_ms);
     const runtime::RunResult run =
         runtime::DataflowExecutor::runAsync(pipeline.graph(), opts);

@@ -214,9 +214,8 @@ main(int argc, char **argv)
                      {depth, track, loc});
 
     // --------------------- run both through the same dataflow engine
-    runtime::AsyncOptions opts;
-    opts.frames = frames;
-    opts.max_in_flight = 1; // single-shot: no cross-frame contention
+    // single-shot: no cross-frame contention
+    const auto opts = runtime::AsyncOptions::singleShot(frames);
     const runtime::RunResult model_run =
         runtime::DataflowExecutor::runAsync(analytic, opts);
     const runtime::RunResult kernel_run =

@@ -22,11 +22,12 @@
  * characterizations of the Fig. 5 pipeline are settings of those two
  * knobs:
  *
- *  - single-shot (window 1, period 0): frame f+1 releases when f
- *    completes — the resource-constrained critical path (Fig. 10);
- *  - pipelined (window = frames, period > 0): frame f releases at
- *    f*period unconditionally — throughput under a fixed input rate
- *    (Sec. III-A);
+ *  - single-shot (AsyncOptions::singleShot: window 1, period 0): frame
+ *    f+1 releases when f completes — the resource-constrained critical
+ *    path (Fig. 10);
+ *  - pipelined (AsyncOptions::pipelined: window = frames, period > 0):
+ *    frame f releases at f*period unconditionally — throughput under a
+ *    fixed input rate (Sec. III-A);
  *  - asynchronous pipeline-parallel (a small window, e.g. 2-3): frame
  *    N+1's sensing overlaps frame N's perception across lanes while
  *    the in-flight count — and therefore the payload double-buffer
@@ -95,7 +96,7 @@ class DataflowHealthListener
     virtual void onFrameCompleted(const FrameTrace &trace) { (void)trace; }
 };
 
-/** Options for an asynchronous pipeline-parallel batch run. */
+/** Options for a runAsync batch run. */
 struct AsyncOptions
 {
     std::size_t frames = 1;
@@ -110,9 +111,7 @@ struct AsyncOptions
     /**
      * Admission window: maximum frames in flight, i.e. the payload
      * double-buffer depth; must be at least 1. 2 = classic double
-     * buffering (frame N+1 sensing while frame N perceives); 1 with a
-     * zero period = single-shot; the frame count with a positive
-     * period = pipelined at a fixed input rate.
+     * buffering (frame N+1 sensing while frame N perceives).
      */
     std::size_t max_in_flight = 2;
     /** Per-frame deadline measured from release; unset = no deadline. */
@@ -132,6 +131,31 @@ struct AsyncOptions
     DataflowHealthListener *health = nullptr;
     /** Stream span samples + supervision counters (not owned). */
     obs::MetricRegistry *metrics = nullptr;
+
+    /** Single-shot: window 1, zero period. Frame f+1 releases when
+     *  frame f completes, so frames never contend and per-frame
+     *  latency is the resource-constrained critical path (Fig. 10). */
+    static AsyncOptions
+    singleShot(std::size_t frames)
+    {
+        AsyncOptions opts;
+        opts.frames = frames;
+        opts.max_in_flight = 1;
+        return opts;
+    }
+
+    /** Pipelined: frame f releases at f * @p period. The window spans
+     *  the run, so no frame ever waits for admission — throughput
+     *  under a fixed input rate (Sec. III-A). */
+    static AsyncOptions
+    pipelined(std::size_t frames, Duration period)
+    {
+        AsyncOptions opts;
+        opts.frames = frames;
+        opts.max_in_flight = frames;
+        opts.period = period;
+        return opts;
+    }
 };
 
 /** Result of a batch run. */

@@ -2,23 +2,6 @@
 
 namespace sov {
 
-namespace {
-
-/** Single-shot run (admission window 1, period zero): each frame
- *  releases when the previous one completes, so per-frame latency is
- *  the resource-constrained critical path without cross-frame
- *  contention — the Fig. 10 characterization. */
-runtime::RunResult
-runSingleShot(runtime::StageGraph &graph, std::size_t frames)
-{
-    runtime::AsyncOptions opts;
-    opts.frames = frames;
-    opts.max_in_flight = 1;
-    return runtime::DataflowExecutor::runAsync(graph, opts);
-}
-
-} // namespace
-
 SovPipelineModel::SovPipelineModel(const PlatformModel &model,
                                    const SovPipelineConfig &config, Rng rng)
     : model_(model), config_(config), rng_(std::move(rng))
@@ -44,13 +27,18 @@ SovPipelineModel::groupStages(const runtime::FrameTrace &trace) const
 FrameLatency
 SovPipelineModel::sampleFrame()
 {
-    return groupStages(runSingleShot(graph_, 1).frames.front());
+    const runtime::RunResult run = runtime::DataflowExecutor::runAsync(
+        graph_, runtime::AsyncOptions::singleShot(1));
+    return groupStages(run.frames.front());
 }
 
 PipelineStats
 SovPipelineModel::characterize(std::size_t frames)
 {
-    const runtime::RunResult run = runSingleShot(graph_, frames);
+    // Single-shot runs (period zero): per-frame latency without
+    // cross-frame contention — the Fig. 10 characterization.
+    const runtime::RunResult run = runtime::DataflowExecutor::runAsync(
+        graph_, runtime::AsyncOptions::singleShot(frames));
 
     PipelineStats stats;
     for (const runtime::FrameTrace &trace : run.frames) {
@@ -68,17 +56,15 @@ SovPipelineModel::characterize(std::size_t frames)
 
     // Pipelined throughput: the same Fig. 5 graph at the analytic
     // stage means, released at the frame rate; the slowest resource
-    // lane bounds throughput, capped by the release rate. The window
-    // spans the whole run, so no frame ever waits for admission.
+    // lane bounds throughput, capped by the release rate.
     runtime::StageGraph mean_graph;
     buildFig5Graph(mean_graph, model_, config_, nullptr,
                    Fig5Latency::Mean);
-    runtime::AsyncOptions pipelined;
-    pipelined.frames = 64;
-    pipelined.max_in_flight = pipelined.frames;
-    pipelined.period = Duration::seconds(1.0 / config_.frame_rate_hz);
     stats.throughput_hz =
-        runtime::DataflowExecutor::runAsync(mean_graph, pipelined)
+        runtime::DataflowExecutor::runAsync(
+            mean_graph,
+            runtime::AsyncOptions::pipelined(
+                64, Duration::seconds(1.0 / config_.frame_rate_hz)))
             .steadyStateThroughputHz();
 
     // Asynchronous pipeline parallelism: self-paced admission (period
@@ -100,7 +86,8 @@ SovPipelineModel::characterize(std::size_t frames)
 obs::MetricRegistry
 SovPipelineModel::perceptionTaskBreakdown(std::size_t frames)
 {
-    const runtime::RunResult run = runSingleShot(graph_, frames);
+    const runtime::RunResult run = runtime::DataflowExecutor::runAsync(
+        graph_, runtime::AsyncOptions::singleShot(frames));
 
     obs::MetricRegistry metrics;
     for (const runtime::FrameTrace &trace : run.frames) {

@@ -49,12 +49,10 @@ TEST(AsyncDataflow, OverlapOffBitIdenticalToSyncExecutor)
     // completion, reproducing the single-shot executor's recorded
     // 24-frame schedule bit for bit.
     StageGraph graph = fig5StageGraph();
-    AsyncOptions opts;
-    opts.frames = 24;
-    opts.max_in_flight = 1;
-    const RunResult run = DataflowExecutor::runAsync(graph, opts);
+    const RunResult run =
+        DataflowExecutor::runAsync(graph, AsyncOptions::singleShot(24));
 
-    ASSERT_EQ(run.frames.size(), opts.frames);
+    ASSERT_EQ(run.frames.size(), 24u);
     EXPECT_EQ(run.frames[0].release, Timestamp::origin());
     for (std::size_t f = 1; f < run.frames.size(); ++f)
         EXPECT_EQ(run.frames[f].release, run.frames[f - 1].finish);
@@ -67,15 +65,14 @@ TEST(AsyncDataflow, PeriodicAsyncWithWideWindowMatchesPipelinedRun)
     // releases frame f at f * period exactly — the recorded 16-frame
     // pipelined schedule.
     StageGraph graph = fig5StageGraph();
-    AsyncOptions opts;
-    opts.frames = 16;
-    opts.period = Duration::millis(100);
-    opts.max_in_flight = opts.frames;
-    const RunResult run = DataflowExecutor::runAsync(graph, opts);
+    const Duration period = Duration::millis(100);
+    const RunResult run = DataflowExecutor::runAsync(
+        graph, AsyncOptions::pipelined(16, period));
 
+    ASSERT_EQ(run.frames.size(), 16u);
     for (std::size_t f = 0; f < run.frames.size(); ++f) {
         EXPECT_EQ(run.frames[f].release.ns(),
-                  (opts.period * static_cast<double>(f)).ns());
+                  (period * static_cast<double>(f)).ns());
     }
     EXPECT_EQ(run.fingerprint(), 0xe827b08a6b96c0b6ULL);
 }
@@ -143,10 +140,8 @@ TEST(AsyncDataflow, SelfPacedThroughputBeatsSingleShotBy1_5x)
     // from the single-shot executor.
     constexpr double kSingleShotHz = 7.1428571428571432;
     StageGraph single_graph = fig5StageGraph();
-    AsyncOptions single;
-    single.frames = frames;
-    single.max_in_flight = 1;
-    EXPECT_EQ(DataflowExecutor::runAsync(single_graph, single)
+    EXPECT_EQ(DataflowExecutor::runAsync(single_graph,
+                                         AsyncOptions::singleShot(frames))
                   .steadyStateThroughputHz(),
               kSingleShotHz);
 

@@ -44,26 +44,17 @@ miniPipeline(Duration sense, Duration loc, Duration scene, Duration plan)
     return g;
 }
 
-/** Single-shot: admission window 1, zero period. */
 RunResult
 singleShot(StageGraph &g, std::size_t frames)
 {
-    AsyncOptions opts;
-    opts.frames = frames;
-    opts.max_in_flight = 1;
-    return DataflowExecutor::runAsync(g, opts);
+    return DataflowExecutor::runAsync(g, AsyncOptions::singleShot(frames));
 }
 
-/** Pipelined: frame f released at f * period; the window spans the
- *  run, so no frame waits for admission. */
 RunResult
 pipelined(StageGraph &g, std::size_t frames, Duration period,
           std::optional<Duration> deadline = std::nullopt)
 {
-    AsyncOptions opts;
-    opts.frames = frames;
-    opts.max_in_flight = frames;
-    opts.period = period;
+    AsyncOptions opts = AsyncOptions::pipelined(frames, period);
     opts.deadline = deadline;
     return DataflowExecutor::runAsync(g, opts);
 }

@@ -3,10 +3,9 @@
  * Golden schedules of the Fig. 5 pipeline: the single-shot (Fig. 10)
  * and pipelined (Sec. III-A) characterizations pinned to recorded
  * constants. Both are runAsync schedules that differ only in admission
- * window and release period — window 1 with a zero period releases
- * frame f+1 at frame f's completion; a window as wide as the run with
- * a positive period releases frame f at f * period. The constants were
- * recorded from the single-shot / pipelined batch executor these
+ * window and release period (AsyncOptions::singleShot and
+ * AsyncOptions::pipelined). The constants were recorded from the
+ * dedicated single-shot / pipelined batch executor those
  * configurations replace, so they pin that equivalence bit for bit.
  */
 #include <gtest/gtest.h>
@@ -32,10 +31,8 @@ TEST(GoldenSchedules, SingleShotMeanGraphMatchesBenchDataflow)
     StageGraph graph;
     buildFig5Graph(graph, model, SovPipelineConfig{}, nullptr,
                    Fig5Latency::Mean);
-    AsyncOptions opts;
-    opts.frames = 64;
-    opts.max_in_flight = 1;
-    const RunResult run = DataflowExecutor::runAsync(graph, opts);
+    const RunResult run =
+        DataflowExecutor::runAsync(graph, AsyncOptions::singleShot(64));
     EXPECT_EQ(run.fingerprint(), 0xfb5448b31b7b39ebULL);
     EXPECT_EQ(run.frames.front().latency().ns(), 167098758);
     EXPECT_EQ(run.steadyStateThroughputHz(), 5.984484935549311);
@@ -47,10 +44,8 @@ TEST(GoldenSchedules, PipelinedFig10Configuration)
     // released at the 10 Hz sensor rate against a 300 ms deadline.
     const PlatformModel model;
     SovPipelineModel pipeline(model, SovPipelineConfig{}, Rng(42));
-    AsyncOptions opts;
-    opts.frames = 1000;
-    opts.max_in_flight = opts.frames;
-    opts.period = Duration::seconds(1.0 / SovPipelineConfig{}.frame_rate_hz);
+    AsyncOptions opts = AsyncOptions::pipelined(
+        1000, Duration::seconds(1.0 / SovPipelineConfig{}.frame_rate_hz));
     opts.deadline = Duration::millisF(300.0);
     const RunResult run = DataflowExecutor::runAsync(pipeline.graph(), opts);
     EXPECT_EQ(run.fingerprint(), 0xa9ef93fc50c31d18ULL);
