@@ -65,7 +65,7 @@ namespace {
 std::uint64_t
 fingerprint(const DisparityMap &map)
 {
-    std::uint64_t h = bench::kFnvOffset;
+    std::uint64_t h = kFnv1aTruncatedOffset;
     h = bench::fnv1a(map.disparity.data().data(),
                      map.disparity.data().size() * sizeof(float), h);
     h = bench::fnv1a(&map.density, sizeof(map.density), h);

@@ -30,13 +30,11 @@
 
 namespace sov::bench {
 
-/** Basis of the bench digests (see core/hash.h for why it is the
- *  truncated one). */
-inline constexpr std::uint64_t kFnvOffset = kFnv1aTruncatedOffset;
-
-/** FNV-1a over raw bytes, chainable through @p h. */
+/** FNV-1a over raw bytes, chainable through @p h. Bench digests
+ *  start from the truncated basis (see core/hash.h for why). */
 inline std::uint64_t
-fnv1a(const void *bytes, std::size_t n, std::uint64_t h = kFnvOffset)
+fnv1a(const void *bytes, std::size_t n,
+      std::uint64_t h = kFnv1aTruncatedOffset)
 {
     return sov::fnv1a(bytes, n, h);
 }
