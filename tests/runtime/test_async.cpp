@@ -79,6 +79,7 @@ TEST(AsyncDataflow, PeriodicAsyncWithWideWindowMatchesPipelinedRun)
 
 TEST(AsyncDataflow, ZeroAdmissionWindowIsRejected)
 {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     StageGraph graph = fig5StageGraph();
     AsyncOptions opts;
     opts.frames = 4;
