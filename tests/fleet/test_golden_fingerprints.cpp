@@ -9,6 +9,11 @@
 //  - bench_fault_matrix (full, seed 1)  -> 4946764c63613b35
 //  - bench_scenario_fuzz smoke=1        -> a1bbbef1e45adddd (fleet),
 //                                          53a5f933da213b7b (triage)
+//  - bench_fleet_sweep, all six worlds and every fault preset at one
+//    seed (smoke drops traffic-6 and crossing-ped-150, the worlds
+//    whose far obstacles the physics-step broadphase skips)
+//                                       -> b85c3f599df9200d (fleet),
+//                                          3ba2986dc7b7bcd3 (triage)
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -58,6 +63,53 @@ TEST(GoldenFingerprints, FleetSweepSmokeMatrix)
     out.addSeed(1);
     const FleetReport report = FleetRunner(FleetConfig{2, 1}).run(out);
     EXPECT_EQ(hex(report.fingerprint()), "48b1bea500bf0196");
+}
+
+TEST(GoldenFingerprints, FullSweepMatrix)
+{
+    ScenarioMatrix matrix;
+    for (double wall_x : {30.0, 40.0, 50.0}) {
+        WorldPreset w = suddenWallWorld(wall_x);
+        w.horizon_s = 40.0;
+        matrix.addWorld(std::move(w));
+    }
+    for (WorldPreset w : {openRoadWorld(), crossingPedestrianWorld(150.0, 0.5),
+                          trafficWorld(6)}) {
+        w.horizon_s = 40.0;
+        matrix.addWorld(std::move(w));
+    }
+    matrix.addFaults(faultMatrixPresets());
+    for (StackPreset s : {bareStack(), supervisedStack()}) {
+        s.pipeline.backend = defaultKernelBackend();
+        matrix.addStack(std::move(s));
+    }
+    matrix.addSeed(1);
+    const std::vector<ScenarioSpec> scenarios = matrix.enumerate();
+    ASSERT_EQ(scenarios.size(), 132u);
+
+    // The triage facts (min_gap, min_ttc, nearest obstacle) are not
+    // part of the hashed outcome row; pin them separately.
+    std::vector<TriageRow> slots(scenarios.size());
+    FleetConfig cfg;
+    cfg.threads = 2;
+    cfg.master_seed = 1;
+    cfg.scenario_hook = [&slots](const ScenarioSpec &spec,
+                                 const ClosedLoopResult &r) {
+        TriageRow row;
+        row.scenario = spec.name;
+        row.index = spec.index;
+        row.collided = r.collided;
+        row.min_gap = r.min_gap;
+        row.min_ttc = r.min_ttc;
+        row.offender = r.nearest_obstacle;
+        slots[spec.index] = std::move(row);
+    };
+    const FleetReport report = FleetRunner(cfg).run(scenarios);
+    TriageReport triage;
+    for (TriageRow &row : slots)
+        triage.addRow(std::move(row));
+    EXPECT_EQ(hex(report.fingerprint()), "b85c3f599df9200d");
+    EXPECT_EQ(hex(triage.fingerprint()), "3ba2986dc7b7bcd3");
 }
 
 TEST(GoldenFingerprints, FullFaultMatrix)
