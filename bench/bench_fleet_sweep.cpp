@@ -5,7 +5,8 @@
  * Enumerates a scenario matrix (worlds x Sec. III-C fault presets x
  * bare/supervised stacks x seeds — >= 500 scenarios by default), runs
  * it on the FleetRunner at 1, 2, 4, and hardware-concurrency threads,
- * and reports scenarios/sec per thread count. The hard gate is the
+ * and reports scenarios/sec per thread count, then host time per
+ * physics step for each world at one thread. The hard gate is the
  * fleet determinism contract: every thread count must produce a
  * bit-identical FleetReport (compared by fingerprint); any mismatch
  * exits nonzero. Speedup is reported but not gated — it depends on the
@@ -23,6 +24,7 @@
  * the fingerprints are tier-independent.
  */
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <sstream>
 #include <vector>
@@ -71,6 +73,41 @@ buildMatrix(bool smoke, std::uint64_t seed, std::size_t seeds,
     for (std::uint64_t s : matrix.seeds())
         out.addSeed(s);
     return out;
+}
+
+/** One world's share of a single-thread pass over the matrix. */
+struct WorldCost
+{
+    std::string world;
+    std::size_t scenarios = 0;
+    double physics_steps = 0.0;
+    double wall_s = 0.0;
+};
+
+/** Run every scenario on one thread, timing each, grouped by world in
+ *  matrix order. */
+std::vector<WorldCost>
+worldCosts(const std::vector<ScenarioSpec> &scenarios, std::uint64_t seed)
+{
+    using Clock = std::chrono::steady_clock;
+    const FleetRunner runner(FleetConfig{1, seed});
+    std::vector<WorldCost> costs;
+    for (const ScenarioSpec &spec : scenarios) {
+        auto it = std::find_if(costs.begin(), costs.end(),
+                               [&spec](const WorldCost &c) {
+                                   return c.world == spec.world.name;
+                               });
+        if (it == costs.end())
+            it = costs.insert(costs.end(), WorldCost{spec.world.name});
+        const Clock::time_point t0 = Clock::now();
+        const ScenarioOutcome row = runner.runScenario(spec);
+        it->wall_s +=
+            std::chrono::duration<double>(Clock::now() - t0).count();
+        it->physics_steps +=
+            row.sim_elapsed_s * spec.stack.loop.physics_rate_hz;
+        ++it->scenarios;
+    }
+    return costs;
 }
 
 struct ThreadResult
@@ -203,6 +240,34 @@ main(int argc, char **argv)
         report_out.extra("aggregate", agg.str());
     }
     report_out.attachMetrics(reference_metrics);
+
+    // ---- per-world host cost at 1 thread ----------------------------
+    // Where the single-thread host time goes, world by world: host ns
+    // per 200 Hz physics step (obstacle count drives the world-query
+    // and gap-check cost of each step).
+    const std::vector<WorldCost> costs = worldCosts(scenarios, seed);
+    double total_wall_s = 0.0;
+    for (const WorldCost &c : costs)
+        total_wall_s += c.wall_s;
+    std::printf("\n%-22s %10s %14s %10s %14s %8s\n", "world (1 thread)",
+                "scenarios", "physics steps", "host [s]", "host ns/step",
+                "share");
+    for (const WorldCost &c : costs) {
+        const double ns_per_step =
+            c.physics_steps > 0.0 ? c.wall_s * 1e9 / c.physics_steps : 0.0;
+        const double share =
+            total_wall_s > 0.0 ? c.wall_s / total_wall_s : 0.0;
+        std::printf("%-22s %10zu %14.0f %10.3f %14.1f %7.1f%%\n",
+                    c.world.c_str(), c.scenarios, c.physics_steps, c.wall_s,
+                    ns_per_step, 100.0 * share);
+        report_out.addRow("worlds")
+            .set("world", c.world)
+            .set("scenarios", c.scenarios)
+            .set("physics_steps", c.physics_steps)
+            .set("wall_s", c.wall_s)
+            .set("wall_ns_per_physics_step", ns_per_step)
+            .set("wall_share", share);
+    }
 
     // ---- pipeline modes: sync window (1 frame) vs async overlap -----
     // The same scenario slice under the supervised stack with the

@@ -19,9 +19,9 @@ HealthMonitor::watchSensor(const std::string &name,
 void
 HealthMonitor::noteHeartbeat(const std::string &name, Timestamp t)
 {
-    auto it = last_beat_.find(name);
-    if (it == last_beat_.end() || it->second < t)
-        last_beat_[name] = t;
+    const auto [it, inserted] = last_beat_.try_emplace(name, t);
+    if (!inserted && it->second < t)
+        it->second = t;
 }
 
 bool

@@ -214,41 +214,73 @@ OrientedBox2::contains(const Vec2 &p) const
     return localInside(pose.inverseTransform(p), half_length, half_width);
 }
 
+PreparedRay::PreparedRay(const Segment2 &ray)
+    : seg(ray), r(ray.b - ray.a), len(r.norm()),
+      scale(std::max({std::fabs(ray.a.x()), std::fabs(ray.a.y()),
+                      std::fabs(ray.b.x()), std::fabs(ray.b.y())}))
+{
+}
+
 PreparedBox::PreparedBox() : PreparedBox(OrientedBox2{Pose2{}, 0.0, 0.0}) {}
 
 PreparedBox::PreparedBox(const OrientedBox2 &box)
-    : box_(box), c_(std::cos(box.pose.heading)),
-      s_(std::sin(box.pose.heading))
+    : trig_heading_(0.0), c_(1.0), s_(0.0)
 {
-    prepareCorners();
+    assign(box);
 }
 
 void
 PreparedBox::assign(const OrientedBox2 &box)
 {
-    if (std::bit_cast<std::uint64_t>(box.pose.heading) !=
-        std::bit_cast<std::uint64_t>(box_.pose.heading)) {
-        c_ = std::cos(box.pose.heading);
-        s_ = std::sin(box.pose.heading);
-    }
     box_ = box;
-    prepareCorners();
+    radius_ = std::sqrt(box.half_length * box.half_length +
+                        box.half_width * box.half_width);
+    finite_ = std::isfinite(box.pose.heading) &&
+              std::isfinite(box.pose.position.x()) &&
+              std::isfinite(box.pose.position.y()) &&
+              std::isfinite(box.half_length) &&
+              std::isfinite(box.half_width) && std::isfinite(radius_);
+    prepared_ = false;
+}
+
+double
+PreparedBox::broadphaseMargin(double scale)
+{
+    return 1e-9 * scale + 1e-300;
+}
+
+const std::array<Vec2, 4> &
+PreparedBox::corners() const
+{
+    prepare();
+    return corners_;
 }
 
 void
-PreparedBox::prepareCorners()
+PreparedBox::prepare() const
 {
+    if (prepared_)
+        return;
+    if (std::bit_cast<std::uint64_t>(box_.pose.heading) !=
+        std::bit_cast<std::uint64_t>(trig_heading_)) {
+        c_ = std::cos(box_.pose.heading);
+        s_ = std::sin(box_.pose.heading);
+        trig_heading_ = box_.pose.heading;
+    }
     corners_ = cornersWith(box_, c_, s_);
     for (std::size_t i = 0; i < 4; ++i) {
         edges_[i] = corners_[(i + 1) % 4] - corners_[i];
         ends_[i] = corners_[i] + edges_[i];
         edge_len2_[i] = edges_[i].squaredNorm();
     }
+    prepared_ = true;
 }
 
 bool
 PreparedBox::overlaps(const PreparedBox &o) const
 {
+    prepare();
+    o.prepare();
     // Axes: each box's heading direction and its left normal.
     const Vec2 axes[4] = {
         Vec2(c_, s_),
@@ -266,6 +298,7 @@ PreparedBox::overlaps(const PreparedBox &o) const
 bool
 PreparedBox::contains(const Vec2 &p) const
 {
+    prepare();
     return localInside(inverseTransformWith(box_.pose.position, c_, s_, p),
                        box_.half_length, box_.half_width);
 }
@@ -297,19 +330,60 @@ PreparedBox::distanceTo(const PreparedBox &o) const
     return std::sqrt(best2);
 }
 
-void
-PreparedBox::castRay(const Segment2 &ray, std::optional<double> &best) const
+double
+PreparedBox::clearanceBound(const PreparedBox &o) const
 {
+    // Every corner lies within radius() of its center, up to the
+    // rounding of its placement, so the boxes' fp polygons are at
+    // least (center distance - both radii) apart, up to rounding the
+    // margin covers many times over. Past that margin the polygons are
+    // apart by d > 0, one of the four SAT axes separates them by at
+    // least d / sqrt(2), and the clearance fold cannot round below it.
+    if (!finite_ || !o.finite_)
+        return -std::numeric_limits<double>::infinity();
+    const Vec2 &a = box_.pose.position;
+    const Vec2 &b = o.box_.pose.position;
+    const double radii = radius_ + o.radius_;
+    const double scale = std::max(std::fabs(a.x()), std::fabs(a.y())) +
+                         std::max(std::fabs(b.x()), std::fabs(b.y())) + radii;
+    return (b - a).norm() - radii - broadphaseMargin(scale);
+}
+
+void
+PreparedBox::castRay(const PreparedRay &ray, std::optional<double> &best) const
+{
+    // Side test: corner i's side value T_i = cross(corner_i - origin, r)
+    // is the numerator of intersect()'s edge parameter u = T_i /
+    // (T_i - T_{i+1}). When the bounding circle sits clear of the
+    // ray's supporting line by more than the rounding margin, all four
+    // T_i share a sign with |T_i| above the rounding of either the
+    // numerator or the denominator, so u rounds outside [0, 1] for
+    // every edge, and the origin (on the line) is outside the circle,
+    // so contains() is false too. A non-finite box, or a ray whose
+    // terms are not finite, fails the comparison and takes the exact
+    // path.
+    if (finite_) {
+        const Vec2 d = box_.pose.position - ray.seg.a;
+        const double side = std::fabs(d.x() * ray.r.y() - d.y() * ray.r.x());
+        const double scale =
+            ray.scale + std::max(std::fabs(box_.pose.position.x()),
+                                 std::fabs(box_.pose.position.y())) +
+            radius_;
+        // broadphaseMargin(0.0) is the subnormal floor alone.
+        if (side > (radius_ + broadphaseMargin(scale)) * ray.len +
+                       broadphaseMargin(0.0))
+            return;
+    }
     // A ray starting inside the box hits at distance 0, which no
     // later box can undercut.
-    if (contains(ray.a)) {
+    if (contains(ray.seg.a)) {
         best = 0.0;
         return;
     }
     for (std::size_t i = 0; i < 4; ++i) {
         const Segment2 edge{corners_[i], corners_[(i + 1) % 4]};
-        if (const auto hit = ray.intersect(edge)) {
-            const double d = ray.a.distanceTo(*hit);
+        if (const auto hit = ray.seg.intersect(edge)) {
+            const double d = ray.seg.a.distanceTo(*hit);
             if (!best || d < *best)
                 best = d;
         }

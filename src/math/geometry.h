@@ -88,6 +88,20 @@ struct OrientedBox2
 };
 
 /**
+ * A ray cast: the Segment2 from the ray origin to its far end, with
+ * what PreparedBox's broadphase side test reads computed once per cast.
+ */
+struct PreparedRay
+{
+    explicit PreparedRay(const Segment2 &ray);
+
+    Segment2 seg;
+    Vec2 r;       //!< seg.b - seg.a, the vector Segment2::intersect forms
+    double len;   //!< |r|
+    double scale; //!< largest coordinate magnitude of either end
+};
+
+/**
  * An OrientedBox2 with its heading trig, corners and edge vectors
  * computed once, for boxes queried many times (a physics step's
  * obstacle footprints, a prediction's states). Every query runs the
@@ -96,6 +110,15 @@ struct OrientedBox2
  * single sqrt and its division skip are exact; see geometry.cpp), so
  * its results are bit-identical to deriving the box afresh per query;
  * the OrientedBox2 queries are thin wrappers over these.
+ *
+ * Preparation is lazy: assign() records the box and its bounding
+ * radius only; the trig, corners and edges are built by the first
+ * query that reads them (the trig only when the heading changed since
+ * it was last computed). The broadphase bounds (clearanceBound(),
+ * castRay()'s side test) read the center and radius alone, so a box
+ * they reject is never prepared. Because the first query writes the
+ * cache, a PreparedBox must not be queried from two threads at once
+ * before it has been prepared.
  */
 class PreparedBox
 {
@@ -105,16 +128,20 @@ class PreparedBox
     explicit PreparedBox(const OrientedBox2 &box);
 
     /**
-     * Re-prepare for @p box. The heading trig is kept when the heading
-     * is bitwise unchanged (cos and sin are pure functions), so boxes
-     * that only translate (static and constant-velocity obstacles, a
-     * prediction's states, the ego on a straight) skip it.
+     * Record @p box and its radius(); the rest is prepared on first
+     * use. The heading trig is kept when the heading is bitwise
+     * unchanged (cos and sin are pure functions), so boxes
+     * that only translate (static and constant-velocity obstacles, the
+     * ego on a straight) skip it.
      */
     void assign(const OrientedBox2 &box);
 
     const OrientedBox2 &box() const { return box_; }
     /** The four corners, CCW (OrientedBox2::corners()). */
-    const std::array<Vec2, 4> &corners() const { return corners_; }
+    const std::array<Vec2, 4> &corners() const;
+    /** sqrt(half_length^2 + half_width^2), the center-to-corner
+     *  distance before rounding (+inf when the squares overflow). */
+    double radius() const { return radius_; }
 
     /** Separating-axis overlap test. */
     bool overlaps(const PreparedBox &o) const;
@@ -126,24 +153,52 @@ class PreparedBox
     double distanceTo(const PreparedBox &o) const;
 
     /**
-     * Fold this box into a raycast along @p ray (Segment2 from the
-     * ray origin to its far end): a ray starting inside the box hits
-     * at 0, otherwise the nearest edge crossing replaces @p best when
-     * closer. Folding every box in order is the whole cast.
+     * Broadphase lower bound on distanceTo(@p o): the center distance
+     * less both bounding radii and a rounding margin (see
+     * broadphaseMargin()). When it is > 0, overlaps(@p o) is false and
+     * distanceTo(@p o) >= the bound, bit for bit. -inf when a heading,
+     * center, extent or radius of either box is not finite: such boxes
+     * take the exact query, whatever that makes of them.
      */
-    void castRay(const Segment2 &ray, std::optional<double> &best) const;
+    double clearanceBound(const PreparedBox &o) const;
+
+    /**
+     * Fold this box into a raycast along @p ray: a ray starting inside
+     * the box hits at 0, otherwise the nearest edge crossing replaces
+     * @p best when closer. Folding every box in order is the whole
+     * cast. A finite box whose bounding circle lies clear of the ray's
+     * supporting line is skipped unprepared: no edge crossing can
+     * round into range and the origin is outside it.
+     */
+    void castRay(const PreparedRay &ray, std::optional<double> &best) const;
+
+    /**
+     * The absolute rounding margin the broadphase bounds subtract for
+     * coordinates of magnitude up to @p scale: 1e-9 of it, about 1e7
+     * times the few dozen ulps that corner placement, the cross
+     * products and the clearance fold can lose, plus a floor for
+     * subnormal scales.
+     */
+    static double broadphaseMargin(double scale);
 
   private:
-    /** Corners, edges and their lengths from box_, c_ and s_. */
-    void prepareCorners();
+    /** Trig (when the heading changed), corners, edges and their
+     *  lengths from box_, on first use after assign(). */
+    void prepare() const;
 
     OrientedBox2 box_;
-    double c_; //!< cos(heading)
-    double s_; //!< sin(heading)
-    std::array<Vec2, 4> corners_;
-    std::array<Vec2, 4> edges_;      //!< corner i+1 - corner i
-    std::array<Vec2, 4> ends_;       //!< corner i + edge i
-    std::array<double, 4> edge_len2_; //!< squared edge lengths
+    double radius_;
+    /** Heading, center, extents and radius_ all finite: only such a
+     *  box may be rejected by a broadphase bound. */
+    bool finite_;
+    mutable bool prepared_ = false;
+    mutable double trig_heading_; //!< the heading c_ and s_ belong to
+    mutable double c_;            //!< cos(heading)
+    mutable double s_;            //!< sin(heading)
+    mutable std::array<Vec2, 4> corners_;
+    mutable std::array<Vec2, 4> edges_;      //!< corner i+1 - corner i
+    mutable std::array<Vec2, 4> ends_;       //!< corner i + edge i
+    mutable std::array<double, 4> edge_len2_; //!< squared edge lengths
 };
 
 /**

@@ -16,7 +16,7 @@ firstCollision(const Polyline2 &path, double start_s, double speed,
     const double end_s =
         std::min(start_s + max_lookahead, path.length());
 
-    // Re-prepared once per sample, when a prediction first covers it;
+    // Re-assigned once per sample, when a prediction first covers it;
     // on a straight stretch the heading trig carries over (assign()).
     PreparedBox ego_box;
     for (double s = start_s; s <= end_s; s += step) {
@@ -44,7 +44,10 @@ firstCollision(const Polyline2 &path, double start_s, double speed,
                     ego.half_length, ego.half_width});
                 ego_ready = true;
             }
-            if (ego_box.overlaps(best->footprint)) {
+            // Bounding circles apart: no overlap, and neither box
+            // needs its corners (PreparedBox::clearanceBound).
+            if (ego_box.clearanceBound(best->footprint) <= 0.0 &&
+                ego_box.overlaps(best->footprint)) {
                 return CollisionInfo{s - start_s, t, pred.track_id};
             }
         }

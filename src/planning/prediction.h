@@ -14,8 +14,9 @@
 
 namespace sov {
 
-/** A predicted object footprint at one future instant, prepared once
- *  for the collision checks that query it at every path sample. */
+/** A predicted object footprint at one future instant, prepared on
+ *  first use by the collision checks that query it at every path
+ *  sample (most never get past their broadphase and stay unprepared). */
 struct PredictedState
 {
     Timestamp time;

@@ -20,7 +20,8 @@ ClosedLoopSim::ClosedLoopSim(World &world, Polyline2 route,
       radar_(RadarConfig{}, rng_.fork("radar")),
       reactive_(sim_, ecu_, radar_),
       own_faults_(rng_.fork("fault")),
-      sensor_faults_(config_.faults)
+      sensor_faults_(config_.faults),
+      gaps_(Duration::seconds(1.0 / config_.physics_rate_hz).toSeconds())
 {
     // Long runs release thousands of frames; stream samples into the
     // metric registry instead of keeping every trace.
@@ -101,7 +102,7 @@ ClosedLoopSim::reset()
     initial.acceleration = 0.0;
     vehicle_.applyActuator(initial);
     result_ = ClosedLoopResult{};
-    prev_gaps_.clear();
+    gaps_.reset();
     cycles_ = 0;
     reactive_cycles_ = 0;
     proactive_cycles_ = 0;
@@ -367,8 +368,9 @@ ClosedLoopSim::physicsStep()
         Duration::seconds(1.0 / config_.physics_rate_hz);
 
     // Step the agent timeline before any sensing this step. Every
-    // footprint is prepared once here; the reactive rays and the gap
-    // loop below both read them.
+    // footprint is recorded once here and prepared at most once, by the
+    // first ray or gap check its broadphase does not reject; the
+    // reactive rays and the gap monitor below both read them.
     world_.advanceTo(sim_.now(), vehicle_.pose(), vehicle_.speed());
     const WorldSnapshot live = world_.snapshot();
     live.prepareFootprints(sim_.now(), footprints_);
@@ -411,33 +413,12 @@ ClosedLoopSim::physicsStep()
     // Gap and collision monitoring against every obstacle, plus the
     // triage facts (offending agent, time-to-collision) the scenario
     // fuzzer mines for near misses.
-    const auto &obstacles = snap.obstacles();
-    if (prev_gaps_.size() != obstacles.size())
-        prev_gaps_.assign(obstacles.size(), 1e18);
     const EgoFootprint ego_size;
-    ego_box_.assign(OrientedBox2{vehicle_.pose(), ego_size.half_length,
-                                 ego_size.half_width});
-    for (std::size_t i = 0; i < obstacles.size(); ++i) {
-        const Obstacle &obs = obstacles[i];
-        const double gap = ego_box_.distanceTo(footprints_[i]);
-        if (gap < result_.min_gap) {
-            result_.min_gap = gap;
-            result_.nearest_obstacle = obs.id;
-        }
-        // TTC estimate from the closing rate over one physics step.
-        const double closing = (prev_gaps_[i] - gap) / dt.toSeconds();
-        if (prev_gaps_[i] < 1e17 && closing > 1e-9 && gap > 0.0) {
-            result_.min_ttc =
-                std::min(result_.min_ttc, gap / closing);
-        }
-        prev_gaps_[i] = gap;
-        if (gap <= 0.0) {
-            result_.collided = true;
-            result_.min_ttc = 0.0;
-            result_.nearest_obstacle = obs.id;
-            sim_.stop();
-            return;
-        }
+    if (gaps_.step(OrientedBox2{vehicle_.pose(), ego_size.half_length,
+                                ego_size.half_width},
+                   footprints_, snap.obstacles())) {
+        sim_.stop();
+        return;
     }
 
     if (vehicle_.speed() > 0.5)
@@ -467,6 +448,11 @@ ClosedLoopSim::run(Duration horizon)
     sim_.runUntil(Timestamp::origin() + horizon);
     traceNewTransitions();
 
+    const GapFacts &gaps = gaps_.facts();
+    result_.collided = gaps.collided;
+    result_.min_gap = gaps.min_gap;
+    result_.min_ttc = gaps.min_ttc;
+    result_.nearest_obstacle = gaps.nearest_obstacle;
     result_.distance_travelled = vehicle_.odometer();
     result_.reactive_triggers = reactive_.triggerCount();
     result_.deadline_misses = pipeline_exec_.deadlineMisses();

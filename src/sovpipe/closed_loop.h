@@ -30,6 +30,7 @@
 #include "runtime/dataflow.h"
 #include "sensors/radar.h"
 #include "sim/simulator.h"
+#include "sovpipe/gap_monitor.h"
 #include "sovpipe/pipeline_model.h"
 #include "vehicle/can_bus.h"
 #include "vehicle/ecu.h"
@@ -279,14 +280,11 @@ class ClosedLoopSim
 
     // Run bookkeeping.
     ClosedLoopResult result_;
-    /** Previous physics step's gap per obstacle (index-aligned with
-     *  world obstacles), for the TTC closing-rate estimate. */
-    std::vector<double> prev_gaps_;
-    /** This physics step's obstacle footprints, prepared (index-aligned
-     *  with world obstacles); the buffer is reused across steps. */
+    /** Min-gap, TTC and collision facts, folded every physics step. */
+    GapMonitor gaps_;
+    /** This physics step's obstacle footprints (index-aligned with
+     *  world obstacles); the buffer is reused across steps. */
     std::vector<PreparedBox> footprints_;
-    /** The ego footprint, re-prepared each physics step. */
-    PreparedBox ego_box_;
     std::uint64_t cycles_ = 0;
     std::uint64_t reactive_cycles_ = 0;
     std::uint64_t proactive_cycles_ = 0;

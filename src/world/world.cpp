@@ -82,7 +82,7 @@ WorldSnapshot::raycast(const Vec2 &origin, const Vec2 &direction,
     if (direction.squaredNorm() == 0.0)
         return std::nullopt;
     const Vec2 dir = direction.normalized();
-    const Segment2 ray{origin, origin + dir * max_range};
+    const PreparedRay ray(Segment2{origin, origin + dir * max_range});
     std::optional<double> best;
     if (!footprints_.empty() && t == footprints_at_) {
         for (const PreparedBox &box : footprints_)

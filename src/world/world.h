@@ -78,15 +78,18 @@ class WorldSnapshot
      * radar/sonar models and the reactive path (Sec. IV). A
      * zero-length direction sees nothing (nullopt), not a panic.
      * Reads the attached footprints when cast at their time (see
-     * withFootprints()), else prepares each footprint on the fly.
+     * withFootprints()), else builds each footprint on the fly; either
+     * way a box clear of the ray's line is skipped unprepared
+     * (PreparedBox::castRay).
      */
     std::optional<double> raycast(const Vec2 &origin,
                                   const Vec2 &direction, double max_range,
                                   Timestamp t) const;
 
-    /** Every obstacle's footprint at @p t, prepared, in obstacles()
-     *  order. @p out is reused slot by slot: a slot whose obstacle kept
-     *  its heading keeps its trig (PreparedBox::assign). */
+    /** Every obstacle's footprint at @p t, in obstacles() order, each
+     *  recorded with its bounding radius and prepared on first use.
+     *  @p out is reused slot by slot: a slot whose obstacle kept its
+     *  heading keeps its trig (PreparedBox::assign). */
     void prepareFootprints(Timestamp t, std::vector<PreparedBox> &out) const;
 
     /**

@@ -1,0 +1,265 @@
+/**
+ * @file
+ * GapMonitor against the brute-force loop it replaced: every obstacle
+ * checked exactly every step, with the previous step's gap per slot
+ * for the TTC estimate. The monitor's broadphase skips obstacles whose
+ * gap cannot change a fact; these tests require its facts (min_gap,
+ * min_ttc, nearest obstacle, collided) and the step it reports a
+ * collision on to match the oracle's bit for bit over seeded random
+ * step sequences: republished rows with heading and extent jumps,
+ * obstacle-count changes, a stopped ego, first-step collisions and
+ * NaN poses.
+ */
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "core/rng.h"
+#include "sovpipe/gap_monitor.h"
+
+namespace sov {
+namespace {
+
+/** The exhaustive per-step loop, as the closed loop ran it before the
+ *  broadphase. */
+class OracleMonitor
+{
+  public:
+    explicit OracleMonitor(double dt_s) : dt_s_(dt_s) {}
+
+    bool step(const OrientedBox2 &ego, const std::vector<Obstacle> &obstacles,
+              const std::vector<OrientedBox2> &footprints)
+    {
+        if (prev_gaps_.size() != obstacles.size())
+            prev_gaps_.assign(obstacles.size(), 1e18);
+        for (std::size_t i = 0; i < obstacles.size(); ++i) {
+            const double gap = ego.distanceTo(footprints[i]);
+            if (gap < facts.min_gap) {
+                facts.min_gap = gap;
+                facts.nearest_obstacle = obstacles[i].id;
+            }
+            const double closing = (prev_gaps_[i] - gap) / dt_s_;
+            if (prev_gaps_[i] < 1e17 && closing > 1e-9 && gap > 0.0)
+                facts.min_ttc = std::min(facts.min_ttc, gap / closing);
+            prev_gaps_[i] = gap;
+            if (gap <= 0.0) {
+                facts.collided = true;
+                facts.min_ttc = 0.0;
+                facts.nearest_obstacle = obstacles[i].id;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    GapFacts facts;
+
+  private:
+    double dt_s_;
+    std::vector<double> prev_gaps_;
+};
+
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+::testing::AssertionResult
+sameFacts(const GapFacts &want, const GapFacts &got)
+{
+    if (want.collided != got.collided || bits(want.min_gap) != bits(got.min_gap) ||
+        bits(want.min_ttc) != bits(got.min_ttc) ||
+        want.nearest_obstacle != got.nearest_obstacle)
+        return ::testing::AssertionFailure()
+            << "collided " << want.collided << "/" << got.collided
+            << " min_gap " << want.min_gap << "/" << got.min_gap
+            << " min_ttc " << want.min_ttc << "/" << got.min_ttc
+            << " nearest " << want.nearest_obstacle << "/"
+            << got.nearest_obstacle;
+    return ::testing::AssertionSuccess();
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kDt = 0.005;
+
+/** One moving obstacle of a random sequence. */
+struct Mover
+{
+    Obstacle row;
+    Vec2 velocity;
+    double spin = 0.0; //!< rad/s
+};
+
+Mover
+randomMover(Rng &rng, ObstacleId id, const Vec2 &ego_at)
+{
+    Mover m;
+    m.row.id = id;
+    // Mostly far off the lane, sometimes near it or right on the ego.
+    const double u = rng.uniform();
+    const Vec2 offset = u < 0.05
+        ? Vec2(rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.5))
+        : u < 0.4 ? Vec2(rng.uniform(-5.0, 30.0), rng.uniform(-3.0, 3.0))
+                  : Vec2(rng.uniform(-20.0, 60.0), rng.uniform(-12.0, 12.0));
+    m.row.footprint = OrientedBox2{Pose2{ego_at + offset, rng.uniform(-M_PI, M_PI)},
+                                   rng.uniform(0.2, 2.5), rng.uniform(0.2, 1.2)};
+    if (rng.bernoulli(0.6))
+        m.velocity = Vec2(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0));
+    if (rng.bernoulli(0.2))
+        m.spin = rng.uniform(-1.0, 1.0);
+    return m;
+}
+
+TEST(GapMonitor, RandomStepSequencesMatchTheExhaustiveLoop)
+{
+    Rng rng(515);
+    int collisions = 0, first_step_collisions = 0, closing_runs = 0;
+    for (int run = 0; run < 600; ++run) {
+        const bool far_anchor = rng.bernoulli(0.1);
+        Pose2 ego{far_anchor ? Vec2(1e6, -1e6) : Vec2(0.0, 0.0),
+                  rng.uniform(-0.3, 0.3)};
+        const double speed = rng.bernoulli(0.15) ? 0.0 : rng.uniform(1.0, 8.0);
+        const double yaw_rate = rng.bernoulli(0.3) ? rng.uniform(-0.3, 0.3) : 0.0;
+
+        std::vector<Mover> movers;
+        const auto n = static_cast<std::size_t>(rng.uniform(0.0, 8.0));
+        for (std::size_t i = 0; i < n; ++i)
+            movers.push_back(randomMover(rng, static_cast<ObstacleId>(i),
+                                         ego.position));
+        if (rng.bernoulli(0.05) && !movers.empty()) {
+            // First-step collision: an obstacle on the ego.
+            movers[0].row.footprint.pose.position = ego.position;
+        }
+        ObstacleId next_id = static_cast<ObstacleId>(n);
+
+        OracleMonitor oracle(kDt);
+        GapMonitor monitor(kDt);
+        monitor.reset();
+        std::vector<Obstacle> rows;
+        std::vector<OrientedBox2> boxes;
+        std::vector<PreparedBox> footprints;
+        const int steps = 400;
+        for (int k = 0; k < steps; ++k) {
+            // Ego motion (a stopped ego keeps a bitwise-equal pose).
+            ego.heading += yaw_rate * kDt;
+            ego.position += Vec2(std::cos(ego.heading), std::sin(ego.heading)) *
+                            (speed * kDt);
+
+            // Obstacle motion and republication events.
+            for (Mover &m : movers) {
+                m.row.footprint.pose.position += m.velocity * kDt;
+                m.row.footprint.pose.heading += m.spin * kDt;
+                const double e = rng.uniform();
+                if (e < 0.01) {
+                    m.row.footprint.pose.heading = rng.uniform(-4.0, 4.0);
+                } else if (e < 0.02) {
+                    m.row.footprint.half_length = rng.uniform(0.0, 3.0);
+                    m.row.footprint.half_width = rng.uniform(0.0, 1.5);
+                } else if (e < 0.025) {
+                    m.row.footprint.pose.position += Vec2(
+                        rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0));
+                } else if (e < 0.027) {
+                    if (rng.bernoulli(0.5))
+                        m.row.footprint.pose.heading = kNaN;
+                    else
+                        m.row.footprint.pose.position.y() = kNaN;
+                } else if (e < 0.03 && !std::isfinite(m.row.footprint.pose.heading +
+                                                      m.row.footprint.pose.position.y())) {
+                    m.row.footprint.pose.heading = 0.1;
+                    m.row.footprint.pose.position.y() = ego.position.y() + 5.0;
+                }
+            }
+            if (rng.bernoulli(0.01))
+                movers.push_back(randomMover(rng, next_id++, ego.position));
+            if (rng.bernoulli(0.01) && !movers.empty())
+                movers.erase(movers.begin() +
+                             static_cast<std::ptrdiff_t>(rng.uniform(
+                                 0.0, static_cast<double>(movers.size()))));
+
+            rows.clear();
+            boxes.clear();
+            for (const Mover &m : movers) {
+                rows.push_back(m.row);
+                boxes.push_back(m.row.footprint);
+            }
+            footprints.resize(boxes.size());
+            for (std::size_t i = 0; i < boxes.size(); ++i)
+                footprints[i].assign(boxes[i]);
+
+            const OrientedBox2 ego_box{ego, 1.3, 0.7};
+            const bool want = oracle.step(ego_box, rows, boxes);
+            const bool got = monitor.step(ego_box, footprints, rows);
+            ASSERT_EQ(want, got) << "run " << run << " step " << k;
+            ASSERT_TRUE(sameFacts(oracle.facts, monitor.facts()))
+                << "run " << run << " step " << k;
+            if (want) {
+                ++collisions;
+                if (k == 0)
+                    ++first_step_collisions;
+                break;
+            }
+        }
+        if (oracle.facts.min_ttc < 1e18 && !oracle.facts.collided)
+            ++closing_runs;
+    }
+    // The sequences reach every outcome the facts can report.
+    EXPECT_GT(collisions, 20);
+    EXPECT_GT(first_step_collisions, 5);
+    EXPECT_GT(closing_runs, 100);
+}
+
+TEST(GapMonitor, SkippedGapsFeedTheNextEstimate)
+{
+    // A far obstacle is skipped while min_gap and min_ttc come from a
+    // near one; when the near one leaves, the far one's TTC estimate
+    // needs its last skipped gap. Both monitors must agree throughout.
+    OracleMonitor oracle(kDt);
+    GapMonitor monitor(kDt);
+    std::vector<Obstacle> rows(2);
+    rows[0].id = 7;
+    rows[1].id = 9;
+    std::vector<OrientedBox2> boxes{
+        OrientedBox2{Pose2{Vec2(4.0, 1.6), 0.0}, 0.5, 0.5},
+        OrientedBox2{Pose2{Vec2(40.0, 0.0), 0.0}, 1.0, 1.0}};
+    std::vector<PreparedBox> footprints(2);
+    Pose2 ego{Vec2(0.0, 0.0), 0.0};
+    for (int k = 0; k < 2000; ++k) {
+        ego.position.x() += 5.0 * kDt;
+        if (k == 600) {
+            // The near obstacle moves far away: a row republished.
+            boxes[0].pose.position = Vec2(-100.0, 50.0);
+        }
+        for (std::size_t i = 0; i < 2; ++i)
+            footprints[i].assign(boxes[i]);
+        const OrientedBox2 ego_box{ego, 1.3, 0.7};
+        const bool want = oracle.step(ego_box, rows, boxes);
+        ASSERT_EQ(want, monitor.step(ego_box, footprints, rows)) << "step " << k;
+        ASSERT_TRUE(sameFacts(oracle.facts, monitor.facts())) << "step " << k;
+        if (want)
+            break;
+    }
+    EXPECT_TRUE(oracle.facts.collided);
+    EXPECT_EQ(monitor.facts().nearest_obstacle, 9u);
+}
+
+TEST(GapMonitor, ResetForgetsEverything)
+{
+    GapMonitor monitor(kDt);
+    std::vector<Obstacle> rows(1);
+    const OrientedBox2 ego{Pose2{Vec2(0.0, 0.0), 0.0}, 1.3, 0.7};
+    const std::vector<PreparedBox> on_ego{PreparedBox(ego)};
+    EXPECT_TRUE(monitor.step(ego, on_ego, rows));
+    EXPECT_TRUE(monitor.facts().collided);
+    monitor.reset();
+    const GapFacts fresh;
+    EXPECT_TRUE(sameFacts(fresh, monitor.facts()));
+}
+
+} // namespace
+} // namespace sov
