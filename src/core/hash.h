@@ -71,6 +71,19 @@ fnv1aU64(std::uint64_t &h, std::uint64_t v)
     fnv1aPod(h, v);
 }
 
+/**
+ * Fold @p v as one FNV-1a step over the whole 64-bit word: xor it in,
+ * then multiply once. Not byte-compatible with fnv1aU64, but eight
+ * times cheaper; for digests folded on hot paths (the simulator's
+ * event-order digest folds two words per executed event).
+ */
+inline void
+fnv1aWord(std::uint64_t &h, std::uint64_t v)
+{
+    h ^= v;
+    h *= kFnv1aPrime;
+}
+
 /** Fold the bit pattern of @p v. */
 inline void
 fnv1aDouble(std::uint64_t &h, double v)

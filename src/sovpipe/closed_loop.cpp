@@ -471,6 +471,8 @@ ClosedLoopSim::run(Duration horizon)
         result_.worst_level = health_->degradation().worstLevel();
     }
     result_.elapsed = sim_.now() - Timestamp::origin();
+    result_.events_executed = sim_.eventsExecuted();
+    result_.event_order_digest = sim_.eventOrderDigest();
     return result_;
 }
 

@@ -154,6 +154,13 @@ struct ClosedLoopResult
     double min_ttc = 1e18;
     /** Id of the obstacle/agent that produced min_gap. */
     ObstacleId nearest_obstacle = 0;
+
+    // Event-core facts (never hashed into ScenarioOutcome or triage
+    // rows): the simulator's executed-event count and its event-order
+    // digest (Simulator::eventOrderDigest). Equal values mean the run
+    // executed the same events in the same order.
+    std::uint64_t events_executed = 0;
+    std::uint64_t event_order_digest = 0;
 };
 
 /** The closed-loop simulator. */

@@ -14,12 +14,18 @@
 //    whose far obstacles the physics-step broadphase skips)
 //                                       -> b85c3f599df9200d (fleet),
 //                                          3ba2986dc7b7bcd3 (triage)
+//
+// GoldenEventOrder pins the executed-event count and event-order
+// digest (ClosedLoopResult::events_executed / event_order_digest) of
+// every scenario of the last two sets, so an event-core rewrite must
+// keep the exact event order, not only the outcomes.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "core/hash.h"
 #include "core/kernels.h"
 #include "fleet/fleet_runner.h"
 #include "fleet/fuzzer.h"
@@ -35,6 +41,83 @@ hex(std::uint64_t v)
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(v));
     return buf;
+}
+
+/** All six sweep worlds x every fault preset x bare / supervised, one
+ *  seed, 40 s horizon. */
+std::vector<ScenarioSpec>
+fullSweepScenarios()
+{
+    ScenarioMatrix matrix;
+    for (double wall_x : {30.0, 40.0, 50.0}) {
+        WorldPreset w = suddenWallWorld(wall_x);
+        w.horizon_s = 40.0;
+        matrix.addWorld(std::move(w));
+    }
+    for (WorldPreset w : {openRoadWorld(), crossingPedestrianWorld(150.0, 0.5),
+                          trafficWorld(6)}) {
+        w.horizon_s = 40.0;
+        matrix.addWorld(std::move(w));
+    }
+    matrix.addFaults(faultMatrixPresets());
+    for (StackPreset s : {bareStack(), supervisedStack()}) {
+        s.pipeline.backend = defaultKernelBackend();
+        matrix.addStack(std::move(s));
+    }
+    matrix.addSeed(1);
+    return matrix.enumerate();
+}
+
+/** bench_fault_matrix's full matrix at seed 1: the 40 m wall x every
+ *  fault preset x the four stacks. */
+ScenarioMatrix
+fullFaultMatrix()
+{
+    WorldPreset world = suddenWallWorld(40.0);
+    world.horizon_s = 40.0;
+    ScenarioMatrix matrix;
+    matrix.addWorld(world)
+        .addFaults(faultMatrixPresets())
+        .addStack(bareStack())
+        .addStack(supervisedStack())
+        .addStack(bareAsyncStack())
+        .addStack(supervisedAsyncStack())
+        .addSeed(1);
+    return matrix;
+}
+
+/** Total events executed and a digest of every scenario's event count
+ *  and event-order digest, folded in scenario-index order. */
+struct EventOrderPin
+{
+    std::uint64_t events = 0;
+    std::uint64_t digest = kFnv1aOffset;
+};
+
+EventOrderPin
+eventOrderPin(const std::vector<ScenarioSpec> &scenarios)
+{
+    struct Slot
+    {
+        std::uint64_t events = 0;
+        std::uint64_t digest = 0;
+    };
+    std::vector<Slot> slots(scenarios.size());
+    FleetConfig cfg;
+    cfg.threads = 2;
+    cfg.master_seed = 1;
+    cfg.scenario_hook = [&slots](const ScenarioSpec &spec,
+                                 const ClosedLoopResult &r) {
+        slots[spec.index] = Slot{r.events_executed, r.event_order_digest};
+    };
+    FleetRunner(cfg).run(scenarios);
+    EventOrderPin pin;
+    for (const Slot &slot : slots) {
+        pin.events += slot.events;
+        fnv1aU64(pin.digest, slot.events);
+        fnv1aU64(pin.digest, slot.digest);
+    }
+    return pin;
 }
 
 TEST(GoldenFingerprints, FleetSweepSmokeMatrix)
@@ -67,24 +150,7 @@ TEST(GoldenFingerprints, FleetSweepSmokeMatrix)
 
 TEST(GoldenFingerprints, FullSweepMatrix)
 {
-    ScenarioMatrix matrix;
-    for (double wall_x : {30.0, 40.0, 50.0}) {
-        WorldPreset w = suddenWallWorld(wall_x);
-        w.horizon_s = 40.0;
-        matrix.addWorld(std::move(w));
-    }
-    for (WorldPreset w : {openRoadWorld(), crossingPedestrianWorld(150.0, 0.5),
-                          trafficWorld(6)}) {
-        w.horizon_s = 40.0;
-        matrix.addWorld(std::move(w));
-    }
-    matrix.addFaults(faultMatrixPresets());
-    for (StackPreset s : {bareStack(), supervisedStack()}) {
-        s.pipeline.backend = defaultKernelBackend();
-        matrix.addStack(std::move(s));
-    }
-    matrix.addSeed(1);
-    const std::vector<ScenarioSpec> scenarios = matrix.enumerate();
+    const std::vector<ScenarioSpec> scenarios = fullSweepScenarios();
     ASSERT_EQ(scenarios.size(), 132u);
 
     // The triage facts (min_gap, min_ttc, nearest obstacle) are not
@@ -114,17 +180,8 @@ TEST(GoldenFingerprints, FullSweepMatrix)
 
 TEST(GoldenFingerprints, FullFaultMatrix)
 {
-    WorldPreset world = suddenWallWorld(40.0);
-    world.horizon_s = 40.0;
-    ScenarioMatrix matrix;
-    matrix.addWorld(world)
-        .addFaults(faultMatrixPresets())
-        .addStack(bareStack())
-        .addStack(supervisedStack())
-        .addStack(bareAsyncStack())
-        .addStack(supervisedAsyncStack())
-        .addSeed(1);
-    const FleetReport report = FleetRunner(FleetConfig{2, 1}).run(matrix);
+    const FleetReport report =
+        FleetRunner(FleetConfig{2, 1}).run(fullFaultMatrix());
     EXPECT_EQ(report.outcomes().size(), 44u);
     EXPECT_EQ(hex(report.fingerprint()), "4946764c63613b35");
 }
@@ -169,6 +226,25 @@ TEST(GoldenFingerprints, ScenarioFuzzSmokeSet)
         triage.addRow(std::move(row));
     EXPECT_EQ(hex(report.fingerprint()), "a1bbbef1e45adddd");
     EXPECT_EQ(hex(triage.fingerprint()), "53a5f933da213b7b");
+}
+
+// Event-order pins: the closed loop's discrete-event schedule itself,
+// not just its outcomes, over the two full matrices above. A change to
+// the event core that reorders, adds or drops a single event moves
+// these even when every outcome row stays the same.
+
+TEST(GoldenEventOrder, FullSweepMatrix)
+{
+    const EventOrderPin pin = eventOrderPin(fullSweepScenarios());
+    EXPECT_EQ(pin.events, 693587u);
+    EXPECT_EQ(hex(pin.digest), "e8f429427b02af97");
+}
+
+TEST(GoldenEventOrder, FullFaultMatrix)
+{
+    const EventOrderPin pin = eventOrderPin(fullFaultMatrix().enumerate());
+    EXPECT_EQ(pin.events, 85286u);
+    EXPECT_EQ(hex(pin.digest), "19900e8103825640");
 }
 
 } // namespace
