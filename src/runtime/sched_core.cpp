@@ -4,51 +4,6 @@
 
 namespace sov::runtime {
 
-void
-InstanceRing::grow()
-{
-    const std::size_t old_cap = buf_.size();
-    const std::size_t new_cap = old_cap ? old_cap * 2 : 8;
-    std::vector<Instance> next(new_cap);
-    for (std::size_t i = 0; i < count_; ++i)
-        next[i] = buf_[(head_ + i) & (old_cap - 1)];
-    buf_ = std::move(next);
-    head_ = 0;
-    ++growth_;
-}
-
-void
-InstanceRing::push(Instance inst)
-{
-    if (count_ == buf_.size())
-        grow();
-    buf_[(head_ + count_) & (buf_.size() - 1)] = inst;
-    ++count_;
-}
-
-void
-InstanceRing::pop()
-{
-    SOV_ASSERT(count_ > 0);
-    head_ = (head_ + 1) & (buf_.size() - 1);
-    --count_;
-}
-
-void
-InstanceRing::cancel(std::uint32_t slot, bool skip_head)
-{
-    const std::size_t mask = buf_.size() - 1;
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < count_; ++i) {
-        const Instance inst = buf_[(head_ + i) & mask];
-        if (inst.slot == slot && !(skip_head && i == 0))
-            continue;
-        buf_[(head_ + kept) & mask] = inst;
-        ++kept;
-    }
-    count_ = kept;
-}
-
 SchedulerCore::SchedulerCore(const StageGraph &graph) : graph_(graph)
 {
     SOV_ASSERT(graph.size() > 0);
@@ -162,8 +117,13 @@ SchedulerCore::recycle(std::uint32_t idx)
 void
 SchedulerCore::cancelQueued(std::uint32_t idx)
 {
-    for (Lane &lane : lanes_)
-        lane.queue.cancel(idx, lane.busy);
+    // A busy lane's head is the dispatched instance: it keeps its lane
+    // until its finish event fires (or revokeInFlight frees it).
+    for (Lane &lane : lanes_) {
+        lane.queue.removeIf([&](std::size_t i, const Instance &inst) {
+            return inst.slot == idx && !(lane.busy && i == 0);
+        });
+    }
 }
 
 std::uint64_t

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "core/arena.h"
+#include "core/ring.h"
 #include "core/time.h"
 #include "runtime/stage_graph.h"
 
@@ -86,42 +87,9 @@ struct Instance
     std::uint32_t stage = 0;
 };
 
-/**
- * FIFO ring of stage instances pending on one resource lane. Backed by
- * a power-of-two buffer that doubles only when the backlog exceeds the
- * previous high-water mark (a growth event); steady state pushes and
- * pops recycled storage.
- */
-class InstanceRing
-{
-  public:
-    bool empty() const { return count_ == 0; }
-    std::size_t size() const { return count_; }
-
-    const Instance &front() const { return buf_[head_]; }
-
-    void push(Instance inst);
-    void pop();
-
-    /**
-     * Remove every queued instance of @p slot. When @p skip_head is
-     * set the front entry is preserved even if it matches — it is the
-     * busy (already dispatched) instance, which keeps its lane until
-     * its finish event fires.
-     */
-    void cancel(std::uint32_t slot, bool skip_head);
-
-    /** Buffer doublings since construction. */
-    std::size_t growthEvents() const { return growth_; }
-
-  private:
-    void grow();
-
-    std::vector<Instance> buf_; //!< power-of-two capacity
-    std::size_t head_ = 0;
-    std::size_t count_ = 0;
-    std::size_t growth_ = 0;
-};
+/** FIFO of stage instances pending on one resource lane; its
+ *  doublings count as growth events. */
+using InstanceRing = Ring<Instance>;
 
 /** Per-frame bookkeeping, recycled across frames by the slot pool. */
 struct FrameSlot
@@ -211,7 +179,7 @@ class SchedulerCore
     void recycle(std::uint32_t idx);
 
     /** Cancel the queued-but-not-started instances of @p idx on every
-     *  lane (a busy lane's head keeps its dispatch; see InstanceRing). */
+     *  lane (a busy lane's head keeps its dispatch). */
     void cancelQueued(std::uint32_t idx);
 
     /** Slots currently bound to an in-flight frame. */

@@ -13,7 +13,16 @@ CanBus::transmit(const ControlCommand &command)
         ++frames_lost_;
         return;
     }
-    sim_.schedule(latency_, [this, command] { receiver_(command); });
+    in_flight_.push(command);
+    sim_.post(latency_, *this);
+}
+
+void
+CanBus::onEvent(std::uint64_t)
+{
+    const ControlCommand command = in_flight_.front();
+    in_flight_.pop();
+    receiver_(command);
 }
 
 } // namespace sov

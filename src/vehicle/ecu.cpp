@@ -5,28 +5,35 @@ namespace sov {
 void
 Ecu::onCommand(const ControlCommand &command)
 {
-    sim_.schedule(mechanical_latency_, [this, command] {
-        if (emergency_)
-            return; // reactive override wins (Sec. IV)
-        ActuatorState state;
-        state.acceleration = command.acceleration;
-        state.curvature = command.steer_curvature;
-        state.emergency_brake = command.emergency_brake;
-        vehicle_.applyActuator(state);
-    });
+    commands_.push(command);
+    sim_.post(mechanical_latency_, *this, kCommand);
 }
 
 void
 Ecu::emergencyBrake()
 {
     emergency_ = true;
-    sim_.schedule(mechanical_latency_, [this] {
+    sim_.post(mechanical_latency_, *this, kBrake);
+}
+
+void
+Ecu::onEvent(std::uint64_t arg)
+{
+    ActuatorState state;
+    if (arg == kCommand) {
+        const ControlCommand command = commands_.front();
+        commands_.pop();
+        if (emergency_)
+            return; // reactive override wins (Sec. IV)
+        state.acceleration = command.acceleration;
+        state.curvature = command.steer_curvature;
+        state.emergency_brake = command.emergency_brake;
+    } else {
         if (!emergency_)
             return;
-        ActuatorState state;
         state.emergency_brake = true;
-        vehicle_.applyActuator(state);
-    });
+    }
+    vehicle_.applyActuator(state);
 }
 
 void

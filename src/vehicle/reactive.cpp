@@ -16,8 +16,7 @@ ReactivePath::evaluate(const WorldSnapshot &world, const Pose2 &body, double spe
             ++triggers_;
             // The reactive signal reaches the ECU after the short
             // direct-path latency; the ECU adds T_mech itself.
-            sim_.schedule(config_.path_latency,
-                          [this] { ecu_.emergencyBrake(); });
+            sim_.post(config_.path_latency, *this);
         }
     }
 

@@ -1,0 +1,121 @@
+// Allocation gate for the event core: once warmed up, fixed-rate
+// lanes, typed one-shots and the dataflow executor's per-frame path
+// allocate nothing. This binary replaces the global operator new with
+// a counting one, so it runs apart from the other runtime tests.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+#include "planning/planner_types.h"
+#include "platform/platform_model.h"
+#include "runtime/dataflow.h"
+#include "sim/simulator.h"
+#include "sovpipe/fig5_graph.h"
+#include "vehicle/can_bus.h"
+#include "vehicle/ecu.h"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+void *
+countedAlloc(std::size_t n)
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+void *operator new(std::size_t n) { return countedAlloc(n); }
+void *operator new[](std::size_t n) { return countedAlloc(n); }
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+
+namespace sov {
+namespace {
+
+std::uint64_t
+allocations()
+{
+    return g_allocations.load(std::memory_order_relaxed);
+}
+
+/** Counts its events; stands in for any typed event owner. */
+struct Counter final : EventTarget
+{
+    std::uint64_t fired = 0;
+    void onEvent(std::uint64_t arg) override { fired += arg; }
+};
+
+TEST(EventAlloc, LanesAndTypedOneShotsAllocateNothing)
+{
+    Simulator sim;
+    Counter counter;
+    VehicleDynamics vehicle;
+    Ecu ecu(sim, vehicle);
+    CanBus can(sim);
+    can.connect([&ecu](const ControlCommand &cmd) { ecu.onCommand(cmd); });
+
+    // A 200 Hz lane posting typed one-shots at two latencies, and a
+    // 10 Hz lane sending commands over CAN to the ECU.
+    sim.schedulePeriodic(Duration::millisF(5.0), Duration::zero(), [&] {
+        sim.post(Duration::millisF(1.0), counter, 1);
+        sim.post(Duration::millisF(7.5), counter, 1);
+    });
+    sim.schedulePeriodic(Duration::millisF(100.0), Duration::millisF(0.1),
+                         [&] {
+                             ControlCommand cmd;
+                             cmd.issued_at = sim.now();
+                             cmd.acceleration = -0.1;
+                             can.transmit(cmd);
+                         });
+
+    sim.runUntil(Timestamp::seconds(1.0)); // warm-up
+    const std::uint64_t events_before = sim.eventsExecuted();
+    const std::uint64_t before = allocations();
+    sim.runUntil(Timestamp::seconds(51.0));
+    const std::uint64_t after = allocations();
+
+    // 10 000 firings of the 200 Hz lane in the measured window.
+    EXPECT_GE(sim.eventsExecuted() - events_before, 30000u);
+    EXPECT_GE(counter.fired, 20000u);
+    EXPECT_EQ(can.framesSent(), 510u);
+    EXPECT_EQ(after - before, 0u);
+}
+
+TEST(EventAlloc, DataflowFramesAllocateNothing)
+{
+    Simulator sim;
+    PlatformModel model;
+    runtime::StageGraph graph;
+    buildFig5Graph(graph, model, SovPipelineConfig{}, nullptr,
+                   Fig5Latency::Mean);
+    runtime::DataflowExecutor exec(sim, graph);
+    exec.setKeepTraces(false);
+
+    // One frame per 10 Hz planning cycle, as in the closed loop.
+    std::uint64_t completed = 0;
+    sim.schedulePeriodic(Duration::millisF(100.0), Duration::zero(), [&] {
+        exec.releaseFrame(
+            [&completed](const runtime::FrameTrace &) { ++completed; });
+    });
+
+    sim.runUntil(Timestamp::seconds(5.0)); // warm-up: 50 frames
+    const std::uint64_t completed_before = completed;
+    const std::uint64_t before = allocations();
+    sim.runUntil(Timestamp::seconds(105.0)); // 1 000 frames
+    const std::uint64_t after = allocations();
+
+    EXPECT_GE(completed - completed_before, 999u);
+    EXPECT_EQ(after - before, 0u);
+}
+
+} // namespace
+} // namespace sov
