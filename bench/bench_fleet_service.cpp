@@ -135,7 +135,6 @@ main(int argc, char **argv)
     bench::BenchReport report("fleet_service");
     report.setSmoke(smoke);
     report.meta("workers", workers);
-    report.meta("hardware_concurrency", hw);
     report.meta("horizon_s", horizon_s);
 
     // ---- calibrate: direct per-scenario cost on this machine --------

@@ -14,14 +14,9 @@
  *
  * Usage:
  *   bench_fleet_sweep [smoke=1] [seed=1] [seeds=4] [horizon_s=40]
- *                     [max_threads=N] [backend=simd]
- *                     [out=BENCH_fleet.json]
+ *                     [max_threads=N] [out=BENCH_fleet.json]
  *
- * smoke=1 runs the reduced (~40 scenario) matrix for CI. `backend`
- * selects the kernel tier every stack's pipeline config carries
- * (default: the production Simd tier); the closed-loop stages are
- * model-driven, so the tier is recorded in the report metadata and
- * the fingerprints are tier-independent.
+ * smoke=1 runs the reduced (~40 scenario) matrix for CI.
  */
 #include <algorithm>
 #include <chrono>
@@ -30,7 +25,6 @@
 #include <vector>
 
 #include "core/config.h"
-#include "core/kernels.h"
 #include "core/thread_pool.h"
 #include "fleet/fleet_runner.h"
 #include "harness.h"
@@ -42,7 +36,7 @@ namespace {
 
 ScenarioMatrix
 buildMatrix(bool smoke, std::uint64_t seed, std::size_t seeds,
-            double horizon_s, KernelBackend backend)
+            double horizon_s)
 {
     ScenarioMatrix matrix;
     for (double wall_x : {30.0, 40.0, 50.0})
@@ -66,10 +60,8 @@ buildMatrix(bool smoke, std::uint64_t seed, std::size_t seeds,
         out.addWorld(std::move(w));
     }
     out.addFaults(matrix.faults());
-    for (StackPreset s : matrix.stacks()) {
-        s.pipeline.backend = backend;
-        out.addStack(std::move(s));
-    }
+    for (const StackPreset &s : matrix.stacks())
+        out.addStack(s);
     for (std::uint64_t s : matrix.seeds())
         out.addSeed(s);
     return out;
@@ -134,20 +126,9 @@ main(int argc, char **argv)
         config.getInt("max_threads", static_cast<std::int64_t>(hw)));
     const std::string out_path =
         config.getString("out", "BENCH_fleet.json");
-    const std::string backend_name = config.getString(
-        "backend", kernelBackendName(defaultKernelBackend()));
-    if (backend_name != "reference" && backend_name != "fast" &&
-        backend_name != "simd") {
-        std::fprintf(stderr,
-                     "bench_fleet_sweep: unknown backend '%s' "
-                     "(reference|fast|simd)\n",
-                     backend_name.c_str());
-        return 2;
-    }
-    const KernelBackend backend = kernelBackendFromName(backend_name);
 
     const ScenarioMatrix matrix =
-        buildMatrix(smoke, seed, seeds, horizon_s, backend);
+        buildMatrix(smoke, seed, seeds, horizon_s);
     const std::vector<ScenarioSpec> scenarios = matrix.enumerate();
 
     std::printf("=== Fleet sweep: %zu scenarios (%zu worlds x %zu faults "
@@ -214,9 +195,7 @@ main(int argc, char **argv)
     bench::BenchReport report_out("fleet_sweep");
     report_out.setSmoke(smoke);
     report_out.meta("scenarios", scenarios.size());
-    report_out.meta("hardware_concurrency", hw);
     report_out.meta("deterministic", deterministic);
-    report_out.meta("backend", kernelBackendName(backend));
     for (const ThreadResult &r : results) {
         const double speedup = results.front().scen_per_s > 0.0
             ? r.scen_per_s / results.front().scen_per_s

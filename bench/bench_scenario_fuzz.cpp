@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "core/config.h"
-#include "core/kernels.h"
 #include "fleet/fleet_runner.h"
 #include "fleet/fuzzer.h"
 #include "fleet/triage.h"
@@ -199,9 +198,7 @@ main(int argc, char **argv)
     for (WorldPreset &w : fuzzWorlds(fuzz))
         matrix.addWorld(std::move(w));
     matrix.addFault(noFaultPreset());
-    StackPreset stack = bareStack();
-    stack.pipeline.backend = defaultKernelBackend();
-    matrix.addStack(stack);
+    matrix.addStack(bareStack());
     matrix.addSeed(seed);
     const std::vector<ScenarioSpec> scenarios = matrix.enumerate();
 
@@ -264,7 +261,6 @@ main(int argc, char **argv)
     report.meta("worlds", worlds);
     report.meta("base_seed", seed);
     report.meta("horizon_s", horizon_s);
-    report.meta("backend", kernelBackendName(defaultKernelBackend()));
     for (const SweepResult &r : sweeps) {
         report.addRow("runs")
             .set("threads", r.threads)

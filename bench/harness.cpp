@@ -5,6 +5,9 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <thread>
+
+#include "core/simd.h"
 
 namespace sov::bench {
 
@@ -18,6 +21,26 @@ hex(std::uint64_t v)
 }
 
 namespace {
+
+/** "model name" from /proc/cpuinfo, whitespace runs folded; "unknown"
+ *  where the file or the field is missing (non-Linux, some ARM). */
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        std::istringstream words(line.substr(line.find(':') + 1));
+        std::string word, model;
+        while (words >> word)
+            model += (model.empty() ? "" : " ") + word;
+        if (!model.empty())
+            return model;
+    }
+    return "unknown";
+}
 
 void
 writeEscaped(std::ostream &os, const std::string &s)
@@ -69,6 +92,17 @@ writeDouble(std::ostream &os, double v)
 
 } // namespace
 
+const std::string &
+hostStamp()
+{
+    static const std::string stamp =
+        "cpu=" + cpuModel() +
+        "; cores=" + std::to_string(std::thread::hardware_concurrency()) +
+        "; simd=" + simdLevelName(detectSimdLevel()) +
+        "; build=" SOV_BUILD_TYPE "; compiler=" SOV_COMPILER;
+    return stamp;
+}
+
 void
 Value::write(std::ostream &os) const
 {
@@ -91,7 +125,10 @@ Value::write(std::ostream &os) const
     }
 }
 
-BenchReport::BenchReport(std::string name) : name_(std::move(name)) {}
+BenchReport::BenchReport(std::string name) : name_(std::move(name))
+{
+    meta("host", hostStamp());
+}
 
 Row &
 BenchReport::addRow(const std::string &table)

@@ -42,6 +42,15 @@ fnv1a(const void *bytes, std::size_t n,
 /** 16-digit zero-padded lowercase hex (fingerprint formatting). */
 std::string hex(std::uint64_t v);
 
+/**
+ * The machine and build this process runs on, as one line: CPU model,
+ * core count, detected SIMD level, CMake build type and compiler.
+ * Every BenchReport carries it as meta.host; tools/bench_diff.py
+ * compares host-clock values (rates, TTFR) only between reports whose
+ * stamps are equal.
+ */
+const std::string &hostStamp();
+
 /** Best-of-N wall time of f(), in nanoseconds per call. */
 template <typename F>
 double

@@ -70,12 +70,21 @@ PercentileBuffer::mean() const
 }
 
 void
-PercentileBuffer::ensureSorted()
+PercentileBuffer::merge(const PercentileBuffer &other)
+{
+    samples_.insert(samples_.end(), other.samples_.begin(),
+                    other.samples_.end());
+    sorted_ = false;
+}
+
+const std::vector<double> &
+PercentileBuffer::sortedSamples()
 {
     if (!sorted_) {
         std::sort(samples_.begin(), samples_.end());
         sorted_ = true;
     }
+    return samples_;
 }
 
 double
@@ -84,7 +93,7 @@ PercentileBuffer::percentile(double p)
     SOV_ASSERT(p >= 0.0 && p <= 100.0);
     if (samples_.empty())
         return 0.0;
-    ensureSorted();
+    sortedSamples();
     if (samples_.size() == 1)
         return samples_.front();
     const double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);

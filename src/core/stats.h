@@ -48,6 +48,8 @@ class PercentileBuffer
 {
   public:
     void add(double x) { samples_.push_back(x); sorted_ = false; }
+    /** Append @p other's samples (their order is not kept). */
+    void merge(const PercentileBuffer &other);
     std::size_t count() const { return samples_.size(); }
     double mean() const;
     double min() { return percentile(0.0); }
@@ -59,10 +61,13 @@ class PercentileBuffer
      */
     double percentile(double p);
 
+    /** Samples in their current order (insertion order until the
+     *  first percentile query sorts them). */
     const std::vector<double> &samples() const { return samples_; }
+    /** Samples ascending; sorts on demand. */
+    const std::vector<double> &sortedSamples();
 
   private:
-    void ensureSorted();
     std::vector<double> samples_;
     bool sorted_ = false;
 };

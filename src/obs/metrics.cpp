@@ -25,45 +25,6 @@ keysOf(const Map &map)
 } // namespace
 
 void
-MetricRegistry::Hist::add(double x)
-{
-    samples.push_back(x);
-    sorted = false;
-    digest.add(x);
-}
-
-double
-MetricRegistry::Hist::mean() const
-{
-    if (samples.empty())
-        return 0.0;
-    double s = 0.0;
-    for (double x : samples)
-        s += x;
-    return s / static_cast<double>(samples.size());
-}
-
-double
-MetricRegistry::Hist::percentile(double p)
-{
-    SOV_ASSERT(p >= 0.0 && p <= 100.0);
-    if (samples.empty())
-        return 0.0;
-    if (!sorted) {
-        std::sort(samples.begin(), samples.end());
-        sorted = true;
-    }
-    if (samples.size() == 1)
-        return samples.front();
-    const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const double frac = rank - static_cast<double>(lo);
-    if (lo + 1 >= samples.size())
-        return samples.back();
-    return samples[lo] * (1.0 - frac) + samples[lo + 1] * frac;
-}
-
-void
 MetricRegistry::incr(const std::string &name, std::uint64_t delta)
 {
     counters_[name] += delta;
@@ -130,7 +91,7 @@ std::size_t
 MetricRegistry::count(const std::string &name) const
 {
     const Hist *h = findHist(name);
-    return h ? h->samples.size() : 0;
+    return h ? h->samples.count() : 0;
 }
 
 double
@@ -138,7 +99,7 @@ MetricRegistry::mean(const std::string &name) const
 {
     const Hist *h = findHist(name);
     SOV_ASSERT(h != nullptr);
-    return h->mean();
+    return h->samples.mean();
 }
 
 double
@@ -146,7 +107,7 @@ MetricRegistry::min(const std::string &name) const
 {
     Hist *h = findHist(name);
     SOV_ASSERT(h != nullptr);
-    return h->percentile(0.0);
+    return h->samples.min();
 }
 
 double
@@ -154,7 +115,7 @@ MetricRegistry::max(const std::string &name) const
 {
     Hist *h = findHist(name);
     SOV_ASSERT(h != nullptr);
-    return h->percentile(100.0);
+    return h->samples.max();
 }
 
 double
@@ -162,7 +123,7 @@ MetricRegistry::percentile(const std::string &name, double p) const
 {
     Hist *h = findHist(name);
     SOV_ASSERT(h != nullptr);
-    return h->percentile(p);
+    return h->samples.percentile(p);
 }
 
 double
@@ -171,7 +132,7 @@ MetricRegistry::stddev(const std::string &name) const
     const Hist *h = findHist(name);
     SOV_ASSERT(h != nullptr);
     RunningStats rs;
-    for (double x : h->samples)
+    for (double x : h->samples.samples())
         rs.add(x);
     return rs.stddev();
 }
@@ -198,9 +159,7 @@ MetricRegistry::merge(const MetricRegistry &other)
     }
     for (const auto &[name, hist] : other.hists_) {
         Hist &mine = hists_[name];
-        mine.samples.insert(mine.samples.end(), hist.samples.begin(),
-                            hist.samples.end());
-        mine.sorted = false;
+        mine.samples.merge(hist.samples);
         mine.digest.merge(hist.digest);
     }
 }
@@ -219,15 +178,11 @@ MetricRegistry::fingerprint() const
     }
     for (auto &[name, hist] : hists_) {
         fnv1aTerminatedString(h, name);
-        const std::uint64_t n = hist.samples.size();
+        const std::uint64_t n = hist.samples.count();
         fnv1aPod(h, n);
         // Sorted samples: insertion order (completion order under a
         // thread pool) must not leak into the fingerprint.
-        if (!hist.sorted) {
-            std::sort(hist.samples.begin(), hist.samples.end());
-            hist.sorted = true;
-        }
-        for (double x : hist.samples)
+        for (double x : hist.samples.sortedSamples())
             fnv1aPod(h, x);
         for (const auto &[index, weight] : hist.digest.buckets()) {
             fnv1aPod(h, index);
@@ -242,10 +197,10 @@ MetricRegistry::summary() const
 {
     std::ostringstream os;
     for (auto &kv : hists_) {
-        Hist &hist = kv.second;
-        os << kv.first << ": best=" << hist.percentile(0.0)
-           << "ms mean=" << hist.mean()
-           << "ms p99=" << hist.percentile(99.0) << "ms\n";
+        PercentileBuffer &samples = kv.second.samples;
+        os << kv.first << ": best=" << samples.min()
+           << "ms mean=" << samples.mean()
+           << "ms p99=" << samples.percentile(99.0) << "ms\n";
     }
     return os.str();
 }
@@ -268,13 +223,14 @@ MetricRegistry::toJson(std::ostream &os) const
     os << "},\"histograms\":{";
     first = true;
     for (auto &[name, hist] : hists_) {
+        PercentileBuffer &samples = hist.samples;
         os << (first ? "" : ",") << "\"" << name << "\":{"
-           << "\"count\":" << hist.samples.size()
-           << ",\"mean\":" << hist.mean()
-           << ",\"min\":" << hist.percentile(0.0)
-           << ",\"max\":" << hist.percentile(100.0)
-           << ",\"p50\":" << hist.percentile(50.0)
-           << ",\"p99\":" << hist.percentile(99.0) << "}";
+           << "\"count\":" << samples.count()
+           << ",\"mean\":" << samples.mean()
+           << ",\"min\":" << samples.min()
+           << ",\"max\":" << samples.max()
+           << ",\"p50\":" << samples.percentile(50.0)
+           << ",\"p99\":" << samples.percentile(99.0) << "}";
         first = false;
     }
     os << "}}";

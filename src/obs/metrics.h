@@ -103,20 +103,21 @@ class MetricRegistry
     /** One histogram: retained samples + mergeable digest. */
     struct Hist
     {
-        std::vector<double> samples;
-        bool sorted = false;
+        PercentileBuffer samples;
         QuantileDigest digest{0.01};
 
-        void add(double x);
-        double mean() const;
-        double percentile(double p); //!< sorts on demand
+        void add(double x)
+        {
+            samples.add(x);
+            digest.add(x);
+        }
     };
 
     Hist *findHist(const std::string &name) const;
 
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, double> gauges_;
-    // mutable: percentile queries sort lazily, as PercentileBuffer did.
+    // mutable: percentile queries sort the sample buffers lazily.
     mutable std::map<std::string, Hist> hists_;
 };
 

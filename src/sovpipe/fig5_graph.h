@@ -20,7 +20,6 @@
 
 #include <cstddef>
 
-#include "core/kernels.h"
 #include "core/rng.h"
 #include "platform/accelerator.h"
 #include "platform/platform_model.h"
@@ -41,12 +40,6 @@ struct SovPipelineConfig
      *  baseline runs serialized after detection. */
     bool radar_tracking = true;
     double frame_rate_hz = 10.0; //!< pipeline cadence (Sec. III-A)
-    /** Kernel tier the stack's perception kernels run at when a
-     *  consumer executes real kernels (stereo/detector/ICP); the
-     *  modelled latency distributions are tier-independent, so for
-     *  model-driven runs this is recorded in bench metadata but does
-     *  not perturb outcomes. Defaults to the production Simd tier. */
-    KernelBackend backend = defaultKernelBackend();
 };
 
 /** Stage ids of the built graph, for span lookups. */

@@ -1,11 +1,14 @@
 /**
  * @file
  * Pins the shared bench-report envelope: exact JSON layout (golden
- * string), gate -> pass -> exit-code semantics, meta overwrite, string
- * escaping, and the fingerprint formatting every bench shares.
+ * string), the meta.host stamp, gate -> pass -> exit-code semantics,
+ * meta overwrite, string escaping, and the fingerprint formatting
+ * every bench shares.
  */
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 
@@ -53,6 +56,7 @@ TEST(BenchHarness, GoldenEnvelope)
   "bench": "golden",
   "smoke": true,
   "meta": {
+    "host": ")" + bench::hostStamp() + R"(",
     "frames": 128,
     "speedup": 2.5
   },
@@ -76,12 +80,35 @@ TEST(BenchHarness, EmptyReportStillValidShape)
 {
     bench::BenchReport report("empty");
     const std::string json = render(report);
-    EXPECT_NE(json.find("\"meta\": {},"), std::string::npos);
+    // The host stamp is the only meta key a bare report carries.
+    EXPECT_NE(json.find("\"meta\": {\n    \"host\": "), std::string::npos);
     EXPECT_NE(json.find("\"rows\": {},"), std::string::npos);
     EXPECT_NE(json.find("\"gates\": [],"), std::string::npos);
     // No gates: vacuous pass.
     EXPECT_TRUE(report.pass());
     EXPECT_NE(json.find("\"pass\": true"), std::string::npos);
+}
+
+TEST(BenchHarness, WrittenReportCarriesHostStamp)
+{
+    const std::string &host = bench::hostStamp();
+    EXPECT_FALSE(host.empty());
+    for (const char *field :
+         {"cpu=", "; cores=", "; simd=", "; build=", "; compiler="})
+        EXPECT_NE(host.find(field), std::string::npos) << field;
+
+    // Written reports carry it, and a bench's own meta keys follow it.
+    bench::BenchReport report("host");
+    report.meta("frames", 1);
+    const std::string path =
+        ::testing::TempDir() + "/BENCH_host_test.json";
+    ASSERT_EQ(report.write(path), 0);
+    std::ifstream in(path);
+    const std::string json((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const auto at = json.find("\"host\": \"" + host + "\"");
+    EXPECT_NE(at, std::string::npos);
+    EXPECT_LT(at, json.find("\"frames\": 1"));
 }
 
 TEST(BenchHarness, PassIsAndOfGatesAndDrivesExitCode)

@@ -2,7 +2,7 @@
 // and triage fingerprints are pinned to recorded constants. Every
 // other determinism check folds its reference from the same build, so
 // this is the one gate that notices a change that moves *every* thread
-// count and backend together (a geometry or event-order change). The
+// count together (a geometry or event-order change). The
 // sets mirror the benches that publish these fingerprints:
 //
 //  - bench_fleet_sweep smoke=1          -> 48b1bea500bf0196
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "core/hash.h"
-#include "core/kernels.h"
 #include "fleet/fleet_runner.h"
 #include "fleet/fuzzer.h"
 #include "fleet/triage.h"
@@ -60,10 +59,8 @@ fullSweepScenarios()
         matrix.addWorld(std::move(w));
     }
     matrix.addFaults(faultMatrixPresets());
-    for (StackPreset s : {bareStack(), supervisedStack()}) {
-        s.pipeline.backend = defaultKernelBackend();
-        matrix.addStack(std::move(s));
-    }
+    matrix.addStack(bareStack());
+    matrix.addStack(supervisedStack());
     matrix.addSeed(1);
     return matrix.enumerate();
 }
@@ -132,17 +129,15 @@ TEST(GoldenFingerprints, FleetSweepSmokeMatrix)
     matrix.addStack(bareStack());
     matrix.addStack(supervisedStack());
     matrix.smokeOnly();
-    // Same axis rewrite as the bench: horizon and kernel tier.
+    // Same axis rewrite as the bench: the horizon.
     ScenarioMatrix out;
     for (WorldPreset w : matrix.worlds()) {
         w.horizon_s = 40.0;
         out.addWorld(std::move(w));
     }
     out.addFaults(matrix.faults());
-    for (StackPreset s : matrix.stacks()) {
-        s.pipeline.backend = defaultKernelBackend();
-        out.addStack(std::move(s));
-    }
+    for (const StackPreset &s : matrix.stacks())
+        out.addStack(s);
     out.addSeed(1);
     const FleetReport report = FleetRunner(FleetConfig{2, 1}).run(out);
     EXPECT_EQ(hex(report.fingerprint()), "48b1bea500bf0196");
@@ -196,9 +191,7 @@ TEST(GoldenFingerprints, ScenarioFuzzSmokeSet)
     for (WorldPreset &w : fuzzWorlds(fuzz))
         matrix.addWorld(std::move(w));
     matrix.addFault(noFaultPreset());
-    StackPreset stack = bareStack();
-    stack.pipeline.backend = defaultKernelBackend();
-    matrix.addStack(stack);
+    matrix.addStack(bareStack());
     matrix.addSeed(1);
     const std::vector<ScenarioSpec> scenarios = matrix.enumerate();
 

@@ -2,46 +2,42 @@
 """Diff two trees of BENCH_*.json reports and flag regressions.
 
 Compares every report present in both trees (matched by filename).
-These changes fail the diff:
+A gate that passed in the baseline and fails or disappears in the
+candidate fails the diff; new and newly-passing gates are fine.
 
-  * gate flips — a gate that passed in the baseline and fails in the
-    candidate (new gates and newly-passing gates are reported but OK);
-  * performance drift — a named latency/throughput value in a row
-    table or the meta block moving by more than --tolerance (default
-    10%) in either direction;
-  * fault-outcome drift — a row's categorical outcome ("outcome",
-    "worst_level", "final_state") changing at all, or its
-    "availability" drifting out of tolerance. This is what turns a
-    fault-matrix regression (a scenario that used to stop now
-    collides, a policy that used to stay Degraded now hits SafeStop)
-    into a CI failure;
-  * fingerprint drift — any "fingerprint" or "*_fingerprint" key
-    (fleet_, triage_, sync_, async_, failover_...) changing anywhere
-    in a row, the meta block, the top level or the "extra" section.
-    Fingerprints fold every simulated result bit for bit, so a change
-    is a behaviour change even when every perf value stays within
-    tolerance.
+Every key of the meta block and of every row falls into exactly one
+class of KEY_RULES (first match wins):
 
-Performance keys are recognised by name: anything containing
-"latency", "throughput", "availability", "ttfr" or "fairness", or
-ending in "_ms", "_hz" or "per_sec". Wall-clock keys (anything with
-"wall" in the name, e.g. "wall_s" or "cold_wall_ms") are machine
-noise and never compared; the simulated-time metrics are
-deterministic, so drift there is a real behaviour change, not
-jitter.
+  fingerprint  "fingerprint" or "*_fingerprint": must match exactly.
+               Fingerprints fold every simulated result bit for bit,
+               so a change is a behaviour change even when every value
+               stays within tolerance. They are also compared at the
+               top level and in any nested object ("extra", "metrics").
+  outcome      a categorical result (OUTCOME_KEYS): must match exactly.
+  ignored      wall-clock keys ("wall" anywhere in the name), plus any
+               key no rule names (labels, counts, ratios).
+  host-clock   how fast this host ran the code ("*per_sec", "ttfr*",
+               "per_scenario_ms"): compared within --tolerance, but only
+               when both reports carry the same meta.host stamp. Across
+               hosts, or when a stamp is missing, each such key prints
+               one HOST line instead of being compared.
+  model-time   the paper's calibrated latencies and rates ("*_ms",
+               "*_hz", "latency", "throughput", "availability",
+               "fairness"): deterministic, so compared within
+               --tolerance (default 10%) on every run.
 
 Row tables are aligned by a composite of the row's known label keys
-(fault/scenario/policy/mode/preset/stack/name — so the fault matrix's
-4 cells per fault land on distinct labels), falling back to the first
-string-valued field that is not a fingerprint, then the row index. A
-report pair whose `smoke` flags disagree is skipped — a smoke matrix
-and a full matrix legitimately produce different numbers.
+(fault/scenario/policy/mode/preset/stack/tenant/name — so the fault
+matrix's 4 cells per fault land on distinct labels), falling back to
+the first string-valued field that is not a fingerprint, then the row
+index. A report pair whose `smoke` flags disagree is skipped — a smoke
+matrix and a full matrix legitimately produce different numbers.
 
 Usage:
     tools/bench_diff.py BASELINE_DIR CANDIDATE_DIR [--tolerance 0.10]
 
-Exits 1 on any gate flip or out-of-tolerance drift, 2 on usage or
-unreadable input, 0 otherwise.
+Exits 1 on any gate flip, mismatch or out-of-tolerance drift, 2 on
+usage or unreadable input, 0 otherwise.
 """
 
 import argparse
@@ -49,8 +45,6 @@ import glob
 import json
 import os
 import sys
-
-PERF_SUFFIXES = ("_ms", "_hz", "per_sec")
 
 # Row fields that identify a row rather than measure it, in label
 # order. The fault matrix repeats the same fault name across its
@@ -68,21 +62,33 @@ LABEL_KEYS = ("fault", "scenario", "policy", "mode", "preset", "stack",
 OUTCOME_KEYS = ("outcome", "worst_level", "final_state", "equivalent",
                 "checksum_ref", "checksum_fast")
 
+FINGERPRINT = "fingerprint"
+OUTCOME = "outcome"
+IGNORED = "ignored"
+HOST_CLOCK = "host-clock"
+MODEL_TIME = "model-time"
 
-def is_fingerprint_key(key):
-    """Bit-identity digests: categorical wherever they appear."""
-    return key == "fingerprint" or key.endswith("_fingerprint")
+# (class, predicate over the lower-cased key), first match wins; a key
+# no rule matches is IGNORED.
+KEY_RULES = (
+    (FINGERPRINT, lambda k: k == "fingerprint" or k.endswith("_fingerprint")),
+    (OUTCOME, lambda k: k in OUTCOME_KEYS),
+    (IGNORED, lambda k: "wall" in k),
+    (HOST_CLOCK, lambda k: (k.endswith("per_sec") or k.startswith("ttfr")
+                            or k == "per_scenario_ms")),
+    (MODEL_TIME, lambda k: (k.endswith(("_ms", "_hz"))
+                            or any(word in k for word in (
+                                "latency", "throughput", "availability",
+                                "fairness")))),
+)
 
 
-def is_perf_key(key):
+def key_class(key):
     lowered = key.lower()
-    if "wall" in lowered:
-        return False
-    if ("latency" in lowered or "throughput" in lowered
-            or "availability" in lowered or "ttfr" in lowered
-            or "fairness" in lowered):
-        return True
-    return lowered.endswith(PERF_SUFFIXES)
+    for cls, matches in KEY_RULES:
+        if matches(lowered):
+            return cls
+    return IGNORED
 
 
 def is_number(value):
@@ -98,20 +104,41 @@ def row_label(row, index):
     # hide its change behind "row missing" and fold every row sharing
     # it (one per thread count) onto one candidate row.
     for key, value in row.items():
-        if isinstance(value, str) and not is_fingerprint_key(key):
+        if isinstance(value, str) and key_class(key) != FINGERPRINT:
             return value
     return f"#{index}"
 
 
-def diff_values(path, base, cand, tolerance, problems):
-    """Compare one flat dict of perf values (a row or the meta block)."""
+def host_mismatch(base, cand):
+    """Why host-clock keys cannot be compared, or None if they can."""
+    base_host = base.get("meta", {}).get("host")
+    cand_host = cand.get("meta", {}).get("host")
+    if not base_host or not cand_host:
+        return "no host stamp in " + ("baseline" if not base_host
+                                      else "candidate")
+    return None if base_host == cand_host else "hosts differ"
+
+
+def diff_fields(path, base, cand, tolerance, host_skip, problems, skips):
+    """Compare one flat dict (the meta block or a row) under KEY_RULES.
+    Host-clock keys go to @p skips when @p host_skip names a reason."""
     for key, base_value in base.items():
-        if not is_perf_key(key) or not is_number(base_value):
-            continue
+        cls = key_class(key)
         cand_value = cand.get(key)
+        if cls in (FINGERPRINT, OUTCOME):
+            if base_value != cand_value:
+                problems.append(f"{path}.{key}: '{base_value}' -> "
+                                f"'{cand_value}'")
+            continue
+        if cls == IGNORED or not is_number(base_value):
+            continue
         if not is_number(cand_value):
             problems.append(f"{path}.{key}: present in baseline "
                             f"({base_value}), missing in candidate")
+            continue
+        if cls == HOST_CLOCK and host_skip:
+            skips.append(f"{path}.{key}: {base_value:g} -> "
+                         f"{cand_value:g} not compared ({host_skip})")
             continue
         if base_value == 0:
             drift = 0.0 if cand_value == 0 else float("inf")
@@ -123,33 +150,26 @@ def diff_values(path, base, cand, tolerance, problems):
                 f"({drift * 100.0:+.1f}% > {tolerance * 100.0:.0f}%)")
 
 
-def diff_outcomes(path, base, cand, problems, outcomes=True):
-    """Flag any change in a categorical field: every fingerprint, plus
-    the row outcome keys when @p outcomes is set."""
-    for key in base:
-        if not (is_fingerprint_key(key)
-                or (outcomes and key in OUTCOME_KEYS)):
-            continue
-        if base.get(key) != cand.get(key):
-            problems.append(f"{path}.{key}: '{base.get(key)}' -> "
-                            f"'{cand.get(key)}'")
-
-
-def diff_report_fingerprints(path, base, cand, problems):
-    """Fingerprints outside the row tables: the top level, meta and
-    any nested object (e.g. extra.report.fingerprint)."""
-    diff_outcomes(path, base, cand, problems, outcomes=False)
+def diff_fingerprints(path, base, cand, problems):
+    """Fingerprints anywhere in @p base, recursing into nested objects
+    (e.g. extra.report.fingerprint)."""
     for key, value in base.items():
-        if key != "rows" and isinstance(value, dict):
-            cand_value = cand.get(key)
-            diff_report_fingerprints(
+        cand_value = cand.get(key)
+        if key_class(key) == FINGERPRINT:
+            if value != cand_value:
+                problems.append(f"{path}.{key}: '{value}' -> "
+                                f"'{cand_value}'")
+        elif isinstance(value, dict):
+            diff_fingerprints(
                 f"{path}.{key}", value,
                 cand_value if isinstance(cand_value, dict) else {},
                 problems)
 
 
 def diff_report(name, base, cand, tolerance):
+    """(problems, host-clock skips) of one report pair."""
     problems = []
+    skips = []
 
     base_gates = {g["name"]: bool(g.get("pass"))
                   for g in base.get("gates", [])}
@@ -161,9 +181,12 @@ def diff_report(name, base, cand, tolerance):
         elif passed and not cand_gates[gate]:
             problems.append(f"{name}: gate '{gate}' flipped pass -> FAIL")
 
-    diff_values(f"{name}.meta", base.get("meta", {}),
-                cand.get("meta", {}), tolerance, problems)
-    diff_report_fingerprints(name, base, cand, problems)
+    host_skip = host_mismatch(base, cand)
+    diff_fields(f"{name}.meta", base.get("meta", {}), cand.get("meta", {}),
+                tolerance, host_skip, problems, skips)
+    diff_fingerprints(name, {key: value for key, value in base.items()
+                             if key not in ("meta", "rows")},
+                      cand, problems)
 
     base_rows = base.get("rows", {})
     cand_rows = cand.get("rows", {})
@@ -181,11 +204,9 @@ def diff_report(name, base, cand, tolerance):
                 problems.append(f"{name}.{table}[{label}]: row missing "
                                 f"in candidate")
                 continue
-            diff_values(f"{name}.{table}[{label}]", row, cand_row,
-                        tolerance, problems)
-            diff_outcomes(f"{name}.{table}[{label}]", row, cand_row,
-                          problems)
-    return problems
+            diff_fields(f"{name}.{table}[{label}]", row, cand_row,
+                        tolerance, host_skip, problems, skips)
+    return problems, skips
 
 
 def load_reports(tree):
@@ -226,14 +247,13 @@ def main(argv):
             print(f"SKIP {name}: smoke={base.get('smoke')} vs "
                   f"{cand.get('smoke')} — matrices differ by design")
             continue
-        problems = diff_report(name, base, cand, args.tolerance)
-        if problems:
-            failures += 1
-            print(f"FAIL {name}")
-            for p in problems:
-                print(f"  {p}")
-        else:
-            print(f"OK   {name}")
+        problems, skips = diff_report(name, base, cand, args.tolerance)
+        failures += bool(problems)
+        print(f"{'FAIL' if problems else 'OK  '} {name}")
+        for problem in problems:
+            print(f"  {problem}")
+        for skip in skips:
+            print(f"  HOST {skip}")
     return 1 if failures else 0
 
 
