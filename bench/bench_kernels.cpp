@@ -16,27 +16,24 @@
  *  2. Determinism — the Fast AND Simd stereo outputs must be
  *     bit-identical across ThreadPool sizes 1 / 2 / 8.
  *  3. Speed — Fast must beat Reference by at least the per-kernel
- *     floor (3x stereo, 2x conv forward, 3x ICP align, 2x planned FFT
- *     by default; lowered in smoke mode where tiny inputs amortize
- *     less, and overridable for sanitizer runs with stereo_floor= /
- *     conv_floor= / icp_floor= / fft_floor=). The icp_align floor
- *     races Fast against the historical Matrix-churn accumulation the
- *     de-churn satellite replaced (replicated locally, asserted
- *     bit-identical to the in-tree Reference every run); the
- *     icp_align_dechurn row races the same Fast run against the
- *     in-tree Reference at its own floor (icp_dechurn_floor=). The
- *     Simd-vs-Fast stereo floor (simd_floor=, default 1.5) is
- *     enforced only when the host actually runs AVX2 — on lesser
- *     hosts and SOV_SIMD=OFF builds the Simd tier degrades to the
- *     Fast loops and only the equivalence gates apply.
+ *     floor (3x stereo, 2x conv forward, 3x ICP align, 2x planned FFT;
+ *     lowered in smoke mode where tiny inputs amortize less). The
+ *     icp_align floor races Fast against the historical Matrix-churn
+ *     accumulation the de-churn satellite replaced (replicated
+ *     locally, asserted bit-identical to the in-tree Reference every
+ *     run); the icp_align_dechurn row races the same Fast run against
+ *     the in-tree Reference at its own floor (1.2x). The Simd-vs-Fast
+ *     stereo floor (1.5x) is enforced only when the host actually
+ *     runs AVX2 — on lesser hosts and SOV_SIMD=OFF builds the Simd
+ *     tier degrades to the Fast loops and only the equivalence gates
+ *     apply. A sanitized build (SOV_SANITIZE) sets every speed floor
+ *     to 0 and keeps gates 1 and 2.
  *
  * Results (ns per call, speedup, checksums) go to BENCH_kernels.json
  * via the shared bench harness.
  *
  * Usage:
- *   bench_kernels [smoke=1] [reps=N] [stereo_floor=X] [conv_floor=X]
- *                 [icp_floor=X] [icp_dechurn_floor=X] [fft_floor=X]
- *                 [simd_floor=X] [out=BENCH_kernels.json]
+ *   bench_kernels [smoke=1] [reps=N] [out=BENCH_kernels.json]
  */
 #include <cmath>
 #include <cstdint>
@@ -217,29 +214,28 @@ main(int argc, char **argv)
     const Config config = Config::fromArgs(argc, argv);
     const bool smoke = config.getBool("smoke", false);
     const int reps = static_cast<int>(config.getInt("reps", smoke ? 3 : 5));
-    // Smoke inputs are small, so fixed per-frame costs amortize less;
-    // sanitizer CI lowers the floors to 0 (it gates equivalence and
-    // determinism, not machine-dependent speed).
-    const double stereo_floor =
-        config.getDouble("stereo_floor", smoke ? 1.3 : 3.0);
-    const double conv_floor =
-        config.getDouble("conv_floor", smoke ? 1.2 : 2.0);
-    const double icp_floor =
-        config.getDouble("icp_floor", smoke ? 1.3 : 3.0);
+    // Smoke inputs are small, so fixed per-frame costs amortize less.
+    // A sanitized build gates equivalence and determinism only: its
+    // host-clock speed says nothing about the kernels, so every speed
+    // floor is 0 there.
+    const bool timed = !bench::sanitizedBuild();
+    const auto speedFloor = [&](double smoke_floor, double full_floor) {
+        return timed ? (smoke ? smoke_floor : full_floor) : 0.0;
+    };
+    const double stereo_floor = speedFloor(1.3, 3.0);
+    const double conv_floor = speedFloor(1.2, 2.0);
+    const double icp_floor = speedFloor(1.3, 3.0);
     // Fast vs the in-tree (de-churned) Reference: the allocation fix
     // already closed most of the historical gap, so the honest floor
     // for what remains (warm-started NN + closed-form accumulator)
     // is well under the headline 3×.
-    const double icp_dechurn_floor =
-        config.getDouble("icp_dechurn_floor", smoke ? 1.1 : 1.2);
-    const double fft_floor =
-        config.getDouble("fft_floor", smoke ? 1.2 : 2.0);
+    const double icp_dechurn_floor = speedFloor(1.1, 1.2);
+    const double fft_floor = speedFloor(1.2, 2.0);
     // The Simd-vs-Fast floor only binds where the vector bodies
     // actually run; everywhere else the tier IS the Fast code.
     const SimdLevel simd_level = detectSimdLevel();
-    const double simd_floor = config.getDouble(
-        "simd_floor",
-        simd_level == SimdLevel::Avx2 ? (smoke ? 1.05 : 1.5) : 0.0);
+    const double simd_floor =
+        simd_level == SimdLevel::Avx2 ? speedFloor(1.05, 1.5) : 0.0;
     const std::string out_path =
         config.getString("out", "BENCH_kernels.json");
 

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "core/simd.h"
@@ -99,8 +100,15 @@ hostStamp()
         "cpu=" + cpuModel() +
         "; cores=" + std::to_string(std::thread::hardware_concurrency()) +
         "; simd=" + simdLevelName(detectSimdLevel()) +
-        "; build=" SOV_BUILD_TYPE "; compiler=" SOV_COMPILER;
+        "; build=" SOV_BUILD_TYPE "; compiler=" SOV_COMPILER +
+        (sanitizedBuild() ? "; sanitize=" SOV_SANITIZE : "");
     return stamp;
+}
+
+bool
+sanitizedBuild()
+{
+    return std::string_view(SOV_SANITIZE) != "OFF";
 }
 
 void

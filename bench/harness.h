@@ -44,12 +44,18 @@ std::string hex(std::uint64_t v);
 
 /**
  * The machine and build this process runs on, as one line: CPU model,
- * core count, detected SIMD level, CMake build type and compiler.
- * Every BenchReport carries it as meta.host; tools/bench_diff.py
- * compares host-clock values (rates, TTFR) only between reports whose
- * stamps are equal.
+ * core count, detected SIMD level, CMake build type and compiler, and
+ * on sanitized builds only, the SOV_SANITIZE mode. Every BenchReport
+ * carries it as meta.host; tools/bench_diff.py compares host-clock
+ * values (rates, TTFR) only between reports whose stamps are equal.
  */
 const std::string &hostStamp();
+
+/**
+ * True when built with SOV_SANITIZE (ASan/UBSan or TSan). Host-clock
+ * speed means nothing there, so benches skip their speed floors.
+ */
+bool sanitizedBuild();
 
 /** Best-of-N wall time of f(), in nanoseconds per call. */
 template <typename F>

@@ -80,7 +80,7 @@ MetricRegistry::histogramNames() const
     return keysOf(hists_);
 }
 
-MetricRegistry::Hist *
+PercentileBuffer *
 MetricRegistry::findHist(const std::string &name) const
 {
     const auto it = hists_.find(name);
@@ -90,59 +90,51 @@ MetricRegistry::findHist(const std::string &name) const
 std::size_t
 MetricRegistry::count(const std::string &name) const
 {
-    const Hist *h = findHist(name);
-    return h ? h->samples.count() : 0;
+    const PercentileBuffer *h = findHist(name);
+    return h ? h->count() : 0;
 }
 
 double
 MetricRegistry::mean(const std::string &name) const
 {
-    const Hist *h = findHist(name);
+    const PercentileBuffer *h = findHist(name);
     SOV_ASSERT(h != nullptr);
-    return h->samples.mean();
+    return h->mean();
 }
 
 double
 MetricRegistry::min(const std::string &name) const
 {
-    Hist *h = findHist(name);
+    PercentileBuffer *h = findHist(name);
     SOV_ASSERT(h != nullptr);
-    return h->samples.min();
+    return h->min();
 }
 
 double
 MetricRegistry::max(const std::string &name) const
 {
-    Hist *h = findHist(name);
+    PercentileBuffer *h = findHist(name);
     SOV_ASSERT(h != nullptr);
-    return h->samples.max();
+    return h->max();
 }
 
 double
 MetricRegistry::percentile(const std::string &name, double p) const
 {
-    Hist *h = findHist(name);
+    PercentileBuffer *h = findHist(name);
     SOV_ASSERT(h != nullptr);
-    return h->samples.percentile(p);
+    return h->percentile(p);
 }
 
 double
 MetricRegistry::stddev(const std::string &name) const
 {
-    const Hist *h = findHist(name);
+    const PercentileBuffer *h = findHist(name);
     SOV_ASSERT(h != nullptr);
     RunningStats rs;
-    for (double x : h->samples.samples())
+    for (double x : h->samples())
         rs.add(x);
     return rs.stddev();
-}
-
-double
-MetricRegistry::quantile(const std::string &name, double q) const
-{
-    const Hist *h = findHist(name);
-    SOV_ASSERT(h != nullptr);
-    return h->digest.quantile(q);
 }
 
 void
@@ -157,11 +149,8 @@ MetricRegistry::merge(const MetricRegistry &other)
         else
             it->second = std::max(it->second, value);
     }
-    for (const auto &[name, hist] : other.hists_) {
-        Hist &mine = hists_[name];
-        mine.samples.merge(hist.samples);
-        mine.digest.merge(hist.digest);
-    }
+    for (const auto &[name, samples] : other.hists_)
+        hists_[name].merge(samples);
 }
 
 std::uint64_t
@@ -176,15 +165,20 @@ MetricRegistry::fingerprint() const
         fnv1aTerminatedString(h, name);
         fnv1aPod(h, value);
     }
-    for (auto &[name, hist] : hists_) {
+    for (auto &[name, samples] : hists_) {
         fnv1aTerminatedString(h, name);
-        const std::uint64_t n = hist.samples.count();
+        const std::uint64_t n = samples.count();
         fnv1aPod(h, n);
         // Sorted samples: insertion order (completion order under a
         // thread pool) must not leak into the fingerprint.
-        for (double x : hist.samples.sortedSamples())
+        QuantileDigest digest{0.01};
+        for (double x : samples.sortedSamples()) {
             fnv1aPod(h, x);
-        for (const auto &[index, weight] : hist.digest.buckets()) {
+            digest.add(x);
+        }
+        // The digest buckets are a pure function of the samples; they
+        // are still hashed so committed fingerprints keep their values.
+        for (const auto &[index, weight] : digest.buckets()) {
             fnv1aPod(h, index);
             fnv1aPod(h, weight);
         }
@@ -196,9 +190,8 @@ std::string
 MetricRegistry::summary() const
 {
     std::ostringstream os;
-    for (auto &kv : hists_) {
-        PercentileBuffer &samples = kv.second.samples;
-        os << kv.first << ": best=" << samples.min()
+    for (auto &[name, samples] : hists_) {
+        os << name << ": best=" << samples.min()
            << "ms mean=" << samples.mean()
            << "ms p99=" << samples.percentile(99.0) << "ms\n";
     }
@@ -222,8 +215,7 @@ MetricRegistry::toJson(std::ostream &os) const
     }
     os << "},\"histograms\":{";
     first = true;
-    for (auto &[name, hist] : hists_) {
-        PercentileBuffer &samples = hist.samples;
+    for (auto &[name, samples] : hists_) {
         os << (first ? "" : ",") << "\"" << name << "\":{"
            << "\"count\":" << samples.count()
            << ",\"mean\":" << samples.mean()

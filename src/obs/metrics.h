@@ -6,12 +6,11 @@
  *
  *   counters   — monotonically increasing u64 (merge = sum)
  *   gauges     — last-known level (merge = max, documented below)
- *   histograms — latency/value distributions; every sample is retained
- *                for exact interpolated percentiles (the Fig. 10
- *                best/mean/p99 numbers must not move when a bench
- *                migrates onto the registry) AND folded into a
- *                core/stats QuantileDigest whose integer bucket counts
- *                merge order-independently for fleet-scale aggregation
+ *   histograms — latency/value distributions kept as their exact
+ *                samples (a PercentileBuffer), so mean and interpolated
+ *                percentiles are exact (the Fig. 10 best/mean/p99
+ *                numbers must not move when a bench migrates onto the
+ *                registry); merge concatenates samples
  *
  * This replaces the pre-spine sim/LatencyTracer: record(name, Duration)
  * stores milliseconds exactly as the tracer did, and mean/min/max/
@@ -22,7 +21,8 @@
  * order) makes the merged registry — and fingerprint() — a pure
  * function of the shard contents, independent of thread count.
  * fingerprint() itself only hashes merge-order-independent state
- * (counts, sorted samples, digest buckets, counters), so even
+ * (counters, gauges, sorted samples, and the QuantileDigest buckets it
+ * derives from those samples so committed fingerprints hold), so even
  * differently-grouped merges of the same samples fingerprint
  * identically.
  */
@@ -75,14 +75,11 @@ class MetricRegistry
     /** Exact linear-interpolated percentile, @p p in [0, 100]. */
     double percentile(const std::string &name, double p) const;
     double stddev(const std::string &name) const;
-    /** Digest-backed quantile, @p q in [0, 1] — the mergeable
-     *  fleet-scale estimate (within the digest's relative accuracy). */
-    double quantile(const std::string &name, double q) const;
 
     /**
      * Fold @p other into this registry: counters add, gauges keep the
      * max (a deterministic, order-independent "high-water" reading),
-     * histograms concatenate samples and add digest buckets. Call in
+     * histograms concatenate samples. Call in
      * canonical shard order for a deterministic merged registry.
      */
     void merge(const MetricRegistry &other);
@@ -100,25 +97,12 @@ class MetricRegistry
     void clear();
 
   private:
-    /** One histogram: retained samples + mergeable digest. */
-    struct Hist
-    {
-        PercentileBuffer samples;
-        QuantileDigest digest{0.01};
-
-        void add(double x)
-        {
-            samples.add(x);
-            digest.add(x);
-        }
-    };
-
-    Hist *findHist(const std::string &name) const;
+    PercentileBuffer *findHist(const std::string &name) const;
 
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, double> gauges_;
     // mutable: percentile queries sort the sample buffers lazily.
-    mutable std::map<std::string, Hist> hists_;
+    mutable std::map<std::string, PercentileBuffer> hists_;
 };
 
 } // namespace sov::obs

@@ -204,6 +204,13 @@ void SocketServer::connectionLoop(int fd)
             if (!sendAll(fd, out) || !keep)
                 return;
         }
+        // What is left has no newline yet. Past the bound, stop
+        // buffering it: answer once and hang up.
+        if (buffer.size() > kMaxLineBytes) {
+            sendAll(fd, "ERR line_too_long max_bytes=" +
+                            std::to_string(kMaxLineBytes) + "\n");
+            return;
+        }
     }
 }
 

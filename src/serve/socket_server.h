@@ -17,6 +17,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -42,6 +43,11 @@ struct SocketServerConfig
 class SocketServer
 {
   public:
+    /** Longest request line a connection buffers, in bytes; far above
+     *  any valid request. Past it without a newline a client gets one
+     *  "ERR line_too_long" line and is disconnected. */
+    static constexpr std::size_t kMaxLineBytes = 64 * 1024;
+
     SocketServer(ScenarioService &service, ScenarioCatalog catalog,
                  SocketServerConfig config);
     ~SocketServer();

@@ -96,6 +96,15 @@ TEST(BenchHarness, WrittenReportCarriesHostStamp)
     for (const char *field :
          {"cpu=", "; cores=", "; simd=", "; build=", "; compiler="})
         EXPECT_NE(host.find(field), std::string::npos) << field;
+    // The sanitizer mode closes the stamp on sanitized builds only, so
+    // unsanitized stamps keep the form committed reports carry.
+    const auto sanitize = host.find("; sanitize=");
+    EXPECT_EQ(sanitize != std::string::npos, bench::sanitizedBuild());
+    if (sanitize != std::string::npos) {
+        EXPECT_GT(sanitize, host.find("; compiler="));
+        EXPECT_EQ(host.find(';', sanitize + 1), std::string::npos);
+        EXPECT_NE(host.substr(sanitize), "; sanitize=OFF");
+    }
 
     // Written reports carry it, and a bench's own meta keys follow it.
     bench::BenchReport report("host");

@@ -2,6 +2,7 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -26,6 +27,52 @@ serviceConfig()
     config.master_seed = 7;
     config.tenants = {t};
     return config;
+}
+
+/** A client socket connected to @p port on loopback; -1 on failure. */
+int
+connectLoopback(int port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr), sizeof addr) !=
+        0) {
+        ::close(fd);
+        return -1;
+    }
+    // A server that never answers fails the test instead of hanging it.
+    const timeval timeout{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    return fd;
+}
+
+/** Send all of @p data, then read until the server closes; closes fd. */
+std::string
+sendThenDrain(int fd, const std::string &data)
+{
+    std::size_t off = 0;
+    while (off < data.size()) {
+        const ssize_t n = ::send(fd, data.data() + off, data.size() - off,
+                                 MSG_NOSIGNAL);
+        if (n <= 0)
+            break;
+        off += static_cast<std::size_t>(n);
+    }
+    std::string reply;
+    char buf[256];
+    for (;;) {
+        const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+        if (n <= 0)
+            break; // server closed
+        reply.append(buf, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    return reply;
 }
 
 /** Run one line through the protocol engine, expect @p n responses. */
@@ -145,29 +192,41 @@ TEST(SocketServer, TcpRoundTripOverEphemeralPort)
     ASSERT_TRUE(server.start());
     ASSERT_GT(server.tcpPort(), 0);
 
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = connectLoopback(server.tcpPort());
     ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(server.tcpPort()));
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                        sizeof addr),
-              0);
+    EXPECT_EQ(sendThenDrain(fd, "PING\nQUIT\n"), "OK pong\nOK bye\n");
+    server.stop();
+}
 
-    const std::string request = "PING\nQUIT\n";
-    ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
-              static_cast<ssize_t>(request.size()));
-    std::string reply;
-    char buf[256];
-    for (;;) {
-        const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-        if (n <= 0)
-            break; // server closed after QUIT
-        reply.append(buf, static_cast<std::size_t>(n));
-    }
-    ::close(fd);
-    EXPECT_EQ(reply, "OK pong\nOK bye\n");
+TEST(SocketServer, OverlongLineGetsOneErrThenServiceContinues)
+{
+    ScenarioService service(serviceConfig());
+    SocketServerConfig transport;
+    transport.tcp_port = 0;
+    SocketServer server(service, ScenarioCatalog::standard(), transport);
+    ASSERT_TRUE(server.start());
+
+    // One byte past the bound and no newline: the server reads all of
+    // it, answers with a single ERR line and closes the connection.
+    const int flood = connectLoopback(server.tcpPort());
+    ASSERT_GE(flood, 0);
+    const std::string flood_line(SocketServer::kMaxLineBytes + 1, 'x');
+    EXPECT_EQ(sendThenDrain(flood, flood_line),
+              "ERR line_too_long max_bytes=" +
+                  std::to_string(SocketServer::kMaxLineBytes) + "\n");
+
+    // A line exactly at the bound is still served.
+    const int full = connectLoopback(server.tcpPort());
+    ASSERT_GE(full, 0);
+    const std::string at_bound =
+        "PING" + std::string(SocketServer::kMaxLineBytes - 4, ' ');
+    EXPECT_EQ(sendThenDrain(full, at_bound + "\nQUIT\n"),
+              "OK pong\nOK bye\n");
+
+    // The server keeps serving new connections.
+    const int next = connectLoopback(server.tcpPort());
+    ASSERT_GE(next, 0);
+    EXPECT_EQ(sendThenDrain(next, "PING\nQUIT\n"), "OK pong\nOK bye\n");
     server.stop();
 }
 
