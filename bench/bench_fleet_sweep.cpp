@@ -4,10 +4,11 @@
  *
  * Enumerates a scenario matrix (worlds x Sec. III-C fault presets x
  * bare/supervised stacks x seeds — >= 500 scenarios by default), runs
- * it on the FleetRunner at 1, 2, 4, and hardware-concurrency threads,
- * and reports scenarios/sec per thread count, then host time per
- * physics step for each world at one thread. The hard gate is the
- * fleet determinism contract: every thread count must produce a
+ * it on the FleetRunner at 1, 2 and 4 threads and at max_threads
+ * (default: the hardware concurrency), skipping any count above
+ * max_threads, and reports scenarios/sec per thread count, then host
+ * time per physics step for each world at one thread. The hard gate is
+ * the fleet determinism contract: every thread count must produce a
  * bit-identical FleetReport (compared by fingerprint); any mismatch
  * exits nonzero. Speedup is reported but not gated — it depends on the
  * machine's core count.
@@ -16,7 +17,9 @@
  *   bench_fleet_sweep [smoke=1] [seed=1] [seeds=4] [horizon_s=40]
  *                     [max_threads=N] [out=BENCH_fleet.json]
  *
- * smoke=1 runs the reduced (~40 scenario) matrix for CI.
+ * smoke=1 runs the reduced (~40 scenario) matrix for CI; max_threads=1
+ * runs everything on one thread. max_threads outside [1, 1024] or
+ * seeds < 1 prints the usage line and exits 2.
  */
 #include <algorithm>
 #include <chrono>
@@ -118,17 +121,27 @@ main(int argc, char **argv)
     const Config config = Config::fromArgs(argc, argv);
     const bool smoke = config.getBool("smoke", false);
     const auto seed = static_cast<std::uint64_t>(config.getInt("seed", 1));
-    const auto seeds =
-        static_cast<std::size_t>(config.getInt("seeds", smoke ? 1 : 4));
+    const std::int64_t seeds = config.getInt("seeds", smoke ? 1 : 4);
     const double horizon_s = config.getDouble("horizon_s", 40.0);
     const std::size_t hw = ThreadPool::defaultThreads();
-    const auto max_threads = static_cast<std::size_t>(
-        config.getInt("max_threads", static_cast<std::int64_t>(hw)));
+    const std::vector<std::size_t> thread_counts = bench::threadLadder(
+        config.getInt("max_threads",
+                      std::min(static_cast<std::int64_t>(hw),
+                               bench::kMaxBenchThreads)));
+    if (thread_counts.empty() || seeds < 1) {
+        std::fprintf(stderr,
+                     "usage: bench_fleet_sweep [smoke=1] [seed=1] [seeds>=1] "
+                     "[horizon_s=40] [max_threads=1..%lld] "
+                     "[out=BENCH_fleet.json]\n",
+                     static_cast<long long>(bench::kMaxBenchThreads));
+        return 2;
+    }
+    const std::size_t max_threads = thread_counts.back();
     const std::string out_path =
         config.getString("out", "BENCH_fleet.json");
 
-    const ScenarioMatrix matrix =
-        buildMatrix(smoke, seed, seeds, horizon_s);
+    const ScenarioMatrix matrix = buildMatrix(
+        smoke, seed, static_cast<std::size_t>(seeds), horizon_s);
     const std::vector<ScenarioSpec> scenarios = matrix.enumerate();
 
     std::printf("=== Fleet sweep: %zu scenarios (%zu worlds x %zu faults "
@@ -141,13 +154,6 @@ main(int argc, char **argv)
         std::printf("note: <4 hardware threads — speedups above %zux "
                     "are not expected on this machine\n\n", hw);
     }
-
-    std::vector<std::size_t> thread_counts{1, 2, 4};
-    thread_counts.push_back(max_threads);
-    std::sort(thread_counts.begin(), thread_counts.end());
-    thread_counts.erase(
-        std::unique(thread_counts.begin(), thread_counts.end()),
-        thread_counts.end());
 
     std::printf("%8s %12s %16s %10s  %s\n", "threads", "wall [s]",
                 "scenarios/sec", "speedup", "fingerprint");

@@ -21,6 +21,21 @@ hex(std::uint64_t v)
     return buf;
 }
 
+std::vector<std::size_t>
+threadLadder(std::int64_t max_threads)
+{
+    if (max_threads < 1 || max_threads > kMaxBenchThreads)
+        return {};
+    const auto cap = static_cast<std::size_t>(max_threads);
+    std::vector<std::size_t> ladder;
+    for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+        if (n < cap)
+            ladder.push_back(n);
+    }
+    ladder.push_back(cap);
+    return ladder;
+}
+
 namespace {
 
 /** "model name" from /proc/cpuinfo, whitespace runs folded; "unknown"

@@ -57,6 +57,18 @@ const std::string &hostStamp();
  */
 bool sanitizedBuild();
 
+/** The most worker threads a bench's thread pool may be asked for. */
+inline constexpr std::int64_t kMaxBenchThreads = 1024;
+
+/**
+ * The thread counts a scaling sweep runs: 1, 2, 4 and @p max_threads,
+ * none above @p max_threads, ascending and without repeats. Empty when
+ * @p max_threads is outside [1, kMaxBenchThreads]: the bench prints its
+ * usage and exits 2 before it builds any pool (a negative count cast
+ * to std::size_t would ask for about 2^64 threads).
+ */
+std::vector<std::size_t> threadLadder(std::int64_t max_threads);
+
 /** Best-of-N wall time of f(), in nanoseconds per call. */
 template <typename F>
 double

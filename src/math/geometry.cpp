@@ -246,7 +246,7 @@ PreparedBox::assign(const OrientedBox2 &box)
 double
 PreparedBox::broadphaseMargin(double scale)
 {
-    return 1e-9 * scale + 1e-300;
+    return 1e-9 * scale + 1e-150;
 }
 
 const std::array<Vec2, 4> &
@@ -304,30 +304,88 @@ PreparedBox::contains(const Vec2 &p) const
 }
 
 double
+PreparedBox::foldEdges(const Vec2 &q, double best2) const
+{
+    for (std::size_t i = 0; i < 4; ++i)
+        best2 = std::min(best2, edgeDistance2(corners_[i], edges_[i], ends_[i],
+                                              edge_len2_[i], q));
+    return best2;
+}
+
+double
 PreparedBox::distanceTo(const PreparedBox &o) const
 {
-    if (overlaps(o))
+    // A positive clearance bound proves the SAT test false, bit for
+    // bit (clearanceBound()); a NaN or non-positive one runs it.
+    if (!(clearanceBound(o) > 0.0) && overlaps(o))
         return 0.0;
-    // sqrt is correctly rounded and monotone, so the square root of
-    // the least squared distance is the least distance: one sqrt, not
-    // 32. NaN candidates drop out of std::min either way; with no
-    // finite candidate the result stays max(), where a fold of the
-    // roots from max() stays too.
-    double best2 = std::numeric_limits<double>::infinity();
+    prepare();
+    o.prepare();
+    // The candidates are the squared distances from each box's corners
+    // to the other box's edges. sqrt is correctly rounded and
+    // monotone, so the square root of the least squared distance is
+    // the least distance: one sqrt, not 32. NaN candidates drop out of
+    // std::min, so best2 is never NaN, and the least of non-negative
+    // squares does not depend on the order they are folded in.
+    //
+    // First each box's corner nearest the other's center (squared
+    // center distances, first of equals) against all four edges.
+    std::array<double, 4> dist_a2, dist_b2;
+    std::size_t ia = 0, ib = 0;
     for (std::size_t i = 0; i < 4; ++i) {
-        for (std::size_t j = 0; j < 4; ++j) {
-            best2 = std::min(best2,
-                             edgeDistance2(corners_[i], edges_[i], ends_[i],
-                                           edge_len2_[i], o.corners_[j]));
-            best2 = std::min(best2,
-                             edgeDistance2(o.corners_[i], o.edges_[i],
-                                           o.ends_[i], o.edge_len2_[i],
-                                           corners_[j]));
-        }
+        dist_a2[i] = (corners_[i] - o.box_.pose.position).squaredNorm();
+        dist_b2[i] = (o.corners_[i] - box_.pose.position).squaredNorm();
+        if (dist_a2[i] < dist_a2[ia])
+            ia = i;
+        if (dist_b2[i] < dist_b2[ib])
+            ib = i;
     }
+    double best2 = o.foldEdges(corners_[ia],
+                               std::numeric_limits<double>::infinity());
+    best2 = foldEdges(o.corners_[ib], best2);
+
+    // Then a remaining corner q of one box skips the other box's four
+    // edges when |q - c| > best + R + margin, c and R that box's center
+    // and radius, best = sqrt(best2). Every point edgeDistance2
+    // measures to (a corner, an end, a clamped projection) lies within
+    // R of c up to the rounding of its placement and of R, and no term
+    // here exceeds a few times the pair's coordinate scale, so the
+    // margin (broadphaseMargin()) covers those roundings and the
+    // relative ones of this test many times over. Each skipped
+    // candidate is then the square of a distance above best plus most
+    // of the margin, and rounds above best2: it cannot be the least.
+    // The margin's floor keeps the squares compared here normal
+    // numbers, where rounding is relative only; comparing squares
+    // keeps the one sqrt. With no finite candidate yet best is +inf.
+    // A NaN reach or corner distance compares false and an infinite
+    // reach skips nothing, so non-finite boxes need no branch of
+    // their own.
+    const double margin = pairMargin(o);
+    const double best = std::sqrt(best2);
+    const double reach_a = best + o.radius_ + margin;
+    const double reach_b = best + radius_ + margin;
+    const double reach_a2 = reach_a * reach_a, reach_b2 = reach_b * reach_b;
+    for (std::size_t i = 0; i < 4; ++i) {
+        if (i != ia && !(dist_a2[i] > reach_a2))
+            best2 = o.foldEdges(corners_[i], best2);
+        if (i != ib && !(dist_b2[i] > reach_b2))
+            best2 = foldEdges(o.corners_[i], best2);
+    }
+    // With no finite candidate the result stays max(), where a fold of
+    // the roots from max() stays too.
     if (best2 == std::numeric_limits<double>::infinity())
         return std::numeric_limits<double>::max();
     return std::sqrt(best2);
+}
+
+double
+PreparedBox::pairMargin(const PreparedBox &o) const
+{
+    const Vec2 &a = box_.pose.position;
+    const Vec2 &b = o.box_.pose.position;
+    return broadphaseMargin(std::max(std::fabs(a.x()), std::fabs(a.y())) +
+                            std::max(std::fabs(b.x()), std::fabs(b.y())) +
+                            (radius_ + o.radius_));
 }
 
 double
@@ -341,12 +399,8 @@ PreparedBox::clearanceBound(const PreparedBox &o) const
     // least d / sqrt(2), and the clearance fold cannot round below it.
     if (!finite_ || !o.finite_)
         return -std::numeric_limits<double>::infinity();
-    const Vec2 &a = box_.pose.position;
-    const Vec2 &b = o.box_.pose.position;
-    const double radii = radius_ + o.radius_;
-    const double scale = std::max(std::fabs(a.x()), std::fabs(a.y())) +
-                         std::max(std::fabs(b.x()), std::fabs(b.y())) + radii;
-    return (b - a).norm() - radii - broadphaseMargin(scale);
+    return (o.box_.pose.position - box_.pose.position).norm() -
+           (radius_ + o.radius_) - pairMargin(o);
 }
 
 void
@@ -369,7 +423,7 @@ PreparedBox::castRay(const PreparedRay &ray, std::optional<double> &best) const
             ray.scale + std::max(std::fabs(box_.pose.position.x()),
                                  std::fabs(box_.pose.position.y())) +
             radius_;
-        // broadphaseMargin(0.0) is the subnormal floor alone.
+        // broadphaseMargin(0.0) is the floor alone.
         if (side > (radius_ + broadphaseMargin(scale)) * ray.len +
                        broadphaseMargin(0.0))
             return;

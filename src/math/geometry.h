@@ -149,7 +149,14 @@ class PreparedBox
     /** Containment test for a point. */
     bool contains(const Vec2 &p) const;
 
-    /** Euclidean clearance; 0 when the boxes overlap. */
+    /**
+     * Euclidean clearance; 0 when the boxes overlap. The least of the
+     * 32 corner-to-edge candidates, with two exact cuts: a positive
+     * clearanceBound() stands in for the SAT test, and a corner whose
+     * distance to the other box's bounding circle exceeds the best
+     * candidate of the two nearest corners skips its four edges
+     * (see geometry.cpp).
+     */
     double distanceTo(const PreparedBox &o) const;
 
     /**
@@ -176,8 +183,10 @@ class PreparedBox
      * The absolute rounding margin the broadphase bounds subtract for
      * coordinates of magnitude up to @p scale: 1e-9 of it, about 1e7
      * times the few dozen ulps that corner placement, the cross
-     * products and the clearance fold can lose, plus a floor for
-     * subnormal scales.
+     * products and the clearance fold can lose, plus a 1e-150 floor.
+     * Below about 1.5e-154 squares underflow, so a norm or radius can
+     * be off by up to ~3e-162 absolute; the floor covers that, and
+     * keeps the squares the bounds compare normal numbers.
      */
     static double broadphaseMargin(double scale);
 
@@ -185,6 +194,14 @@ class PreparedBox
     /** Trig (when the heading changed), corners, edges and their
      *  lengths from box_, on first use after assign(). */
     void prepare() const;
+
+    /** The least of @p best2 and the squared distances from @p q to
+     *  this (prepared) box's four edges. */
+    double foldEdges(const Vec2 &q, double best2) const;
+
+    /** broadphaseMargin() of the coordinate scale of this box and
+     *  @p o: both centers' largest magnitudes plus both radii. */
+    double pairMargin(const PreparedBox &o) const;
 
     OrientedBox2 box_;
     double radius_;

@@ -29,7 +29,14 @@ struct CollisionInfo
 };
 
 /**
- * Earliest collision along @p path when traversed at @p speed.
+ * Earliest collision along @p path when traversed at @p speed: the
+ * ego footprint at each 0.5 m path sample against every prediction's
+ * state nearest in time to the sample (first of equals; none when no
+ * state is within 0.5 s).
+ * @param predictions Each one's states in non-decreasing time order,
+ *        as predictObjects() builds them (asserted): the sweep keeps
+ *        one cursor per prediction into them, which the never
+ *        decreasing sample time moves forward.
  * @param start_s Arc length of the ego's current position on the path.
  * @param max_lookahead Meters of path checked ahead.
  */

@@ -2,8 +2,8 @@
  * @file
  * Pins the shared bench-report envelope: exact JSON layout (golden
  * string), the meta.host stamp, gate -> pass -> exit-code semantics,
- * meta overwrite, string escaping, and the fingerprint formatting
- * every bench shares.
+ * meta overwrite, string escaping, the fingerprint formatting every
+ * bench shares, and the thread ladder scaling sweeps run.
  */
 #include <gtest/gtest.h>
 
@@ -199,4 +199,24 @@ TEST(BenchHarness, DefaultPathAndWrite)
 {
     bench::BenchReport report("pathcheck");
     EXPECT_EQ(report.defaultPath(), "BENCH_pathcheck.json");
+}
+
+TEST(BenchHarness, ThreadLadderIsCappedAndRejectsBadCounts)
+{
+    using Ladder = std::vector<std::size_t>;
+    EXPECT_EQ(bench::threadLadder(1), (Ladder{1}));
+    EXPECT_EQ(bench::threadLadder(2), (Ladder{1, 2}));
+    EXPECT_EQ(bench::threadLadder(3), (Ladder{1, 2, 3}));
+    EXPECT_EQ(bench::threadLadder(4), (Ladder{1, 2, 4}));
+    EXPECT_EQ(bench::threadLadder(16), (Ladder{1, 2, 4, 16}));
+    EXPECT_EQ(bench::threadLadder(bench::kMaxBenchThreads),
+              (Ladder{1, 2, 4, 1024}));
+    // Counts no pool may be built for: empty, so the bench exits 2.
+    EXPECT_TRUE(bench::threadLadder(0).empty());
+    EXPECT_TRUE(bench::threadLadder(-1).empty());
+    EXPECT_TRUE(
+        bench::threadLadder(std::numeric_limits<std::int64_t>::min()).empty());
+    EXPECT_TRUE(bench::threadLadder(bench::kMaxBenchThreads + 1).empty());
+    EXPECT_TRUE(
+        bench::threadLadder(std::numeric_limits<std::int64_t>::max()).empty());
 }

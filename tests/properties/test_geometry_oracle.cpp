@@ -1,9 +1,12 @@
 /**
  * @file
- * Brute-force oracle for the prepared-geometry kernel. The namespace
- * below holds the straightforward implementations of the box, raycast,
- * radar-corridor and collision-sweep queries, each box re-derived from
- * its pose (heap-allocated corners, per-call trig) on every query.
+ * Brute-force oracle for the prepared-geometry kernel. The box queries
+ * of properties/geometry_oracle.h and the namespace below hold the
+ * straightforward implementations of the box, raycast, radar-corridor
+ * and collision-sweep queries, each box re-derived from its pose
+ * (heap-allocated corners, per-call trig) on every query, every
+ * clearance the least of all 32 corner-to-edge distances, and every
+ * collision sweep scanning all of a prediction's states per sample.
  * The production code prepares boxes once and reuses them; these
  * tests require its answers to match the oracle's *bit for bit* over
  * seeded random cases, including the degenerate ones: zero-extent,
@@ -16,7 +19,12 @@
  * box's bounding circle at a corner, a few ulps to 1e-6 of the
  * coordinate scale off it; edges parallel or nearly parallel to the
  * ray; boxes whose circles nearly touch corner to corner; and boxes
- * with NaN or infinite headings, positions and extents.
+ * with NaN or infinite headings, positions and extents. So do the
+ * exact cuts inside the queries: distanceTo's corner pruning (corners
+ * on a vertex's diagonal or a few ulps off an edge line, at 1e6 and
+ * 1e150 anchors, with extents down to subnormal) and firstCollision's
+ * time cursor (duplicate timestamps, a sample midway between two
+ * states, one or no states, states that end early).
  */
 #include <gtest/gtest.h>
 
@@ -30,6 +38,7 @@
 
 #include "core/rng.h"
 #include "math/geometry.h"
+#include "properties/geometry_oracle.h"
 #include "planning/collision.h"
 #include "planning/prediction.h"
 #include "sensors/radar.h"
@@ -37,46 +46,6 @@
 
 namespace sov {
 namespace oracle {
-
-Vec2
-transform(const Pose2 &pose, const Vec2 &local)
-{
-    const double c = std::cos(pose.heading), s = std::sin(pose.heading);
-    return Vec2(pose.position.x() + c * local.x() - s * local.y(),
-                pose.position.y() + s * local.x() + c * local.y());
-}
-
-Vec2
-inverseTransform(const Pose2 &pose, const Vec2 &world)
-{
-    const double c = std::cos(pose.heading), s = std::sin(pose.heading);
-    const Vec2 d = world - pose.position;
-    return Vec2(c * d.x() + s * d.y(), -s * d.x() + c * d.y());
-}
-
-Vec2
-direction(const Pose2 &pose)
-{
-    return Vec2(std::cos(pose.heading), std::sin(pose.heading));
-}
-
-Vec2
-closestPoint(const Segment2 &seg, const Vec2 &p)
-{
-    const Vec2 ab = seg.b - seg.a;
-    const double len2 = ab.squaredNorm();
-    if (len2 < 1e-18)
-        return seg.a;
-    double t = (p - seg.a).dot(ab) / len2;
-    t = std::clamp(t, 0.0, 1.0);
-    return seg.a + ab * t;
-}
-
-double
-segmentDistance(const Segment2 &seg, const Vec2 &p)
-{
-    return p.distanceTo(closestPoint(seg, p));
-}
 
 std::optional<Vec2>
 intersect(const Segment2 &seg, const Segment2 &o)
@@ -92,72 +61,6 @@ intersect(const Segment2 &seg, const Segment2 &o)
     if (t < 0.0 || t > 1.0 || u < 0.0 || u > 1.0)
         return std::nullopt;
     return seg.a + r * t;
-}
-
-std::vector<Vec2>
-corners(const OrientedBox2 &box)
-{
-    return {
-        transform(box.pose, Vec2(box.half_length, box.half_width)),
-        transform(box.pose, Vec2(-box.half_length, box.half_width)),
-        transform(box.pose, Vec2(-box.half_length, -box.half_width)),
-        transform(box.pose, Vec2(box.half_length, -box.half_width)),
-    };
-}
-
-bool
-axisOverlap(const Vec2 &axis, const std::vector<Vec2> &ca,
-            const std::vector<Vec2> &cb)
-{
-    auto range = [&axis](const std::vector<Vec2> &cs) {
-        double lo = cs[0].dot(axis), hi = lo;
-        for (std::size_t i = 1; i < cs.size(); ++i) {
-            const double v = cs[i].dot(axis);
-            lo = std::min(lo, v);
-            hi = std::max(hi, v);
-        }
-        return std::pair<double, double>(lo, hi);
-    };
-    const auto [alo, ahi] = range(ca);
-    const auto [blo, bhi] = range(cb);
-    return alo <= bhi && ahi >= blo;
-}
-
-bool
-overlaps(const OrientedBox2 &a, const OrientedBox2 &o)
-{
-    const auto ca = corners(a);
-    const auto cb = corners(o);
-    const Vec2 axes[4] = {
-        direction(a.pose),
-        Vec2(-direction(a.pose).y(), direction(a.pose).x()),
-        direction(o.pose),
-        Vec2(-direction(o.pose).y(), direction(o.pose).x()),
-    };
-    for (const auto &axis : axes) {
-        if (!axisOverlap(axis, ca, cb))
-            return false;
-    }
-    return true;
-}
-
-double
-distanceTo(const OrientedBox2 &a, const OrientedBox2 &o)
-{
-    if (overlaps(a, o))
-        return 0.0;
-    const auto ca = corners(a);
-    const auto cb = corners(o);
-    double best = std::numeric_limits<double>::max();
-    for (std::size_t i = 0; i < 4; ++i) {
-        const Segment2 ea{ca[i], ca[(i + 1) % 4]};
-        const Segment2 eb{cb[i], cb[(i + 1) % 4]};
-        for (std::size_t j = 0; j < 4; ++j) {
-            best = std::min(best, segmentDistance(ea, cb[j]));
-            best = std::min(best, segmentDistance(eb, ca[j]));
-        }
-    }
-    return best;
 }
 
 bool
@@ -991,6 +894,452 @@ TEST(GeometryOracle, FirstCollisionGrazingPredictionsBitIdentical)
         }
     }
     EXPECT_GT(collisions, 0);
+}
+
+
+/** Where a box pair lives: its anchor, the extent unit its boxes take,
+ *  and the coordinate scale the boundary offsets are fractions of. */
+struct Frame
+{
+    Vec2 anchor;
+    double unit;
+    double scale;
+};
+
+/**
+ * Near the origin with vehicle-sized extents, with extents whose
+ * squares underflow (1e-170 to 1e-150) or that are subnormal, or at a
+ * 1e6 or 1e150 anchor (its y up to 1e8 times smaller, so the axes
+ * round on different grids) with extents from vehicle-sized down to a
+ * few ulps of the anchor, where corner placement rounds by a large
+ * share of the extent and the computed radius no longer bounds the
+ * corners.
+ */
+Frame
+randomFrame(Rng &rng)
+{
+    const double u = rng.uniform();
+    if (u < 0.25)
+        return {Vec2(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)), 1.0,
+                10.0};
+    if (u < 0.35) {
+        const double unit = std::pow(10.0, -rng.uniform(150.0, 170.0));
+        return {Vec2(0.0, 0.0), unit, unit};
+    }
+    if (u < 0.4)
+        return {Vec2(0.0, 0.0), 1e-310, 1e-310};
+    const double a = (u < 0.7 ? 1e6 : 1e150) * rng.uniform(0.5, 1.0);
+    const double ulp = std::nextafter(a, 2.0 * a) - a;
+    static const double units[] = {0.3, 1.0, 3.0, 30.0, 300.0, 1e6};
+    const double unit = a < 1e7 && rng.bernoulli(0.3)
+        ? 1.0
+        : ulp * units[static_cast<std::size_t>(rng.uniform(0.0, 6.0))];
+    return {Vec2(a, -a * std::pow(10.0, -rng.uniform(0.0, 8.0))), unit, a};
+}
+
+/** An extent in @p frame: mostly a few units, sometimes zero or
+ *  subnormal whatever the unit. */
+double
+frameExtent(Rng &rng, const Frame &frame)
+{
+    const double u = rng.uniform();
+    if (u < 0.08)
+        return 0.0;
+    if (u < 0.16)
+        return rng.uniform(0.01, 10.0) * 1e-310;
+    return rng.uniform(0.05, 3.0) * frame.unit;
+}
+
+/** The center that puts corner @p k of a box with these extents and
+ *  heading at @p at (up to the rounding of placing it). */
+Vec2
+centerForCorner(double half_length, double half_width, double heading,
+                std::size_t k, const Vec2 &at)
+{
+    const auto local = oracle::corners(
+        OrientedBox2{Pose2{Vec2(0.0, 0.0), heading}, half_length, half_width});
+    return at - local[k];
+}
+
+/** A heading that points corner @p k of a box with these extents along
+ *  @p dir, turned by a jitter from exact to well off. */
+double
+cornerFacing(Rng &rng, double half_length, double half_width, std::size_t k,
+             const Vec2 &dir)
+{
+    static const double jitters[] = {0.0, 0.0, 1e-12, -1e-12, 0.3, -0.3,
+                                     M_PI / 4.0, -M_PI / 4.0};
+    static const double sx[] = {1.0, -1.0, -1.0, 1.0};
+    static const double sy[] = {1.0, 1.0, -1.0, -1.0};
+    return std::atan2(dir.y(), dir.x()) -
+           std::atan2(sy[k] * half_width, sx[k] * half_length) +
+           jitters[static_cast<std::size_t>(rng.uniform(0.0, 8.0))];
+}
+
+/** A gap at the boundary: a boundary offset of the scale, a share of
+ *  the unit, or zero. */
+double
+boundaryGap(Rng &rng, const Frame &frame, const std::vector<double> &offsets)
+{
+    const double u = rng.uniform();
+    if (u < 0.6)
+        return offsets[static_cast<std::size_t>(
+                   rng.uniform(0.0, static_cast<double>(offsets.size())))] *
+               frame.scale;
+    if (u < 0.9)
+        return rng.uniform(0.0, 1.0) * frame.unit;
+    return 0.0;
+}
+
+TEST(GeometryOracle, CornerPruningBitIdentical)
+{
+    Rng rng(60221);
+    const std::vector<double> offsets = boundaryOffsets();
+    int vertex = 0, edge_line = 0, bound_close = 0, apart = 0, touching = 0;
+    for (int c = 0; c < 2 * kCases; ++c) {
+        const Frame frame = randomFrame(rng);
+        OrientedBox2 b{Pose2{frame.anchor, randomHeading(rng)},
+                       frameExtent(rng, frame), frameExtent(rng, frame)};
+        OrientedBox2 a{Pose2{}, frameExtent(rng, frame),
+                       frameExtent(rng, frame)};
+        const auto cb = oracle::corners(b);
+        const std::size_t k = static_cast<std::size_t>(rng.uniform(0.0, 4.0));
+        const std::size_t j = static_cast<std::size_t>(rng.uniform(0.0, 4.0));
+        const double u = rng.uniform();
+        bool corner_to_corner = false;
+        if (u < 0.3) {
+            // a's corner j on the diagonal of b's vertex k, a gap out:
+            // the nearest points are that vertex, reached from both of
+            // b's edges that meet there.
+            Vec2 diag = cb[k] - b.pose.position;
+            if (!(diag.squaredNorm() > 0.0))
+                diag = oracle::direction(b.pose);
+            diag = diag * (1.0 / diag.norm());
+            a.pose.heading =
+                cornerFacing(rng, a.half_length, a.half_width, j, diag * -1.0);
+            a.pose.position = centerForCorner(
+                a.half_length, a.half_width, a.pose.heading, j,
+                cb[k] + diag * boundaryGap(rng, frame, offsets));
+            ++vertex;
+        } else if (u < 0.6) {
+            // a's corner j a boundary gap off the line of b's edge k,
+            // mostly outside, somewhere along the edge.
+            const Vec2 e = cb[(k + 1) % 4] - cb[k];
+            Vec2 normal(e.y(), -e.x());
+            if (!(normal.squaredNorm() > 0.0))
+                normal = oracle::direction(b.pose);
+            normal = normal * (1.0 / normal.norm());
+            const double side = rng.bernoulli(0.8) ? 1.0 : -1.0;
+            const Vec2 at = cb[k] + e * rng.uniform(0.0, 1.0) +
+                            normal * (side * boundaryGap(rng, frame, offsets));
+            a.pose.heading =
+                cornerFacing(rng, a.half_length, a.half_width, j, normal * -1.0);
+            a.pose.position = centerForCorner(a.half_length, a.half_width,
+                                              a.pose.heading, j, at);
+            ++edge_line;
+        } else if (u < 0.8) {
+            // Corner to corner across the center line, the bounding
+            // circles a boundary gap apart: the clearance bound is
+            // positive but within 1e-6 of the scale.
+            const double line = randomHeading(rng);
+            const Vec2 along(std::cos(line), std::sin(line));
+            b.pose.heading =
+                line + M_PI - std::atan2(b.half_width, b.half_length);
+            a.pose.heading = line - std::atan2(a.half_width, a.half_length);
+            a.pose.position = b.pose.position -
+                along * (std::hypot(a.half_length, a.half_width) +
+                         std::hypot(b.half_length, b.half_width) +
+                         boundaryGap(rng, frame, offsets));
+            corner_to_corner = true;
+        } else {
+            a.pose.heading = randomHeading(rng);
+            a.pose.position = b.pose.position +
+                Vec2(rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)) *
+                    frame.unit;
+        }
+        if (rng.bernoulli(0.05)) {
+            // A NaN or infinite component on either side.
+            constexpr double kInf = std::numeric_limits<double>::infinity();
+            OrientedBox2 &victim = rng.bernoulli(0.5) ? a : b;
+            switch (static_cast<int>(rng.uniform(0.0, 6.0))) {
+              case 0: victim.pose.heading = kNaN; break;
+              case 1: victim.pose.heading = rng.bernoulli(0.5) ? kInf : -kInf; break;
+              case 2: victim.half_length = kNaN; break;
+              case 3: victim.half_width = kInf; break;
+              case 4: victim.pose.position.y() = -kInf; break;
+              default: victim.pose.position.x() = kNaN; break;
+            }
+        }
+        const PreparedBox pa(a), pb(b);
+        const double bound = pa.clearanceBound(pb);
+        if (corner_to_corner && bound > 0.0 && bound < 1e-6 * frame.scale)
+            ++bound_close;
+        const double want = oracle::distanceTo(a, b);
+        if (bound > 0.0) {
+            ASSERT_FALSE(oracle::overlaps(a, b)) << "case " << c;
+            ASSERT_GE(want, bound) << "case " << c;
+        }
+        ASSERT_EQ(bits(want), bits(pa.distanceTo(pb)))
+            << "case " << c << ": " << want << " vs " << pa.distanceTo(pb);
+        ASSERT_EQ(bits(oracle::distanceTo(b, a)), bits(pb.distanceTo(pa)))
+            << "case " << c;
+        ASSERT_EQ(bits(want), bits(a.distanceTo(b))) << "case " << c;
+        (want > 0.0 ? apart : touching)++;
+    }
+    // Every placement, and both outcomes, well represented.
+    EXPECT_GT(vertex, kCases / 2);
+    EXPECT_GT(edge_line, kCases / 2);
+    EXPECT_GT(bound_close, kCases / 40);
+    EXPECT_GT(apart, kCases);
+    EXPECT_GT(touching, kCases / 10);
+}
+
+TEST(GeometryOracle, SubUlpBoxesAtFarAnchorsBitIdentical)
+{
+    // Boxes a fraction of an ulp to a few ulps across, at a 1e6 or
+    // 1e150 anchor whose y is up to 1e8 times smaller than its x (so
+    // the two axes round on different grids): corners snap to the grid
+    // well past the computed radius, and only the pruning margin keeps
+    // such a corner's edges in the fold.
+    Rng rng(4669);
+    int apart = 0;
+    for (int c = 0; c < 8 * kCases; ++c) {
+        const double x = (c % 2 == 0 ? 1e6 : 1e150) * rng.uniform(0.5, 1.0);
+        const Vec2 anchor(x, x * std::pow(10.0, -rng.uniform(0.0, 8.0)));
+        const double unit =
+            (std::nextafter(x, 2.0 * x) - x) * rng.uniform(0.1, 3.0);
+        const auto box = [&] {
+            const auto extent = [&] {
+                return rng.bernoulli(0.05) ? 3e-320 : rng.uniform(0.0, 3.0) * unit;
+            };
+            return OrientedBox2{
+                Pose2{anchor + Vec2(rng.uniform(-3.0, 3.0),
+                                    rng.uniform(-3.0, 3.0)) * unit,
+                      rng.uniform(-4.0, 4.0)},
+                extent(), extent()};
+        };
+        const OrientedBox2 a = box(), b = box();
+        const double want = oracle::distanceTo(a, b);
+        ASSERT_EQ(bits(want), bits(PreparedBox(a).distanceTo(PreparedBox(b))))
+            << "case " << c;
+        ASSERT_EQ(bits(oracle::distanceTo(b, a)),
+                  bits(PreparedBox(b).distanceTo(PreparedBox(a))))
+            << "case " << c;
+        apart += want > 0.0;
+    }
+    EXPECT_GT(apart, kCases);
+}
+
+/** The oracle's view of production predictions (same states, boxes
+ *  re-derived per query). */
+std::vector<oracle::Prediction>
+asOracle(const std::vector<ObjectPrediction> &predictions)
+{
+    std::vector<oracle::Prediction> out;
+    for (const ObjectPrediction &pred : predictions) {
+        oracle::Prediction o;
+        o.track_id = pred.track_id;
+        for (const PredictedState &state : pred.states)
+            o.states.push_back({state.time, state.footprint.box()});
+        out.push_back(std::move(o));
+    }
+    return out;
+}
+
+/** firstCollision against the oracle's full scan, bit for bit; the
+ *  production hit (if any) goes to @p hit. */
+::testing::AssertionResult
+sweepMatches(const Polyline2 &path, double start_s, double speed,
+             const std::vector<ObjectPrediction> &predictions,
+             std::optional<CollisionInfo> &hit)
+{
+    const EgoFootprint ego;
+    const auto want = oracle::firstCollision(
+        path, start_s, speed, asOracle(predictions), ego, 40.0);
+    const auto got = firstCollision(path, start_s, speed, predictions, ego);
+    hit = got;
+    if (want.has_value() != got.has_value())
+        return ::testing::AssertionFailure()
+            << "hit " << want.has_value() << " vs " << got.has_value();
+    if (want && (bits(want->arc_length) != bits(got->arc_length) ||
+                 bits(want->time_to_impact) != bits(got->time_to_impact) ||
+                 want->track_id != got->track_id))
+        return ::testing::AssertionFailure()
+            << "arc " << want->arc_length << " vs " << got->arc_length
+            << ", track " << want->track_id << " vs " << got->track_id;
+    return ::testing::AssertionSuccess();
+}
+
+/** A 0.3 m square object state @p ns after the origin, centered at
+ *  (@p x, @p y). */
+PredictedState
+stateAt(std::int64_t ns, double x, double y = 0.0)
+{
+    return PredictedState{
+        Timestamp::nanos(ns),
+        PreparedBox(OrientedBox2{Pose2{Vec2(x, y), 0.0}, 0.3, 0.3})};
+}
+
+ObjectPrediction
+predictionOf(std::uint32_t track_id, std::vector<PredictedState> states)
+{
+    ObjectPrediction pred;
+    pred.track_id = track_id;
+    pred.states = std::move(states);
+    return pred;
+}
+
+// The hand-built sweeps run the default ego (1.3 x 0.7) along +x from
+// the origin. A state at x = 1.8 touches the ego at the 0.5 m sample
+// but not at 0; a state at x = 100 never touches it.
+constexpr std::int64_t kSecond = 1000000000;
+
+TEST(GeometryOracle, FirstCollisionMidwayTieTakesTheEarlierState)
+{
+    const Polyline2 path(std::vector<Vec2>{Vec2(0.0, 0.0), Vec2(60.0, 0.0)});
+    // At 1 m/s the 0.5 m sample is at 0.5 s, exactly midway between
+    // the states at 0 and 1 s: the earlier one wins.
+    std::optional<CollisionInfo> hit;
+    const std::vector<ObjectPrediction> near_first{
+        predictionOf(3, {stateAt(0, 1.8), stateAt(kSecond, 100.0)})};
+    ASSERT_TRUE(sweepMatches(path, 0.0, 1.0, near_first, hit));
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->arc_length, 0.5);
+    EXPECT_EQ(hit->track_id, 3u);
+
+    const std::vector<ObjectPrediction> near_second{
+        predictionOf(4, {stateAt(0, 100.0), stateAt(kSecond, 1.8)})};
+    ASSERT_TRUE(sweepMatches(path, 0.0, 1.0, near_second, hit));
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->arc_length, 1.0);
+}
+
+TEST(GeometryOracle, FirstCollisionDuplicateTimestampsTakeTheFirst)
+{
+    const Polyline2 path(std::vector<Vec2>{Vec2(0.0, 0.0), Vec2(60.0, 0.0)});
+    // At 2 m/s the 0.5 m sample is at 0.25 s, where two or three
+    // states share a timestamp: the first of them is the one checked.
+    const std::int64_t q = kSecond / 4;
+    for (int near = 0; near < 3; ++near) {
+        std::vector<PredictedState> states{stateAt(0, 100.0)};
+        for (int d = 0; d < 3; ++d)
+            states.push_back(stateAt(q, d == near ? 1.8 : 100.0));
+        states.push_back(stateAt(2 * q, 100.0));
+        states.push_back(stateAt(2 * q, 100.0));
+        std::optional<CollisionInfo> hit;
+        ASSERT_TRUE(sweepMatches(path, 0.0, 2.0,
+                                 {predictionOf(1, std::move(states))}, hit))
+            << "near duplicate " << near;
+        EXPECT_EQ(hit.has_value(), near == 0) << "near duplicate " << near;
+    }
+    // Every state at one instant: only the first counts at every sample.
+    std::vector<PredictedState> same;
+    for (double x : {100.0, 1.8, 1.8})
+        same.push_back(stateAt(0, x));
+    std::optional<CollisionInfo> hit;
+    ASSERT_TRUE(sweepMatches(path, 0.0, 2.0, {predictionOf(2, same)}, hit));
+    EXPECT_FALSE(hit.has_value());
+}
+
+TEST(GeometryOracle, FirstCollisionOneOrNoStates)
+{
+    const Polyline2 path(std::vector<Vec2>{Vec2(0.0, 0.0), Vec2(60.0, 0.0)});
+    std::optional<CollisionInfo> hit;
+    // One state covers the samples within 0.5 s of it only.
+    ASSERT_TRUE(sweepMatches(path, 0.0, 1.0,
+                             {predictionOf(1, {stateAt(0, 1.8)})}, hit));
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->arc_length, 0.5);
+    ASSERT_TRUE(sweepMatches(path, 0.0, 1.0,
+                             {predictionOf(1, {stateAt(0, 5.0)})}, hit));
+    EXPECT_FALSE(hit.has_value());
+    // No states: the prediction is passed over, and the next one still
+    // reports its hit.
+    ASSERT_TRUE(sweepMatches(path, 0.0, 1.0, {predictionOf(1, {})}, hit));
+    EXPECT_FALSE(hit.has_value());
+    ASSERT_TRUE(sweepMatches(
+        path, 0.0, 1.0,
+        {predictionOf(1, {}), predictionOf(2, {stateAt(0, 1.8)})}, hit));
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->track_id, 2u);
+}
+
+TEST(GeometryOracle, FirstCollisionStatesEndingBeforeTheLookahead)
+{
+    const Polyline2 path(std::vector<Vec2>{Vec2(0.0, 0.0), Vec2(60.0, 0.0)});
+    // Two predictions of one static object at x = 20: the first's
+    // states end at 1 s, long before the ego gets there; the second's
+    // run to 30 s. The exhausted cursor passes the first over at every
+    // later sample.
+    std::vector<PredictedState> short_lived, long_lived;
+    for (std::int64_t k = 0; k <= 4; ++k)
+        short_lived.push_back(stateAt(k * kSecond / 4, 20.0));
+    for (std::int64_t k = 0; k <= 120; ++k)
+        long_lived.push_back(stateAt(k * kSecond / 4, 20.0));
+    std::optional<CollisionInfo> hit;
+    ASSERT_TRUE(sweepMatches(path, 0.0, 1.0,
+                             {predictionOf(1, short_lived)}, hit));
+    EXPECT_FALSE(hit.has_value());
+    ASSERT_TRUE(sweepMatches(
+        path, 0.0, 1.0,
+        {predictionOf(1, short_lived), predictionOf(2, long_lived)}, hit));
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->track_id, 2u);
+    // The last state still covers the sample 0.5 s past it (1.5 s),
+    // not the one after: an object first touched at the 1.5 m sample
+    // is hit, one first touched at 2 m is not.
+    ASSERT_TRUE(sweepMatches(
+        path, 0.0, 1.0,
+        {predictionOf(1, {stateAt(0, 100.0), stateAt(kSecond, 3.0)})}, hit));
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->arc_length, 1.5);
+    ASSERT_TRUE(sweepMatches(
+        path, 0.0, 1.0,
+        {predictionOf(1, {stateAt(0, 100.0), stateAt(kSecond, 3.5)})}, hit));
+    EXPECT_FALSE(hit.has_value());
+}
+
+TEST(GeometryOracle, FirstCollisionIrregularTimestampsBitIdentical)
+{
+    Rng rng(1618);
+    // Sorted timestamps with duplicates, nanosecond steps and gaps;
+    // speeds that put samples exactly on and midway between states.
+    static const std::int64_t steps[] = {0, 0, 1, kSecond / 8, kSecond / 4,
+                                         kSecond / 4, kSecond / 2, kSecond,
+                                         3 * kSecond};
+    static const double speeds[] = {0.5, 1.0, 2.0, 4.0};
+    int hits = 0;
+    for (int c = 0; c < kCases / 4; ++c) {
+        const Polyline2 path(
+            std::vector<Vec2>{Vec2(0.0, 0.0), Vec2(30.0, 0.0),
+                              Vec2(45.0, rng.uniform(-8.0, 8.0))});
+        std::vector<ObjectPrediction> predictions;
+        const auto n = static_cast<std::size_t>(rng.uniform(0.0, 4.0));
+        for (std::size_t i = 0; i < n; ++i) {
+            std::vector<PredictedState> states;
+            std::int64_t ns = static_cast<std::int64_t>(
+                rng.uniform(0.0, 100.0) * kSecond);
+            const auto m = static_cast<std::size_t>(rng.uniform(0.0, 12.0));
+            for (std::size_t k = 0; k < m; ++k) {
+                ns += steps[static_cast<std::size_t>(rng.uniform(0.0, 9.0))];
+                const double s = rng.uniform(0.0, 20.0);
+                states.push_back(
+                    stateAt(ns, s + rng.uniform(-1.0, 3.0),
+                            path.sample(s).y() + rng.uniform(-2.0, 2.0)));
+            }
+            predictions.push_back(predictionOf(
+                static_cast<std::uint32_t>(i + 1), std::move(states)));
+        }
+        const double speed = rng.bernoulli(0.7)
+            ? speeds[static_cast<std::size_t>(rng.uniform(0.0, 4.0))]
+            : rng.uniform(0.3, 8.0);
+        const double start_s = rng.bernoulli(0.5) ? 0.0 : rng.uniform(0.0, 10.0);
+        std::optional<CollisionInfo> hit;
+        ASSERT_TRUE(sweepMatches(path, start_s, speed, predictions, hit))
+            << "case " << c;
+        hits += hit.has_value();
+    }
+    EXPECT_GT(hits, kCases / 40);
 }
 
 } // namespace

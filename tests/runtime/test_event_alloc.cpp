@@ -1,13 +1,15 @@
 // Allocation gate for the event core: once warmed up, fixed-rate
-// lanes, typed one-shots and the dataflow executor's per-frame path
-// allocate nothing. This binary replaces the global operator new with
-// a counting one, so it runs apart from the other runtime tests.
+// lanes, typed one-shots, the dataflow executor's per-frame path and
+// the planner's collision sweep allocate nothing. This binary replaces
+// the global operator new with a counting one, so it runs apart from
+// the other runtime tests.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
 
+#include "planning/collision.h"
 #include "planning/planner_types.h"
 #include "platform/platform_model.h"
 #include "runtime/dataflow.h"
@@ -115,6 +117,28 @@ TEST(EventAlloc, DataflowFramesAllocateNothing)
 
     EXPECT_GE(completed - completed_before, 999u);
     EXPECT_EQ(after - before, 0u);
+}
+
+TEST(EventAlloc, WarmCollisionSweepAllocatesNothing)
+{
+    // firstCollision keeps its per-prediction time cursors in a
+    // thread-local buffer: once a thread has run a sweep over as many
+    // predictions, a call allocates nothing.
+    const Polyline2 path(std::vector<Vec2>{Vec2(0.0, 0.0), Vec2(60.0, 0.0)});
+    std::vector<FusedObject> objects(3);
+    for (std::size_t i = 0; i < objects.size(); ++i) {
+        objects[i].track_id = static_cast<std::uint32_t>(i + 1);
+        objects[i].position = Vec2(15.0 + 10.0 * static_cast<double>(i), 4.0);
+        objects[i].velocity = Vec2(0.0, -1.0);
+    }
+    const auto predictions = predictObjects(objects, Timestamp::origin());
+    const auto warm = firstCollision(path, 0.0, 5.0, predictions);
+    const std::uint64_t before = allocations();
+    for (int i = 0; i < 100; ++i) {
+        const auto hit = firstCollision(path, 0.0, 5.0, predictions);
+        EXPECT_EQ(hit.has_value(), warm.has_value());
+    }
+    EXPECT_EQ(allocations() - before, 0u);
 }
 
 } // namespace

@@ -1,14 +1,17 @@
 /**
  * @file
  * GapMonitor against the brute-force loop it replaced: every obstacle
- * checked exactly every step, with the previous step's gap per slot
- * for the TTC estimate. The monitor's broadphase skips obstacles whose
- * gap cannot change a fact; these tests require its facts (min_gap,
- * min_ttc, nearest obstacle, collided) and the step it reports a
- * collision on to match the oracle's bit for bit over seeded random
- * step sequences: republished rows with heading and extent jumps,
- * obstacle-count changes, a stopped ego, first-step collisions and
- * NaN poses.
+ * checked exactly every step, by the oracle's four-axis SAT test and
+ * 32-candidate clearance (properties/geometry_oracle.h), with the
+ * previous step's gap per slot for the TTC estimate. The monitor's
+ * broadphase skips obstacles whose gap cannot change a fact, and
+ * PreparedBox::distanceTo prunes corners and skips SAT; these tests
+ * require the facts (min_gap, min_ttc, nearest obstacle, collided) and
+ * the step a collision is reported on to match the oracle's bit for
+ * bit over seeded random step sequences: republished rows with heading
+ * and extent jumps, obstacle-count changes, a stopped ego, first-step
+ * collisions and NaN poses, and corner-first approaches at far
+ * anchors.
  */
 #include <gtest/gtest.h>
 
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "core/rng.h"
+#include "properties/geometry_oracle.h"
 #include "sovpipe/gap_monitor.h"
 
 namespace sov {
@@ -38,7 +42,7 @@ class OracleMonitor
         if (prev_gaps_.size() != obstacles.size())
             prev_gaps_.assign(obstacles.size(), 1e18);
         for (std::size_t i = 0; i < obstacles.size(); ++i) {
-            const double gap = ego.distanceTo(footprints[i]);
+            const double gap = oracle::distanceTo(ego, footprints[i]);
             if (gap < facts.min_gap) {
                 facts.min_gap = gap;
                 facts.nearest_obstacle = obstacles[i].id;
@@ -212,6 +216,105 @@ TEST(GapMonitor, RandomStepSequencesMatchTheExhaustiveLoop)
     EXPECT_GT(collisions, 20);
     EXPECT_GT(first_step_collisions, 5);
     EXPECT_GT(closing_runs, 100);
+}
+
+TEST(GapMonitor, CornerFirstApproachesMatchTheExhaustiveLoop)
+{
+    // Obstacles that close on the ego corner first: a corner waiting on
+    // the diagonal of an ego corner, or a box sliding along the
+    // line of an ego side a few ulps to 1e-6 of the scale off it (its
+    // heading a hair off the ego's), near the origin and at 1e6 and
+    // 1e16 anchors whose axes round on different grids (at 1e16 every
+    // box is a few ulps across). The monitor's pruned clearances must
+    // give the exhaustive loop's facts.
+    Rng rng(8086);
+    int collisions = 0, closing_runs = 0;
+    for (int run = 0; run < 300; ++run) {
+        static const double anchors[] = {0.0, 1e6, 1e16};
+        const double x = anchors[run % 3] * rng.uniform(0.5, 1.0);
+        Pose2 ego{Vec2(x, x * 1e-3), rng.uniform(-0.3, 0.3)};
+        const double speed = rng.uniform(0.5, 6.0);
+        const Vec2 fwd(std::cos(ego.heading), std::sin(ego.heading));
+        const Vec2 left(-fwd.y(), fwd.x());
+        const double scale = std::max(x, 1.0);
+        static const double offsets[] = {0.0, 2.2e-16, -2.2e-16, 8.9e-16, 1e-12,
+                                         -1e-12, 1e-9, 2e-9, 1e-6, -1e-6};
+
+        std::vector<Mover> movers;
+        const auto n = 1 + static_cast<std::size_t>(rng.uniform(0.0, 4.0));
+        for (std::size_t i = 0; i < n; ++i) {
+            Mover m;
+            m.row.id = static_cast<ObstacleId>(i);
+            const double hl = rng.uniform(0.2, 1.5), hw = rng.uniform(0.2, 1.0);
+            const double off = offsets[static_cast<std::size_t>(
+                                   rng.uniform(0.0, 10.0))] * scale;
+            const std::size_t k = static_cast<std::size_t>(rng.uniform(0.0, 4.0));
+            if (rng.bernoulli(0.5)) {
+                // A static box whose corner 0 sits on the diagonal of
+                // ego corner k as the ego will be at step `meet`, the
+                // offset out (or in): corner to corner a few ulps apart
+                // at that step; from a front corner the ego runs into
+                // it on the next.
+                const int meet = 20 + static_cast<int>(rng.uniform(0.0, 230.0));
+                Pose2 at = ego;
+                for (int step = 0; step <= meet; ++step)
+                    at.position += fwd * (speed * kDt);
+                const Vec2 corner = OrientedBox2{at, 1.3, 0.7}.corners()[k];
+                Vec2 diag = corner - at.position;
+                diag = diag * (1.0 / diag.norm());
+                const double heading = std::atan2(-diag.y(), -diag.x()) -
+                                       std::atan2(hw, hl);
+                const auto local = OrientedBox2{Pose2{Vec2(0.0, 0.0), heading},
+                                                hl, hw}.corners();
+                m.row.footprint = OrientedBox2{
+                    Pose2{corner + diag * off - local[0], heading}, hl, hw};
+            } else {
+                // Sliding along the ego's left or right side line.
+                const double side = k < 2 ? 1.0 : -1.0;
+                const double tilt = rng.bernoulli(0.5) ? 0.0 : rng.uniform(-1e-12, 1e-12);
+                m.row.footprint = OrientedBox2{
+                    Pose2{ego.position + fwd * rng.uniform(-6.0, 12.0) +
+                              left * (side * (0.7 + hw + off)),
+                          ego.heading + tilt},
+                    hl, hw};
+                m.velocity = fwd * (speed + rng.uniform(-3.0, 3.0));
+            }
+            movers.push_back(m);
+        }
+
+        OracleMonitor oracle(kDt);
+        GapMonitor monitor(kDt);
+        std::vector<Obstacle> rows;
+        std::vector<OrientedBox2> boxes;
+        std::vector<PreparedBox> footprints;
+        for (int step = 0; step < 300; ++step) {
+            ego.position += fwd * (speed * kDt);
+            rows.clear();
+            boxes.clear();
+            for (Mover &m : movers) {
+                m.row.footprint.pose.position += m.velocity * kDt;
+                rows.push_back(m.row);
+                boxes.push_back(m.row.footprint);
+            }
+            footprints.resize(boxes.size());
+            for (std::size_t i = 0; i < boxes.size(); ++i)
+                footprints[i].assign(boxes[i]);
+            const OrientedBox2 ego_box{ego, 1.3, 0.7};
+            const bool want = oracle.step(ego_box, rows, boxes);
+            ASSERT_EQ(want, monitor.step(ego_box, footprints, rows))
+                << "run " << run << " step " << step;
+            ASSERT_TRUE(sameFacts(oracle.facts, monitor.facts()))
+                << "run " << run << " step " << step;
+            if (want) {
+                ++collisions;
+                break;
+            }
+        }
+        if (oracle.facts.min_ttc < 1e18 && !oracle.facts.collided)
+            ++closing_runs;
+    }
+    EXPECT_GT(collisions, 30);
+    EXPECT_GT(closing_runs, 30);
 }
 
 TEST(GapMonitor, SkippedGapsFeedTheNextEstimate)
