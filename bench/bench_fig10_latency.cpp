@@ -11,6 +11,7 @@
  * throughput sustained by pipelining.
  */
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 
 #include "core/config.h"
@@ -24,8 +25,13 @@ int
 main(int argc, char **argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
-    const auto frames =
-        static_cast<std::size_t>(cfg.getInt("frames", 50000));
+    const std::int64_t frame_count = cfg.getInt("frames", 50000);
+    if (frame_count < 1) {
+        std::fprintf(stderr, "usage: bench_fig10_latency [frames>=1] "
+                             "[deadline_ms=300] [out=BENCH_fig10_latency.json]\n");
+        return 2;
+    }
+    const auto frames = static_cast<std::size_t>(frame_count);
 
     const PlatformModel model;
     SovPipelineModel pipeline(model, SovPipelineConfig{}, Rng(42));

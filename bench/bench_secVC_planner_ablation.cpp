@@ -104,10 +104,14 @@ class CaptureReporter : public benchmark::ConsoleReporter
     ReportRuns(const std::vector<benchmark::BenchmarkReporter::Run> &runs)
         override
     {
+        // GetAdjustedRealTime() is in the run's time_unit (kMicrosecond
+        // here); the report's column is nanoseconds.
         for (const auto &r : runs)
-            captured.push_back(Run{r.benchmark_name(),
-                                   r.GetAdjustedRealTime(),
-                                   r.iterations});
+            captured.push_back(
+                Run{r.benchmark_name(),
+                    r.GetAdjustedRealTime() * 1e9 /
+                        benchmark::GetTimeUnitMultiplier(r.time_unit),
+                    r.iterations});
         benchmark::ConsoleReporter::ReportRuns(runs);
     }
 

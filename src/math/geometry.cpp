@@ -383,8 +383,7 @@ PreparedBox::pairMargin(const PreparedBox &o) const
 {
     const Vec2 &a = box_.pose.position;
     const Vec2 &b = o.box_.pose.position;
-    return broadphaseMargin(std::max(std::fabs(a.x()), std::fabs(a.y())) +
-                            std::max(std::fabs(b.x()), std::fabs(b.y())) +
+    return broadphaseMargin(maxAbs(a) + maxAbs(b) +
                             (radius_ + o.radius_));
 }
 
@@ -419,10 +418,7 @@ PreparedBox::castRay(const PreparedRay &ray, std::optional<double> &best) const
     if (finite_) {
         const Vec2 d = box_.pose.position - ray.seg.a;
         const double side = std::fabs(d.x() * ray.r.y() - d.y() * ray.r.x());
-        const double scale =
-            ray.scale + std::max(std::fabs(box_.pose.position.x()),
-                                 std::fabs(box_.pose.position.y())) +
-            radius_;
+        const double scale = ray.scale + maxAbs(box_.pose.position) + radius_;
         // broadphaseMargin(0.0) is the floor alone.
         if (side > (radius_ + broadphaseMargin(scale)) * ray.len +
                        broadphaseMargin(0.0))

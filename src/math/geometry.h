@@ -5,7 +5,9 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <optional>
 #include <vector>
 
@@ -15,6 +17,14 @@ namespace sov {
 
 /** Normalize an angle to (-pi, pi]. */
 double wrapAngle(double radians);
+
+/** The larger coordinate magnitude of @p v (NaN when |x| is NaN): the
+ *  coordinate scale the broadphase margins are taken of. */
+inline double
+maxAbs(const Vec2 &v)
+{
+    return std::max(std::fabs(v.x()), std::fabs(v.y()));
+}
 
 /** Planar rigid-body pose: position plus heading. */
 struct Pose2

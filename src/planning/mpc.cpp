@@ -1,41 +1,113 @@
 #include "planning/mpc.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "core/logging.h"
 
 namespace sov {
 
-Matrix
+namespace {
+
+/** A fixed-size row-major matrix whose products, sums and transposes
+ *  run Matrix's loops in Matrix's order (zero start, a zero left
+ *  factor skipped), so its results are Matrix's, bit for bit. */
+template <std::size_t R, std::size_t C>
+struct Fixed
+{
+    std::array<double, R * C> d{};
+
+    double &operator()(std::size_t i, std::size_t j) { return d[i * C + j]; }
+    double operator()(std::size_t i, std::size_t j) const { return d[i * C + j]; }
+};
+
+template <std::size_t R, std::size_t K, std::size_t C>
+Fixed<R, C>
+operator*(const Fixed<R, K> &a, const Fixed<K, C> &b)
+{
+    Fixed<R, C> r;
+    for (std::size_t i = 0; i < R; ++i) {
+        for (std::size_t k = 0; k < K; ++k) {
+            const double x = a(i, k);
+            if (x == 0.0)
+                continue;
+            for (std::size_t j = 0; j < C; ++j)
+                r(i, j) += x * b(k, j);
+        }
+    }
+    return r;
+}
+
+template <std::size_t R, std::size_t C>
+Fixed<R, C>
+operator+(Fixed<R, C> a, const Fixed<R, C> &b)
+{
+    for (std::size_t i = 0; i < R * C; ++i)
+        a.d[i] += b.d[i];
+    return a;
+}
+
+template <std::size_t R, std::size_t C>
+Fixed<R, C>
+operator-(Fixed<R, C> a, const Fixed<R, C> &b)
+{
+    for (std::size_t i = 0; i < R * C; ++i)
+        a.d[i] -= b.d[i];
+    return a;
+}
+
+template <std::size_t R, std::size_t C>
+Fixed<C, R>
+transpose(const Fixed<R, C> &a)
+{
+    Fixed<C, R> r;
+    for (std::size_t i = 0; i < R; ++i)
+        for (std::size_t j = 0; j < C; ++j)
+            r(j, i) = a(i, j);
+    return r;
+}
+
+} // namespace
+
+LqrGain
 MpcPlanner::lqrGain(double v) const
 {
-    const int bucket = static_cast<int>(std::max(v, 0.5) / 0.25);
-    const auto hit = gain_cache_.find(bucket);
-    if (hit != gain_cache_.end())
-        return hit->second;
+    const double scaled = std::max(v, 0.5) / 0.25;
+    if (!(scaled < static_cast<double>(kCachedBuckets)))
+        return solveLqr(v);
+    const auto bucket = static_cast<std::size_t>(scaled);
+    if (bucket >= gain_cache_.size())
+        gain_cache_.resize(bucket + 1);
+    CachedGain &cached = gain_cache_[bucket];
+    if (!cached.valid)
+        cached = CachedGain{solveLqr(v), true};
+    return cached.gain;
+}
 
+LqrGain
+MpcPlanner::solveLqr(double v) const
+{
     // Discrete error dynamics: e = [d, psi];
     //   d_{k+1}   = d_k + v dt psi_k
     //   psi_{k+1} = psi_k + v dt u     (u = curvature command)
     const double vdt = std::max(v, 0.5) * config_.dt;
-    const Matrix a{{1.0, vdt}, {0.0, 1.0}};
-    const Matrix b{{0.0}, {vdt}};
-    const Matrix q{{config_.q_lateral, 0.0}, {0.0, config_.q_heading}};
-    const Matrix r{{config_.r_curvature}};
+    const Fixed<2, 2> a{{1.0, vdt, 0.0, 1.0}};
+    const Fixed<2, 1> b{{0.0, vdt}};
+    const Fixed<2, 2> q{{config_.q_lateral, 0.0, 0.0, config_.q_heading}};
+    const Fixed<1, 1> r{{config_.r_curvature}};
 
     // Backward Riccati recursion over the horizon.
-    Matrix p = q;
-    Matrix k(1, 2);
+    Fixed<2, 2> p = q;
+    Fixed<1, 2> k;
     for (std::size_t i = 0; i < config_.horizon; ++i) {
-        const Matrix bt_p = b.transpose() * p;
-        const Matrix s = r + bt_p * b; // 1x1
-        const Matrix k_new = Matrix{{1.0 / s(0, 0)}} * (bt_p * a);
-        p = q + a.transpose() * p * (a - b * k_new);
+        const Fixed<1, 2> bt_p = transpose(b) * p;
+        const Fixed<1, 1> s = r + bt_p * b;
+        const Fixed<1, 2> k_new = Fixed<1, 1>{{1.0 / s(0, 0)}} * (bt_p * a);
+        p = q + transpose(a) * p * (a - b * k_new);
         k = k_new;
     }
-    gain_cache_[bucket] = k;
-    return k;
+    return LqrGain{k(0, 0), k(0, 1)};
 }
 
 MpcOutput
@@ -62,9 +134,9 @@ MpcPlanner::plan(const PlannerInput &input) const
     const double kappa_ref = wrapAngle(
         input.reference_path.headingAt(s + lookahead) -
         input.reference_path.headingAt(s)) / lookahead;
-    const Matrix k = lqrGain(input.ego_speed);
+    const LqrGain k = lqrGain(input.ego_speed);
     double curvature =
-        kappa_ref - (k(0, 0) * lateral + k(0, 1) * heading_err);
+        kappa_ref - (k.lateral * lateral + k.heading * heading_err);
     curvature = std::clamp(curvature, -config_.max_curvature,
                            config_.max_curvature);
     out.command.steer_curvature = curvature;

@@ -11,7 +11,7 @@
  */
 #pragma once
 
-#include <map>
+#include <vector>
 
 #include "planning/collision.h"
 #include "planning/planner_types.h"
@@ -44,6 +44,13 @@ struct MpcOutput
     bool blocked = false;         //!< obstacle forces a stop
 };
 
+/** An LQR gain row K (1x2) for u = -K e, e = [lateral, heading]. */
+struct LqrGain
+{
+    double lateral = 0.0;
+    double heading = 0.0;
+};
+
 /** The lane-level MPC planner. */
 class MpcPlanner
 {
@@ -55,19 +62,34 @@ class MpcPlanner
 
     const MpcConfig &config() const { return config_; }
 
-  private:
     /**
      * Finite-horizon LQR gain for the error dynamics at speed @p v:
      * state [lateral offset, heading error], control [curvature].
      * Gains are cached per 0.25 m/s speed bucket — the Riccati
      * recursion is the planner's only nontrivial linear algebra and
-     * the gain varies smoothly with speed.
-     * @return Row vector K (1x2) for u = -K e.
+     * the gain varies smoothly with speed — so the first speed to
+     * reach a bucket fixes its gain. The recursion runs on fixed-size
+     * 2x2 arithmetic in Matrix's operation order, bit for bit. Speeds
+     * of 256 m/s and above (and NaN) are solved afresh on every call.
      */
-    Matrix lqrGain(double v) const;
+    LqrGain lqrGain(double v) const;
+
+  private:
+    /** Speed buckets the gain cache holds (up to 256 m/s). */
+    static constexpr std::size_t kCachedBuckets = 1024;
+
+    /** The Riccati recursion at @p v (no cache). */
+    LqrGain solveLqr(double v) const;
+
+    struct CachedGain
+    {
+        LqrGain gain;
+        bool valid = false;
+    };
 
     MpcConfig config_;
-    mutable std::map<int, Matrix> gain_cache_;
+    /** Indexed by speed bucket; grown on first use of a bucket. */
+    mutable std::vector<CachedGain> gain_cache_;
 };
 
 } // namespace sov

@@ -49,17 +49,8 @@ RadarModel::nearestInPath(const WorldSnapshot &world, const Pose2 &body,
     if (dropout_filter_ && dropout_filter_(t))
         return std::nullopt;
     // Three parallel rays across the corridor approximate the beam.
-    const Vec2 dir = body.direction();
-    const Vec2 normal(-dir.y(), dir.x());
-    std::optional<double> best;
-    for (const double lateral :
-         {-corridor_half_width, 0.0, corridor_half_width}) {
-        const Vec2 origin = body.position + normal * lateral;
-        const auto hit = world.raycast(origin, dir, config_.max_range, t);
-        if (hit && (!best || *hit < *best))
-            best = hit;
-    }
-    return best;
+    return world.corridorcast(body.position, body.direction(),
+                              corridor_half_width, config_.max_range, t);
 }
 
 } // namespace sov

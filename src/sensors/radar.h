@@ -61,7 +61,8 @@ class RadarModel
     /**
      * Distance to the nearest obstacle in the vehicle's forward path
      * corridor — the reactive path's input (Sec. IV). Bypasses object
-     * detection entirely.
+     * detection entirely. Three parallel rays across the corridor
+     * (WorldSnapshot::corridorcast) approximate the beam.
      * @param corridor_half_width Lateral half-width of the checked
      *        corridor, typically half the vehicle width plus margin.
      */

@@ -367,14 +367,12 @@ ClosedLoopSim::physicsStep()
     const Duration dt =
         Duration::seconds(1.0 / config_.physics_rate_hz);
 
-    // Step the agent timeline before any sensing this step. Every
-    // footprint is recorded once here and prepared at most once, by the
-    // first ray or gap check its broadphase does not reject; the
-    // reactive rays and the gap monitor below both read them.
+    // Step the agent timeline before any sensing this step. The radar
+    // corridor and the gap monitor below each make one pass over the
+    // obstacles, building a footprint only where their bounds cannot
+    // rule the obstacle out.
     world_.advanceTo(sim_.now(), vehicle_.pose(), vehicle_.speed());
-    const WorldSnapshot live = world_.snapshot();
-    live.prepareFootprints(sim_.now(), footprints_);
-    const WorldSnapshot snap = live.withFootprints(footprints_, sim_.now());
+    const WorldSnapshot snap = world_.snapshot();
 
     // Reactive path: the radar watch runs at sensor rate, far faster
     // than the planner (it bypasses the computing pipeline, Sec. IV).
@@ -416,7 +414,8 @@ ClosedLoopSim::physicsStep()
     const EgoFootprint ego_size;
     if (gaps_.step(OrientedBox2{vehicle_.pose(), ego_size.half_length,
                                 ego_size.half_width},
-                   footprints_, snap.obstacles())) {
+                   snap.obstacles(), world_.timeline().closedForm(),
+                   sim_.now())) {
         sim_.stop();
         return;
     }

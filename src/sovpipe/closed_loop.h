@@ -289,9 +289,6 @@ class ClosedLoopSim
     ClosedLoopResult result_;
     /** Min-gap, TTC and collision facts, folded every physics step. */
     GapMonitor gaps_;
-    /** This physics step's obstacle footprints (index-aligned with
-     *  world obstacles); the buffer is reused across steps. */
-    std::vector<PreparedBox> footprints_;
     std::uint64_t cycles_ = 0;
     std::uint64_t reactive_cycles_ = 0;
     std::uint64_t proactive_cycles_ = 0;

@@ -2,18 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "core/logging.h"
 
 namespace sov {
 
 namespace {
-
-double
-maxAbs(const Vec2 &v)
-{
-    return std::max(std::fabs(v.x()), std::fabs(v.y()));
-}
 
 /** How far any point of @p from can move to reach @p to (radius
  *  @p to_radius): center shift, rotation at the new radius, extent
@@ -27,6 +23,20 @@ moveBound(const OrientedBox2 &from, const OrientedBox2 &to, double to_radius)
            std::fabs(to.half_width - from.half_width);
 }
 
+/** Same footprint and velocity bits: the same closed form in time. */
+bool
+sameMotion(const Obstacle &a, const Obstacle &b)
+{
+    return std::memcmp(&a.footprint, &b.footprint, sizeof a.footprint) == 0 &&
+           std::memcmp(&a.velocity, &b.velocity, sizeof a.velocity) == 0;
+}
+
+/** The unit roundoff, 2^-53. */
+constexpr double kUnit = std::numeric_limits<double>::epsilon() / 2.0;
+
+/** Relative widening of the certificate's distances (see step()). */
+constexpr double kWiden = 1.0 + 4e-9;
+
 } // namespace
 
 void
@@ -34,46 +44,121 @@ GapMonitor::reset()
 {
     facts_ = GapFacts{};
     slots_.clear();
+    ego_sum_ = 0.0;
+    ego_terms_ = 0;
+    certified_skips_ = 0;
 }
 
 bool
-GapMonitor::step(const OrientedBox2 &ego,
-                 std::span<const PreparedBox> footprints,
-                 const std::vector<Obstacle> &obstacles)
+GapMonitor::broadphaseSkips(std::size_t i, const Obstacle &obs,
+                            bool closed_form, double ego_move, double time_s)
 {
-    SOV_ASSERT(footprints.size() == obstacles.size());
-    if (slots_.size() != obstacles.size())
+    // Broadphase (see the file comment). A stale slot had a finite,
+    // positive gap last step: a TTC estimate is possible.
+    Slot &slot = slots_[i];
+    const PreparedBox &box = boxes_[i];
+    const double bound = ego_.clearanceBound(box);
+    if (!(bound > 0.0 && bound >= facts_.min_gap))
+        return false;
+    const double scale = maxAbs(ego_.box().pose.position) +
+                         maxAbs(box.box().pose.position) + ego_.radius() +
+                         box.radius();
+    if (slot.stale || slot.prev_gap < 1e17) {
+        const double move =
+            (ego_move + moveBound(slot.prev_box, box.box(), box.radius())) *
+                (1.0 + 1e-9) +
+            PreparedBox::broadphaseMargin(scale);
+        if (!(bound * dt_s_ >= facts_.min_ttc * move))
+            return false;
+    }
+    slot.stale = true;
+    if (closed_form && bound < std::numeric_limits<double>::infinity()) {
+        slot.asleep = true;
+        slot.row = obs;
+        slot.bound = bound;
+        slot.ego_sum = ego_sum_;
+        slot.time_s = time_s;
+        slot.speed = obs.velocity.norm();
+        slot.scale = scale;
+        slot.slack =
+            64.0 * kUnit * (scale + maxAbs(obs.footprint.pose.position)) +
+            2e-150;
+    } else {
+        slot.prev_box = box.box();
+    }
+    return true;
+}
+
+bool
+GapMonitor::step(const OrientedBox2 &ego, const std::vector<Obstacle> &obstacles,
+                 std::span<const std::uint8_t> closed_form, Timestamp t)
+{
+    SOV_ASSERT(closed_form.empty() || closed_form.size() == obstacles.size());
+    if (slots_.size() != obstacles.size()) {
         slots_.assign(obstacles.size(), Slot{});
+        boxes_.resize(obstacles.size());
+    }
     prev_ego_ = ego_.box();
     ego_.assign(ego);
     const double ego_move = moveBound(prev_ego_, ego, ego_.radius());
+    ego_sum_ += ego_move;
+    ++ego_terms_;
+    const Timestamp prev_t = prev_t_;
+    prev_t_ = t;
+    const double time_s = t.toSeconds();
+    const double step_s = std::fabs(time_s - prev_t.toSeconds());
 
+    // Certificate soundness. While a row keeps its closed form, its
+    // radius is fixed and its center moves by velocity * (time change)
+    // up to the rounding of footprintAt(), a few ulps of the center
+    // and of the row's base position; every point of the ego moves at
+    // most its moveBound per step (extent changes included, which
+    // bound its radius change). So the center distance less both radii
+    // shrinks by at most the ego's moveBound sum plus speed * elapsed
+    // since issue, and the bound's margin grows by 1e-9 of the scale
+    // change, itself at most that same distance. kWiden covers that
+    // 1e-9 and the relative rounding of the sums; slot.slack covers the
+    // absolute rounding of both bounds and of footprintAt() (64 ulps of
+    // the scale at issue plus the base position); sum_slack covers the
+    // recursive summation of ego_sum_ (at most one ulp of the sum per
+    // term, twice, for the two ends). The step's move bound is widened
+    // the same way, with 2e-9 of the grown scale for the broadphase
+    // margin. Each certified test is then the broadphase test on
+    // values no better than the exact ones, so it holds only when the
+    // exact test would.
+    const double sum_slack =
+        ego_sum_ * (static_cast<double>(ego_terms_) + 1.0) * 4.5e-16;
+    // A woken slot was last visited, and skipped, at prev_t.
+    const auto wake = [prev_t](Slot &slot) {
+        slot.asleep = false;
+        slot.prev_box = slot.row.footprintAt(prev_t);
+    };
+
+    std::uint64_t slept = 0;
     for (std::size_t i = 0; i < obstacles.size(); ++i) {
         Slot &slot = slots_[i];
-        const PreparedBox &box = footprints[i];
-
-        // Broadphase (see the file comment). A stale slot had a
-        // finite, positive gap last step: a TTC estimate is possible.
-        const double bound = ego_.clearanceBound(box);
-        if (bound > 0.0 && bound >= facts_.min_gap) {
-            bool skip = !slot.stale && !(slot.prev_gap < 1e17);
-            if (!skip) {
-                const double scale = maxAbs(ego.pose.position) +
-                    maxAbs(box.box().pose.position) + ego_.radius() +
-                    box.radius();
-                const double move =
-                    (ego_move + moveBound(slot.prev_box, box.box(),
-                                          box.radius())) *
-                        (1.0 + 1e-9) +
-                    PreparedBox::broadphaseMargin(scale);
-                skip = bound * dt_s_ >= facts_.min_ttc * move;
+        const Obstacle &obs = obstacles[i];
+        if (slot.asleep) {
+            if (sameMotion(slot.row, obs)) {
+                const double spent = (ego_sum_ - slot.ego_sum + sum_slack) +
+                                     slot.speed * std::fabs(time_s - slot.time_s);
+                const double low = slot.bound - (spent * kWiden + slot.slack);
+                const double move = (ego_move + slot.speed * step_s) * kWiden +
+                                    2e-9 * (slot.scale + spent) + slot.slack;
+                if (low > 0.0 && low >= facts_.min_gap &&
+                    low * dt_s_ >= facts_.min_ttc * move) {
+                    ++slept;
+                    continue;
+                }
             }
-            if (skip) {
-                slot.stale = true;
-                slot.prev_box = box.box();
-                continue;
-            }
+            wake(slot);
         }
+
+        PreparedBox &box = boxes_[i];
+        box.assign(obs.footprintAt(t));
+        if (broadphaseSkips(i, obs, !closed_form.empty() && closed_form[i] != 0,
+                            ego_move, time_s))
+            continue;
 
         if (slot.stale) {
             slot.prev_gap =
@@ -82,7 +167,7 @@ GapMonitor::step(const OrientedBox2 &ego,
         const double gap = ego_.distanceTo(box);
         if (gap < facts_.min_gap) {
             facts_.min_gap = gap;
-            facts_.nearest_obstacle = obstacles[i].id;
+            facts_.nearest_obstacle = obs.id;
         }
         // TTC estimate from the closing rate over one physics step.
         const double closing = (slot.prev_gap - gap) / dt_s_;
@@ -92,15 +177,22 @@ GapMonitor::step(const OrientedBox2 &ego,
         slot.stale = false;
         slot.prev_box = box.box();
         if (gap <= 0.0) {
-            // Later slots keep last step's history; past a collision
-            // min_ttc is 0 and min_gap 0, so no later estimate or
-            // positive gap can change a fact.
+            // Later slots keep last step's history (a sleeping one
+            // wakes with it, since a later step cannot rebuild it);
+            // past a collision min_ttc is 0 and min_gap 0, so no later
+            // estimate or positive gap can change a fact.
             facts_.collided = true;
             facts_.min_ttc = 0.0;
-            facts_.nearest_obstacle = obstacles[i].id;
+            facts_.nearest_obstacle = obs.id;
+            for (std::size_t j = i + 1; j < slots_.size(); ++j) {
+                if (slots_[j].asleep)
+                    wake(slots_[j]);
+            }
+            certified_skips_ += slept;
             return true;
         }
     }
+    certified_skips_ += slept;
     return false;
 }
 

@@ -22,14 +22,34 @@
  *
  * A skipped obstacle's gap is still needed as the next step's previous
  * gap when that step checks it exactly; it is recomputed then from the
- * kept previous ego box and footprint. The reported facts are
- * bit-identical to checking every obstacle every step.
+ * kept previous ego box and footprint.
+ *
+ * Wake certificates (kinetic data structures, Basch, Guibas &
+ * Hershberger 1997). A row marked closed-form (a constant-velocity
+ * agent: one footprintAt() for the whole run) that the broadphase skips
+ * goes to sleep on a certificate: the bound at issue, the ego's running
+ * moveBound sum then, the obstacle's speed and the issue time. While
+ * asleep its bound at a later step is at least
+ *
+ *     issue bound - (ego moveBounds since issue + speed * elapsed)
+ *
+ * widened for rounding (see gap_monitor.cpp), and the step's move at
+ * most the ego's move + speed * step, so the broadphase test above run
+ * on these bounds proves the skip without building the footprint: a
+ * few flops per step, no assign, clearanceBound, moveBound or square
+ * root. The first step the proof fails (or the row changed) the slot
+ * wakes: its previous footprint is rebuilt from the row's closed form
+ * and the step runs as above. A certified skip is a skip the
+ * broadphase would have made, so every step leaves the same facts and
+ * slot history as checking every obstacle every step, bit for bit.
  */
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
+#include "core/time.h"
 #include "math/geometry.h"
 #include "world/obstacle.h"
 
@@ -56,18 +76,22 @@ class GapMonitor
     void reset();
 
     /**
-     * Fold one physics step: the ego footprint @p ego against
-     * @p footprints (index-aligned with @p obstacles, whose ids name
-     * the offender). A change in the obstacle count restarts every
-     * previous gap (no TTC estimate that step). Returns true when the
-     * ego touches an obstacle; the step stops at that obstacle, and
-     * the run is expected to end there.
+     * Fold one physics step at time @p t: the ego footprint @p ego
+     * against every row of @p obstacles at @p t (footprintAt(); the
+     * ids name the offender). @p closed_form is empty or index-aligned
+     * with @p obstacles; a nonzero entry lets that row sleep on a wake
+     * certificate (see the file comment). A change in the obstacle
+     * count restarts every previous gap (no TTC estimate that step).
+     * Returns true when the ego touches an obstacle; the step stops at
+     * that obstacle, and the run is expected to end there.
      */
-    bool step(const OrientedBox2 &ego,
-              std::span<const PreparedBox> footprints,
-              const std::vector<Obstacle> &obstacles);
+    bool step(const OrientedBox2 &ego, const std::vector<Obstacle> &obstacles,
+              std::span<const std::uint8_t> closed_form, Timestamp t);
 
     const GapFacts &facts() const { return facts_; }
+
+    /** Obstacle-steps skipped on a wake certificate since reset(). */
+    std::uint64_t certifiedSkips() const { return certified_skips_; }
 
   private:
     /** One obstacle slot's history. */
@@ -76,18 +100,45 @@ class GapMonitor
         /** Last step's exact gap; 1e18 = none (no TTC estimate). */
         double prev_gap = 1e18;
         /** Last step was skipped: prev_gap is not set, and is the gap
-         *  between prev_ego_ and prev_box. */
+         *  between prev_ego_ and the last footprint. */
         bool stale = false;
-        /** Last step's footprint. */
+        /** Skipped on a live wake certificate (the fields below). */
+        bool asleep = false;
+        /** Last step's footprint; while asleep, rebuilt from row. */
         OrientedBox2 prev_box{};
+
+        // Wake certificate, valid while asleep.
+        /** The row it was issued for (footprint and velocity). */
+        Obstacle row;
+        double bound = 0.0;    //!< clearanceBound() at issue
+        double ego_sum = 0.0;  //!< ego_sum_ at issue
+        double time_s = 0.0;   //!< issue time, seconds
+        double speed = 0.0;    //!< |row velocity|
+        double scale = 0.0;    //!< broadphase scale at issue
+        double slack = 0.0;    //!< absolute rounding cover
     };
+
+    /** The broadphase at slot @p i with its footprint in boxes_[i];
+     *  true = skipped. Issues a certificate for a @p closed_form row. */
+    bool broadphaseSkips(std::size_t i, const Obstacle &obs,
+                         bool closed_form, double ego_move, double time_s);
 
     double dt_s_;
     GapFacts facts_;
     std::vector<Slot> slots_;
+    /** Each slot's footprint this step (kept across steps so
+     *  PreparedBox::assign can keep the heading trig). */
+    std::vector<PreparedBox> boxes_;
     PreparedBox ego_;
     /** Last step's ego footprint. */
     OrientedBox2 prev_ego_{};
+    /** Last step's time. */
+    Timestamp prev_t_;
+    /** Running sum of the ego's per-step moveBound since reset(), and
+     *  the number of terms in it. */
+    double ego_sum_ = 0.0;
+    std::uint64_t ego_terms_ = 0;
+    std::uint64_t certified_skips_ = 0;
 };
 
 } // namespace sov

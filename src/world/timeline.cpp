@@ -26,6 +26,7 @@ WorldTimeline::spawn(std::unique_ptr<Agent> agent)
     if (agent->reactive())
         ++reactive_count_;
     published_.push_back(agent->publish(epoch_));
+    closed_form_.push_back(agent->reactive() ? 0 : 1);
     agents_.push_back(std::move(agent));
     return id;
 }
@@ -67,6 +68,7 @@ WorldTimeline::clear()
 {
     agents_.clear();
     published_.clear();
+    closed_form_.clear();
     prev_published_.clear();
     reactive_count_ = 0;
     next_id_ = 0;

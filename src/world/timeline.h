@@ -63,6 +63,13 @@ class WorldTimeline
 
     /** One row per agent, in spawn order, published at epoch(). */
     const std::vector<Obstacle> &published() const { return published_; }
+    /** Per row, 1 when the agent is constant-velocity (not
+     *  Agent::reactive()): its row is the spawn row at every epoch, so
+     *  footprintAt() is one closed form in time for the whole run. */
+    const std::vector<std::uint8_t> &closedForm() const
+    {
+        return closed_form_;
+    }
     std::size_t size() const { return agents_.size(); }
 
     const Agent &agent(std::size_t i) const { return *agents_[i]; }
@@ -84,6 +91,7 @@ class WorldTimeline
     std::size_t reactive_count_ = 0;
     std::vector<std::unique_ptr<Agent>> agents_;
     std::vector<Obstacle> published_;
+    std::vector<std::uint8_t> closed_form_;
     /** Previous epoch's rows, handed to agents as observations. */
     std::vector<Obstacle> prev_published_;
     ObstacleId next_id_ = 0;

@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -75,31 +74,31 @@ class WorldSnapshot
     /**
      * Distance from @p origin along @p direction to the first obstacle
      * hit at time @p t, up to @p max_range. The physics behind the
-     * radar/sonar models and the reactive path (Sec. IV). A
-     * zero-length direction sees nothing (nullopt), not a panic.
-     * Reads the attached footprints when cast at their time (see
-     * withFootprints()), else builds each footprint on the fly; either
-     * way a box clear of the ray's line is skipped unprepared
+     * radar/sonar models. A zero-length direction sees nothing
+     * (nullopt), not a panic. Each footprint is built on the fly, and
+     * a box clear of the ray's line is skipped unprepared
      * (PreparedBox::castRay).
      */
     std::optional<double> raycast(const Vec2 &origin,
                                   const Vec2 &direction, double max_range,
                                   Timestamp t) const;
 
-    /** Every obstacle's footprint at @p t, in obstacles() order, each
-     *  recorded with its bounding radius and prepared on first use.
-     *  @p out is reused slot by slot: a slot whose obstacle kept its
-     *  heading keeps its trig (PreparedBox::assign). */
-    void prepareFootprints(Timestamp t, std::vector<PreparedBox> &out) const;
-
     /**
-     * This view with @p footprints (prepareFootprints() at @p t)
-     * attached: casts at @p t read them instead of preparing each box
-     * again; casts at any other time still prepare on the fly. The
-     * footprints must outlive the returned view.
+     * The nearest hit of three parallel rays along @p direction,
+     * started at @p origin and at @p half_width to either side of it
+     * (origin + normal * lateral, normal the left normal of
+     * @p direction) — the radar corridor of the reactive path
+     * (Sec. IV). Bit-identical to the least of raycast() from the
+     * three origins, right ray first, folded as `hit && (!best ||
+     * *hit < *best)`, but one pass over the obstacles: a box whose
+     * bounding circle lies clear of the whole strip (see world.cpp)
+     * is skipped before its footprint is built, the rest fold into all
+     * three rays, and a strip with no such box builds no ray.
      */
-    WorldSnapshot withFootprints(std::span<const PreparedBox> footprints,
-                                 Timestamp t) const;
+    std::optional<double> corridorcast(const Vec2 &origin,
+                                       const Vec2 &direction,
+                                       double half_width, double max_range,
+                                       Timestamp t) const;
 
     /** Obstacles whose center is within @p range of @p position at t. */
     std::vector<Obstacle> obstaclesNear(const Vec2 &position, double range,
@@ -110,9 +109,6 @@ class WorldSnapshot
     const std::vector<Obstacle> *obstacles_;
     const std::vector<Landmark> *landmarks_;
     Timestamp epoch_;
-    /** Footprints attached by withFootprints(); empty = none. */
-    std::span<const PreparedBox> footprints_;
-    Timestamp footprints_at_;
 };
 
 /** The complete synthetic environment: scene + agent timeline. */

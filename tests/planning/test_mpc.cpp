@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
+#include "math/matrix.h"
 #include "planning/mpc.h"
 
 namespace sov {
@@ -137,6 +140,69 @@ TEST(Mpc, ClosedLoopConvergesToPath)
     EXPECT_NEAR(pose.position.y(), 0.0, 0.15);
     EXPECT_NEAR(wrapAngle(pose.heading), 0.0, 0.05);
     EXPECT_NEAR(speed, 5.6, 0.2);
+}
+
+/** The Riccati recursion on dynamic Matrix products, as the planner
+ *  ran it before its fixed-size arithmetic. */
+Matrix
+oracleLqrGain(const MpcConfig &config, double v)
+{
+    const double vdt = std::max(v, 0.5) * config.dt;
+    const Matrix a{{1.0, vdt}, {0.0, 1.0}};
+    const Matrix b{{0.0}, {vdt}};
+    const Matrix q{{config.q_lateral, 0.0}, {0.0, config.q_heading}};
+    const Matrix r{{config.r_curvature}};
+    Matrix p = q;
+    Matrix k(1, 2);
+    for (std::size_t i = 0; i < config.horizon; ++i) {
+        const Matrix bt_p = b.transpose() * p;
+        const Matrix s = r + bt_p * b;
+        const Matrix k_new = Matrix{{1.0 / s(0, 0)}} * (bt_p * a);
+        p = q + a.transpose() * p * (a - b * k_new);
+        k = k_new;
+    }
+    return k;
+}
+
+TEST(Mpc, LqrGainMatchesTheDynamicMatrixRecursion)
+{
+    // Fresh planners solve at the queried speed; one long-lived planner
+    // keeps the first speed of each 0.25 m/s bucket. Both must give the
+    // Matrix recursion's gains bit for bit, for 0-20 m/s and for other
+    // horizons and weights.
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    MpcConfig tuned;
+    tuned.horizon = 7;
+    tuned.q_lateral = 0.3;
+    tuned.r_curvature = 2.5;
+    for (const MpcConfig &config : {MpcConfig{}, tuned}) {
+        const MpcPlanner cached(config);
+        Matrix bucket_gain;
+        int last_bucket = -1;
+        for (int i = 0; i <= 2000; ++i) {
+            const double v = 0.01 * i;
+            const Matrix want = oracleLqrGain(config, v);
+            const LqrGain fresh = MpcPlanner(config).lqrGain(v);
+            ASSERT_EQ(bits(want(0, 0)), bits(fresh.lateral)) << "v " << v;
+            ASSERT_EQ(bits(want(0, 1)), bits(fresh.heading)) << "v " << v;
+
+            const int bucket = static_cast<int>(std::max(v, 0.5) / 0.25);
+            if (bucket != last_bucket) {
+                bucket_gain = want;
+                last_bucket = bucket;
+            }
+            const LqrGain hit = cached.lqrGain(v);
+            ASSERT_EQ(bits(bucket_gain(0, 0)), bits(hit.lateral)) << "v " << v;
+            ASSERT_EQ(bits(bucket_gain(0, 1)), bits(hit.heading)) << "v " << v;
+        }
+    }
+    // Past the cached buckets, and for NaN, every call solves afresh.
+    const MpcPlanner planner;
+    for (const double v : {256.0, 300.0, 1e9}) {
+        const Matrix want = oracleLqrGain(MpcConfig{}, v);
+        EXPECT_EQ(bits(want(0, 0)), bits(planner.lqrGain(v).lateral)) << v;
+    }
+    EXPECT_TRUE(std::isnan(planner.lqrGain(std::nan("")).lateral));
 }
 
 } // namespace

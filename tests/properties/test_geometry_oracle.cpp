@@ -14,12 +14,14 @@
  * +-pi, coordinates near 1e6, NaN poses, rays starting on an edge and
  * rays parallel to one.
  *
- * The broadphase bounds (PreparedBox::clearanceBound and castRay's
- * side test) get their own cases at their boundary: rays grazing a
- * box's bounding circle at a corner, a few ulps to 1e-6 of the
- * coordinate scale off it; edges parallel or nearly parallel to the
- * ray; boxes whose circles nearly touch corner to corner; and boxes
- * with NaN or infinite headings, positions and extents. So do the
+ * The broadphase bounds (PreparedBox::clearanceBound, castRay's side
+ * test and the corridor query's strip test) get their own cases at
+ * their boundary: rays and strip edges grazing a box's bounding circle
+ * at a corner, a few ulps to 1e-6 of the coordinate scale off it;
+ * edges parallel or nearly parallel to the ray; boxes whose circles
+ * nearly touch corner to corner; strip rays starting on a box (hits
+ * at 0); and boxes with NaN or infinite headings, positions and
+ * extents. So do the
  * exact cuts inside the queries: distanceTo's corner pruning (corners
  * on a vertex's diagonal or a few ulps off an edge line, at 1e6 and
  * 1e150 anchors, with extents down to subnormal) and firstCollision's
@@ -98,21 +100,29 @@ raycast(const std::vector<Obstacle> &obstacles, const Vec2 &origin,
     return best;
 }
 
+/** Three raycasts from @p origin and @p half_width to either side of
+ *  it along the left normal of @p dir, the least hit kept. */
 std::optional<double>
-nearestInPath(const std::vector<Obstacle> &obstacles, const Pose2 &body,
-              double corridor_half_width, double max_range, Timestamp t)
+corridor(const std::vector<Obstacle> &obstacles, const Vec2 &origin,
+         const Vec2 &dir, double half_width, double max_range, Timestamp t)
 {
-    const Vec2 dir = direction(body);
     const Vec2 normal(-dir.y(), dir.x());
     std::optional<double> best;
-    for (const double lateral :
-         {-corridor_half_width, 0.0, corridor_half_width}) {
-        const Vec2 origin = body.position + normal * lateral;
-        const auto hit = raycast(obstacles, origin, dir, max_range, t);
+    for (const double lateral : {-half_width, 0.0, half_width}) {
+        const auto hit = raycast(obstacles, origin + normal * lateral, dir,
+                                 max_range, t);
         if (hit && (!best || *hit < *best))
             best = hit;
     }
     return best;
+}
+
+std::optional<double>
+nearestInPath(const std::vector<Obstacle> &obstacles, const Pose2 &body,
+              double corridor_half_width, double max_range, Timestamp t)
+{
+    return corridor(obstacles, body.position, direction(body),
+                    corridor_half_width, max_range, t);
 }
 
 struct State
@@ -399,7 +409,6 @@ TEST(GeometryOracle, RaycastAndRadarCorridorBitIdentical)
     RadarConfig radar_cfg;
     radar_cfg.max_range = 30.0;
     const RadarModel radar(radar_cfg, Rng(1));
-    std::vector<PreparedBox> footprints;
     for (int c = 0; c < kCases; ++c) {
         const Vec2 anchor = randomAnchor(rng);
         std::vector<Obstacle> obstacles;
@@ -415,8 +424,6 @@ TEST(GeometryOracle, RaycastAndRadarCorridorBitIdentical)
             : Timestamp::seconds(rng.uniform(0.0, 2.0));
         const WorldSnapshot snap(map, obstacles, landmarks,
                                  Timestamp::origin());
-        snap.prepareFootprints(t, footprints);
-        const WorldSnapshot prepared = snap.withFootprints(footprints, t);
 
         // Origin: free, on a footprint's corner, or on one of its edges;
         // direction: free, along that edge, or degenerate.
@@ -443,8 +450,6 @@ TEST(GeometryOracle, RaycastAndRadarCorridorBitIdentical)
         const auto want = oracle::raycast(obstacles, origin, dir, range, t);
         ASSERT_TRUE(sameBits(want, snap.raycast(origin, dir, range, t)))
             << "case " << c;
-        ASSERT_TRUE(sameBits(want, prepared.raycast(origin, dir, range, t)))
-            << "case " << c;
 
         const Pose2 body{origin, randomHeading(rng)};
         const double corridor = rng.uniform(0.0, 1.5);
@@ -452,9 +457,6 @@ TEST(GeometryOracle, RaycastAndRadarCorridorBitIdentical)
             obstacles, body, corridor, radar_cfg.max_range, t);
         ASSERT_TRUE(sameBits(want_path,
                              radar.nearestInPath(snap, body, corridor, t)))
-            << "case " << c;
-        ASSERT_TRUE(sameBits(want_path,
-                             radar.nearestInPath(prepared, body, corridor, t)))
             << "case " << c;
     }
 }
@@ -614,8 +616,11 @@ sameValue(const std::optional<double> &want, const std::optional<double> &got)
     return sameBits(want, got);
 }
 
-/** Compare the oracle, a fresh snapshot and a prepared one (NaN hits
- *  compared by sameValue() when @p any_nan). */
+/** Compare the oracle with the snapshot's raycast along the ray, and
+ *  with its corridor query for strips that hold the ray: all three
+ *  rays on it (zero half-width), and the ray as the right or left
+ *  edge of a strip of a random half-width (NaN hits compared by
+ *  sameValue() when @p any_nan). */
 ::testing::AssertionResult
 raycastMatches(const std::vector<Obstacle> &obstacles, const Vec2 &origin,
                const Vec2 &dir, double range, Timestamp t,
@@ -623,19 +628,26 @@ raycastMatches(const std::vector<Obstacle> &obstacles, const Vec2 &origin,
 {
     static const LaneMap map;
     static const std::vector<Landmark> landmarks;
-    std::vector<PreparedBox> footprints;
+    static Rng widths(77);
     const WorldSnapshot snap(map, obstacles, landmarks, Timestamp::origin());
-    snap.prepareFootprints(t, footprints);
-    const WorldSnapshot prepared = snap.withFootprints(footprints, t);
     const auto same = [any_nan](const std::optional<double> &a,
                                 const std::optional<double> &b) {
         return any_nan ? sameValue(a, b) : sameBits(a, b);
     };
     const auto want = oracle::raycast(obstacles, origin, dir, range, t);
     if (auto r = same(want, snap.raycast(origin, dir, range, t)); !r)
-        return r << " (fresh)";
-    if (auto r = same(want, prepared.raycast(origin, dir, range, t)); !r)
-        return r << " (prepared)";
+        return r << " (ray)";
+    if (auto r = same(oracle::corridor(obstacles, origin, dir, 0.0, range, t),
+                      snap.corridorcast(origin, dir, 0.0, range, t));
+        !r)
+        return r << " (zero-width strip)";
+    const double w = widths.uniform(0.05, 1.5);
+    const Vec2 normal(-dir.y(), dir.x());
+    const Vec2 center = origin + normal * (widths.bernoulli(0.5) ? w : -w);
+    if (auto r = same(oracle::corridor(obstacles, center, dir, w, range, t),
+                      snap.corridorcast(center, dir, w, range, t));
+        !r)
+        return r << " (strip edge)";
     return ::testing::AssertionSuccess();
 }
 
@@ -771,6 +783,120 @@ TEST(GeometryOracle, NonFiniteBoxesTakeTheExactPath)
             << "case " << c;
         ASSERT_EQ(oracle::overlaps(a, b), pa.overlaps(pb)) << "case " << c;
     }
+}
+
+TEST(GeometryOracle, CorridorStripsBitIdentical)
+{
+    // The corridor query's strip test at its boundary: a box grazing
+    // the strip's right, middle or left ray at a corner (the ray
+    // tangent to its bounding circle there, along its edge or a hair
+    // off it) a boundary offset of the scale out or in, next to boxes
+    // with NaN or infinite components, and ray origins on a box's
+    // corner or edge or inside it (hits at 0), some from a body at
+    // -0. The query must give the three raycasts' answer.
+    Rng rng(2718);
+    const std::vector<double> offsets = boundaryOffsets();
+    const LaneMap map;
+    const std::vector<Landmark> landmarks;
+    int hits = 0, misses = 0, zeros = 0;
+    for (int c = 0; c < kCases; ++c) {
+        const Vec2 anchor = rng.bernoulli(0.5)
+            ? Vec2(1e6 + rng.uniform(-5.0, 5.0), -1e6 + rng.uniform(-5.0, 5.0))
+            : Vec2(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0));
+        const Timestamp t = Timestamp::seconds(rng.uniform(0.0, 2.0));
+        std::vector<Obstacle> obstacles{
+            asObstacle(finiteBox(rng, anchor), rng, 0)};
+        const OrientedBox2 box = obstacles[0].footprintAt(t);
+        const auto cs = oracle::corners(box);
+        const std::size_t k = static_cast<std::size_t>(rng.uniform(0.0, 4.0));
+        const Vec2 corner = cs[k];
+        const Vec2 edge = cs[(k + 1) % 4] - corner;
+        const Vec2 radial = corner - box.pose.position;
+
+        double heading = randomHeading(rng);
+        const double u = rng.uniform();
+        if (u < 0.4 && radial.squaredNorm() > 0.0) {
+            heading = std::atan2(radial.x(), -radial.y());
+        } else if (u < 0.6 && edge.squaredNorm() > 0.0) {
+            heading = std::atan2(edge.y(), edge.x());
+        } else if (u < 0.8 && edge.squaredNorm() > 0.0) {
+            static const double tilts[] = {1e-16, 2.5e-16, 1e-15, 1e-14};
+            heading = std::atan2(edge.y(), edge.x()) +
+                      tilts[static_cast<std::size_t>(rng.uniform(0.0, 4.0))] *
+                          (rng.bernoulli(0.5) ? 1.0 : -1.0);
+        }
+        if (rng.bernoulli(0.5))
+            heading += M_PI;
+        const Vec2 dir = Pose2{Vec2(0.0, 0.0), heading}.direction();
+        const Vec2 unit = dir.normalized();
+        const Vec2 normal(-dir.y(), dir.x());
+        Vec2 out(-unit.y(), unit.x());
+        if (out.dot(radial) < 0.0)
+            out = out * -1.0;
+        const double scale = std::max(
+            {std::fabs(corner.x()), std::fabs(corner.y()), 1.0});
+        const double off =
+            offsets[static_cast<std::size_t>(
+                rng.uniform(0.0, static_cast<double>(offsets.size())))] *
+            scale;
+        const double w = rng.bernoulli(0.1) ? 0.0 : rng.uniform(0.05, 1.5);
+        const double laterals[3] = {-w, 0.0, w};
+        const double lateral =
+            laterals[static_cast<std::size_t>(rng.uniform(0.0, 3.0))];
+        const double back = rng.bernoulli(0.8) ? rng.uniform(0.5, 10.0)
+                                               : -rng.uniform(0.0, 2.0);
+        Pose2 body{corner + out * off - unit * back - normal * lateral,
+                   heading};
+
+        bool any_nan = false;
+        const double e = rng.uniform();
+        if (e < 0.3) {
+            obstacles.push_back(asObstacle(nonFiniteBox(rng, anchor), rng, 1));
+            any_nan = true;
+        } else if (e < 0.5) {
+            // A ray origin on a corner or an edge of a static box, or
+            // at its center.
+            if (rng.bernoulli(0.2))
+                body.position = Vec2(-0.0, rng.bernoulli(0.5) ? -0.0 : 0.0);
+            const Vec2 from =
+                body.position +
+                normal * laterals[static_cast<std::size_t>(rng.uniform(0.0, 3.0))];
+            Obstacle o;
+            o.id = 1;
+            o.footprint = finiteBox(rng, anchor);
+            const auto ocs = oracle::corners(o.footprint);
+            const std::size_t j = static_cast<std::size_t>(rng.uniform(0.0, 4.0));
+            const double v = rng.uniform();
+            o.footprint.pose.position =
+                v < 0.3 ? from
+                : v < 0.6
+                    ? o.footprint.pose.position + (from - ocs[j])
+                    : o.footprint.pose.position +
+                          (from - (ocs[j] + (ocs[(j + 1) % 4] - ocs[j]) * 0.5));
+            obstacles.insert(obstacles.begin() +
+                                 static_cast<std::ptrdiff_t>(rng.uniform(0.0, 2.0)),
+                             o);
+        } else if (e < 0.6) {
+            obstacles.push_back(asObstacle(finiteBox(rng, anchor), rng, 1));
+        }
+        const double range = rng.bernoulli(0.5) ? 60.0 : rng.uniform(0.5, 20.0);
+
+        const WorldSnapshot snap(map, obstacles, landmarks, Timestamp::origin());
+        const auto want = oracle::nearestInPath(obstacles, body, w, range, t);
+        const auto got =
+            snap.corridorcast(body.position, body.direction(), w, range, t);
+        ASSERT_TRUE(any_nan ? sameValue(want, got) : sameBits(want, got))
+            << "case " << c;
+        if (!want)
+            ++misses;
+        else if (*want == 0.0)
+            ++zeros;
+        else
+            ++hits;
+    }
+    EXPECT_GT(hits, kCases / 10);
+    EXPECT_GT(misses, kCases / 10);
+    EXPECT_GT(zeros, kCases / 50);
 }
 
 TEST(GeometryOracle, ClearanceBoundNeverExceedsTheGap)

@@ -1,6 +1,7 @@
 // Allocation gate for the event core: once warmed up, fixed-rate
-// lanes, typed one-shots, the dataflow executor's per-frame path and
-// the planner's collision sweep allocate nothing. This binary replaces
+// lanes, typed one-shots, the dataflow executor's per-frame path, the
+// planner's collision sweep and a physics step's obstacle pass (radar
+// corridor plus gap monitor) allocate nothing. This binary replaces
 // the global operator new with a counting one, so it runs apart from
 // the other runtime tests.
 #include <gtest/gtest.h>
@@ -9,11 +10,15 @@
 #include <cstdlib>
 #include <new>
 
+#include "fleet/fuzzer.h"
+#include "fleet/scenario.h"
 #include "planning/collision.h"
 #include "planning/planner_types.h"
 #include "platform/platform_model.h"
 #include "runtime/dataflow.h"
+#include "sensors/radar.h"
 #include "sim/simulator.h"
+#include "sovpipe/gap_monitor.h"
 #include "sovpipe/fig5_graph.h"
 #include "vehicle/can_bus.h"
 #include "vehicle/ecu.h"
@@ -139,6 +144,55 @@ TEST(EventAlloc, WarmCollisionSweepAllocatesNothing)
         EXPECT_EQ(hit.has_value(), warm.has_value());
     }
     EXPECT_EQ(allocations() - before, 0u);
+}
+
+/**
+ * Drive @p preset's world along its route at 5 m/s for 10 s of 200 Hz
+ * physics steps, as the closed loop does (timeline, radar corridor,
+ * gap monitor), and count the allocations made inside the obstacle
+ * pass after the first second. The pass runs on snapshots of the
+ * stepped world, and the gap monitor never sees a collision (the
+ * count check would stop at it).
+ */
+std::uint64_t
+warmPassAllocations(const fleet::WorldPreset &preset, std::uint64_t *certified)
+{
+    World world;
+    Rng rng(7);
+    preset.build(world, rng);
+    const RadarModel radar(RadarConfig{}, Rng(1));
+    GapMonitor monitor(0.005);
+    const Vec2 start = preset.route.sample(0.0);
+    const double heading = preset.route.headingAt(0.0);
+    std::uint64_t counted = 0;
+    for (int k = 0; k < 2000; ++k) {
+        const Timestamp t = Timestamp::nanos(5'000'000LL * k);
+        const Pose2 ego{start + Vec2(std::cos(heading), std::sin(heading)) *
+                                    (5.0 * t.toSeconds()),
+                        heading};
+        world.advanceTo(t, ego, 5.0);
+        const WorldSnapshot snap = world.snapshot();
+        const std::uint64_t before = allocations();
+        (void)radar.nearestInPath(snap, ego, 0.8, t);
+        // A lateral offset keeps the ego clear of lane obstacles.
+        const OrientedBox2 ego_box{Pose2{ego.position + Vec2(0.0, 40.0), heading},
+                                   1.3, 0.7};
+        EXPECT_FALSE(monitor.step(ego_box, snap.obstacles(),
+                                  world.timeline().closedForm(), t));
+        if (k >= 200)
+            counted += allocations() - before;
+    }
+    *certified = monitor.certifiedSkips();
+    return counted;
+}
+
+TEST(EventAlloc, WarmObstaclePassAllocatesNothing)
+{
+    std::uint64_t certified = 0;
+    EXPECT_EQ(warmPassAllocations(fleet::trafficWorld(6), &certified), 0u);
+    // The constant-velocity cars sleep on wake certificates.
+    EXPECT_GT(certified, 0u);
+    EXPECT_EQ(warmPassAllocations(fleet::fuzzWorldPreset(3), &certified), 0u);
 }
 
 } // namespace

@@ -12,6 +12,13 @@
  * and extent jumps, obstacle-count changes, a stopped ego, first-step
  * collisions and NaN poses, and corner-first approaches at far
  * anchors.
+ *
+ * Rows marked closed-form sleep on wake certificates instead of being
+ * checked each step. Long constant-velocity sequences (thousands of
+ * steps, where certificates sleep and wake many times) compare the
+ * monitor with ParentMonitor, a copy of the broadphase monitor before
+ * certificates, step by step, through count changes, replaced rows,
+ * NaN poses, uneven step times and collisions.
  */
 #include <gtest/gtest.h>
 
@@ -68,6 +75,95 @@ class OracleMonitor
     std::vector<double> prev_gaps_;
 };
 
+/** The broadphase monitor as it was before wake certificates: every
+ *  footprint built and bounded every step. */
+class ParentMonitor
+{
+  public:
+    explicit ParentMonitor(double dt_s) : dt_s_(dt_s) {}
+
+    bool step(const OrientedBox2 &ego, const std::vector<Obstacle> &obstacles,
+              Timestamp t)
+    {
+        if (slots_.size() != obstacles.size())
+            slots_.assign(obstacles.size(), Slot{});
+        prev_ego_ = ego_.box();
+        ego_.assign(ego);
+        const double ego_move = moveBound(prev_ego_, ego, ego_.radius());
+        for (std::size_t i = 0; i < obstacles.size(); ++i) {
+            Slot &slot = slots_[i];
+            const PreparedBox box(obstacles[i].footprintAt(t));
+            const double bound = ego_.clearanceBound(box);
+            if (bound > 0.0 && bound >= facts.min_gap) {
+                bool skip = !slot.stale && !(slot.prev_gap < 1e17);
+                if (!skip) {
+                    const double scale = maxAbs(ego.pose.position) +
+                        maxAbs(box.box().pose.position) + ego_.radius() +
+                        box.radius();
+                    const double move =
+                        (ego_move + moveBound(slot.prev_box, box.box(),
+                                              box.radius())) *
+                            (1.0 + 1e-9) +
+                        PreparedBox::broadphaseMargin(scale);
+                    skip = bound * dt_s_ >= facts.min_ttc * move;
+                }
+                if (skip) {
+                    slot.stale = true;
+                    slot.prev_box = box.box();
+                    continue;
+                }
+            }
+            if (slot.stale) {
+                slot.prev_gap = PreparedBox(prev_ego_).distanceTo(
+                    PreparedBox(slot.prev_box));
+            }
+            const double gap = ego_.distanceTo(box);
+            if (gap < facts.min_gap) {
+                facts.min_gap = gap;
+                facts.nearest_obstacle = obstacles[i].id;
+            }
+            const double closing = (slot.prev_gap - gap) / dt_s_;
+            if (slot.prev_gap < 1e17 && closing > 1e-9 && gap > 0.0)
+                facts.min_ttc = std::min(facts.min_ttc, gap / closing);
+            slot.prev_gap = gap;
+            slot.stale = false;
+            slot.prev_box = box.box();
+            if (gap <= 0.0) {
+                facts.collided = true;
+                facts.min_ttc = 0.0;
+                facts.nearest_obstacle = obstacles[i].id;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    GapFacts facts;
+
+  private:
+    struct Slot
+    {
+        double prev_gap = 1e18;
+        bool stale = false;
+        OrientedBox2 prev_box{};
+    };
+
+    static double
+    moveBound(const OrientedBox2 &from, const OrientedBox2 &to,
+              double to_radius)
+    {
+        return (to.pose.position - from.pose.position).norm() +
+               to_radius * std::fabs(to.pose.heading - from.pose.heading) +
+               std::fabs(to.half_length - from.half_length) +
+               std::fabs(to.half_width - from.half_width);
+    }
+
+    double dt_s_;
+    std::vector<Slot> slots_;
+    PreparedBox ego_;
+    OrientedBox2 prev_ego_{};
+};
+
 std::uint64_t
 bits(double x)
 {
@@ -91,6 +187,13 @@ sameFacts(const GapFacts &want, const GapFacts &got)
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kDt = 0.005;
+
+/** The time of physics step @p k at 200 Hz. */
+Timestamp
+stepTime(int k)
+{
+    return Timestamp::nanos(5'000'000LL * k);
+}
 
 /** One moving obstacle of a random sequence. */
 struct Mover
@@ -147,7 +250,6 @@ TEST(GapMonitor, RandomStepSequencesMatchTheExhaustiveLoop)
         monitor.reset();
         std::vector<Obstacle> rows;
         std::vector<OrientedBox2> boxes;
-        std::vector<PreparedBox> footprints;
         const int steps = 400;
         for (int k = 0; k < steps; ++k) {
             // Ego motion (a stopped ego keeps a bitwise-equal pose).
@@ -186,19 +288,17 @@ TEST(GapMonitor, RandomStepSequencesMatchTheExhaustiveLoop)
                              static_cast<std::ptrdiff_t>(rng.uniform(
                                  0.0, static_cast<double>(movers.size()))));
 
+            const Timestamp t = stepTime(k);
             rows.clear();
             boxes.clear();
             for (const Mover &m : movers) {
                 rows.push_back(m.row);
-                boxes.push_back(m.row.footprint);
+                boxes.push_back(m.row.footprintAt(t));
             }
-            footprints.resize(boxes.size());
-            for (std::size_t i = 0; i < boxes.size(); ++i)
-                footprints[i].assign(boxes[i]);
 
             const OrientedBox2 ego_box{ego, 1.3, 0.7};
             const bool want = oracle.step(ego_box, rows, boxes);
-            const bool got = monitor.step(ego_box, footprints, rows);
+            const bool got = monitor.step(ego_box, rows, {}, t);
             ASSERT_EQ(want, got) << "run " << run << " step " << k;
             ASSERT_TRUE(sameFacts(oracle.facts, monitor.facts()))
                 << "run " << run << " step " << k;
@@ -286,22 +386,19 @@ TEST(GapMonitor, CornerFirstApproachesMatchTheExhaustiveLoop)
         GapMonitor monitor(kDt);
         std::vector<Obstacle> rows;
         std::vector<OrientedBox2> boxes;
-        std::vector<PreparedBox> footprints;
         for (int step = 0; step < 300; ++step) {
+            const Timestamp t = stepTime(step);
             ego.position += fwd * (speed * kDt);
             rows.clear();
             boxes.clear();
             for (Mover &m : movers) {
                 m.row.footprint.pose.position += m.velocity * kDt;
                 rows.push_back(m.row);
-                boxes.push_back(m.row.footprint);
+                boxes.push_back(m.row.footprintAt(t));
             }
-            footprints.resize(boxes.size());
-            for (std::size_t i = 0; i < boxes.size(); ++i)
-                footprints[i].assign(boxes[i]);
             const OrientedBox2 ego_box{ego, 1.3, 0.7};
             const bool want = oracle.step(ego_box, rows, boxes);
-            ASSERT_EQ(want, monitor.step(ego_box, footprints, rows))
+            ASSERT_EQ(want, monitor.step(ego_box, rows, {}, t))
                 << "run " << run << " step " << step;
             ASSERT_TRUE(sameFacts(oracle.facts, monitor.facts()))
                 << "run " << run << " step " << step;
@@ -327,22 +424,22 @@ TEST(GapMonitor, SkippedGapsFeedTheNextEstimate)
     std::vector<Obstacle> rows(2);
     rows[0].id = 7;
     rows[1].id = 9;
-    std::vector<OrientedBox2> boxes{
-        OrientedBox2{Pose2{Vec2(4.0, 1.6), 0.0}, 0.5, 0.5},
-        OrientedBox2{Pose2{Vec2(40.0, 0.0), 0.0}, 1.0, 1.0}};
-    std::vector<PreparedBox> footprints(2);
+    rows[0].footprint = OrientedBox2{Pose2{Vec2(4.0, 1.6), 0.0}, 0.5, 0.5};
+    rows[1].footprint = OrientedBox2{Pose2{Vec2(40.0, 0.0), 0.0}, 1.0, 1.0};
+    std::vector<OrientedBox2> boxes(2);
     Pose2 ego{Vec2(0.0, 0.0), 0.0};
     for (int k = 0; k < 2000; ++k) {
+        const Timestamp t = stepTime(k);
         ego.position.x() += 5.0 * kDt;
         if (k == 600) {
             // The near obstacle moves far away: a row republished.
-            boxes[0].pose.position = Vec2(-100.0, 50.0);
+            rows[0].footprint.pose.position = Vec2(-100.0, 50.0);
         }
         for (std::size_t i = 0; i < 2; ++i)
-            footprints[i].assign(boxes[i]);
+            boxes[i] = rows[i].footprintAt(t);
         const OrientedBox2 ego_box{ego, 1.3, 0.7};
         const bool want = oracle.step(ego_box, rows, boxes);
-        ASSERT_EQ(want, monitor.step(ego_box, footprints, rows)) << "step " << k;
+        ASSERT_EQ(want, monitor.step(ego_box, rows, {}, t)) << "step " << k;
         ASSERT_TRUE(sameFacts(oracle.facts, monitor.facts())) << "step " << k;
         if (want)
             break;
@@ -351,13 +448,165 @@ TEST(GapMonitor, SkippedGapsFeedTheNextEstimate)
     EXPECT_EQ(monitor.facts().nearest_obstacle, 9u);
 }
 
+/** A constant-velocity row placed relative to the ego at time
+ *  @p at_s (its reference time is the origin): parked and drifting
+ *  cars beside the lane, crossing pedestrians, slower cars ahead,
+ *  oncoming cars, walls, or anything anywhere. */
+Obstacle
+cvRow(Rng &rng, ObstacleId id, const Pose2 &ego, double at_s)
+{
+    const Vec2 fwd(std::cos(ego.heading), std::sin(ego.heading));
+    const Vec2 left(-fwd.y(), fwd.x());
+    const double side = rng.bernoulli(0.5) ? 1.0 : -1.0;
+    Vec2 ahead, velocity(0.0, 0.0);
+    double heading = ego.heading, hl = 2.0, hw = 0.9;
+    const double u = rng.uniform();
+    if (u < 0.25) {
+        ahead = Vec2(rng.uniform(10.0, 150.0), side * rng.uniform(2.5, 8.0));
+        velocity = fwd * rng.uniform(-0.5, 0.5);
+    } else if (u < 0.45) {
+        ahead = Vec2(rng.uniform(10.0, 80.0), side * rng.uniform(4.0, 10.0));
+        velocity = left * (-side * rng.uniform(0.8, 2.0));
+        hl = hw = 0.3;
+    } else if (u < 0.6) {
+        ahead = Vec2(rng.uniform(15.0, 60.0), rng.uniform(-0.3, 0.3));
+        velocity = fwd * rng.uniform(1.0, 4.0);
+    } else if (u < 0.75) {
+        ahead = Vec2(rng.uniform(40.0, 150.0), side * rng.uniform(2.5, 4.0));
+        velocity = fwd * -rng.uniform(3.0, 8.0);
+    } else if (u < 0.85) {
+        ahead = Vec2(rng.uniform(20.0, 100.0), rng.uniform(-3.0, 3.0));
+        hl = 0.5;
+        hw = 2.5;
+    } else {
+        ahead = Vec2(rng.uniform(-30.0, 100.0), rng.uniform(-20.0, 20.0));
+        heading = rng.uniform(-M_PI, M_PI);
+        velocity = Vec2(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0));
+        hl = rng.uniform(0.2, 2.5);
+        hw = rng.uniform(0.2, 1.2);
+    }
+    Obstacle row;
+    row.id = id;
+    const Vec2 at = ego.position + fwd * ahead.x() + left * ahead.y();
+    row.footprint = OrientedBox2{Pose2{at - velocity * at_s, heading}, hl, hw};
+    row.velocity = velocity;
+    return row;
+}
+
+TEST(GapMonitor, ConstantVelocityRowsMatchTheParentMonitor)
+{
+    // Long runs of mostly closed-form rows: their certificates sleep
+    // for hundreds of steps and wake as the ego or a crossing obstacle
+    // closes in. Rows come and go, some are replaced in place (same
+    // count, new motion) or turn NaN, unmarked rows republish every
+    // tick, the ego stops and starts, steps are sometimes uneven, and
+    // the ego pose is NaN for a step now and then. The facts and the
+    // collision step must match the parent monitor's at every step.
+    Rng rng(1997);
+    std::uint64_t certified = 0;
+    int collisions = 0, closing_runs = 0, wake_runs = 0;
+    for (int run = 0; run < 120; ++run) {
+        Pose2 ego{rng.bernoulli(0.15) ? Vec2(1e6, -1e6) : Vec2(0.0, 0.0),
+                  rng.uniform(-0.2, 0.2)};
+        double speed = rng.uniform(2.0, 8.0);
+        const double yaw_rate = rng.bernoulli(0.3) ? rng.uniform(-0.05, 0.05) : 0.0;
+
+        std::vector<Obstacle> rows;
+        std::vector<std::uint8_t> closed;
+        ObstacleId next_id = 0;
+        const auto n = 1 + static_cast<std::size_t>(rng.uniform(0.0, 10.0));
+        for (std::size_t i = 0; i < n; ++i) {
+            rows.push_back(cvRow(rng, next_id++, ego, 0.0));
+            closed.push_back(rng.bernoulli(0.9) ? 1 : 0);
+        }
+
+        GapMonitor monitor(kDt);
+        ParentMonitor parent(kDt);
+        std::int64_t ns = 0;
+        std::uint64_t slept_before = 0, last_slept = 0;
+        bool woke = false;
+        for (int k = 0; k < 3000; ++k) {
+            ns += rng.bernoulli(0.02)
+                ? static_cast<std::int64_t>(rng.uniform(1.0, 9e6))
+                : 5'000'000;
+            const Timestamp t = Timestamp::nanos(ns);
+            const double now_s = t.toSeconds();
+            if (rng.bernoulli(0.004))
+                speed = rng.bernoulli(0.3) ? 0.0 : rng.uniform(1.0, 9.0);
+            ego.heading += yaw_rate * kDt;
+            ego.position +=
+                Vec2(std::cos(ego.heading), std::sin(ego.heading)) * (speed * kDt);
+
+            const double e = rng.uniform();
+            if (e < 0.002) {
+                rows.push_back(cvRow(rng, next_id++, ego, now_s));
+                closed.push_back(rng.bernoulli(0.9) ? 1 : 0);
+            } else if (e < 0.004 && !rows.empty()) {
+                const auto at = static_cast<std::ptrdiff_t>(
+                    rng.uniform(0.0, static_cast<double>(rows.size())));
+                rows.erase(rows.begin() + at);
+                closed.erase(closed.begin() + at);
+            } else if (e < 0.006 && !rows.empty()) {
+                // A world cleared and rebuilt to the same count.
+                Obstacle &row = rows[static_cast<std::size_t>(
+                    rng.uniform(0.0, static_cast<double>(rows.size())))];
+                row = cvRow(rng, row.id, ego, now_s);
+            } else if (e < 0.007 && !rows.empty()) {
+                Obstacle &row = rows[static_cast<std::size_t>(
+                    rng.uniform(0.0, static_cast<double>(rows.size())))];
+                if (rng.bernoulli(0.5))
+                    row.footprint.pose.heading = kNaN;
+                else
+                    row.footprint.pose.position.x() = kNaN;
+            }
+            if (k % 20 == 0) {
+                // Unmarked rows republish every tick, as behavioural
+                // agents do.
+                for (std::size_t i = 0; i < rows.size(); ++i) {
+                    if (!closed[i])
+                        rows[i].velocity += Vec2(rng.uniform(-0.3, 0.3),
+                                                 rng.uniform(-0.3, 0.3));
+                }
+            }
+
+            OrientedBox2 ego_box{ego, 1.3, 0.7};
+            if (rng.bernoulli(0.001))
+                ego_box.pose.heading = kNaN;
+            const bool want = parent.step(ego_box, rows, t);
+            const bool got = monitor.step(ego_box, rows, closed, t);
+            ASSERT_EQ(want, got) << "run " << run << " step " << k;
+            ASSERT_TRUE(sameFacts(parent.facts, monitor.facts()))
+                << "run " << run << " step " << k;
+            // A step that sleeps fewer rows than the last one woke one.
+            const std::uint64_t slept = monitor.certifiedSkips() - slept_before;
+            slept_before = monitor.certifiedSkips();
+            if (k > 0 && slept < last_slept)
+                woke = true;
+            last_slept = slept;
+            if (want) {
+                ++collisions;
+                break;
+            }
+        }
+        certified += monitor.certifiedSkips();
+        if (parent.facts.min_ttc < 1e18 && !parent.facts.collided)
+            ++closing_runs;
+        if (woke)
+            ++wake_runs;
+    }
+    EXPECT_GT(certified, 200000u);
+    EXPECT_GT(collisions, 10);
+    EXPECT_GT(closing_runs, 30);
+    EXPECT_GT(wake_runs, 60);
+}
+
 TEST(GapMonitor, ResetForgetsEverything)
 {
     GapMonitor monitor(kDt);
-    std::vector<Obstacle> rows(1);
     const OrientedBox2 ego{Pose2{Vec2(0.0, 0.0), 0.0}, 1.3, 0.7};
-    const std::vector<PreparedBox> on_ego{PreparedBox(ego)};
-    EXPECT_TRUE(monitor.step(ego, on_ego, rows));
+    std::vector<Obstacle> rows(1);
+    rows[0].footprint = ego;
+    EXPECT_TRUE(monitor.step(ego, rows, {}, Timestamp::origin()));
     EXPECT_TRUE(monitor.facts().collided);
     monitor.reset();
     const GapFacts fresh;
