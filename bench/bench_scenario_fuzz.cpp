@@ -21,10 +21,14 @@
  *   bench_scenario_fuzz [smoke=1] [worlds=200] [seed=1]
  *                       [horizon_s=20] [out=BENCH_scenario_fuzz.json]
  *
- * smoke=1 drops to 12 worlds for CI. Every triage row carries the fuzz
- * seed that rebuilds its world via fuzzWorldPreset(seed) — the
- * one-seed repro for any incident in the table.
+ * smoke=1 drops to 12 worlds for CI. worlds < 1, or a horizon_s that
+ * is not a positive finite number, prints the usage line and exits 2.
+ * Every triage row carries the fuzz seed that rebuilds its world via
+ * fuzzWorldPreset(seed) — the one-seed repro for any incident in the
+ * table.
  */
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -178,10 +182,17 @@ main(int argc, char **argv)
 {
     const Config config = Config::fromArgs(argc, argv);
     const bool smoke = config.getBool("smoke", false);
-    const auto worlds = static_cast<std::size_t>(
-        config.getInt("worlds", smoke ? 12 : 200));
+    const std::int64_t worlds_arg = config.getInt("worlds", smoke ? 12 : 200);
     const auto seed = static_cast<std::uint64_t>(config.getInt("seed", 1));
     const double horizon_s = config.getDouble("horizon_s", 20.0);
+    if (worlds_arg < 1 || !std::isfinite(horizon_s) || horizon_s <= 0.0) {
+        std::fprintf(stderr,
+                     "usage: bench_scenario_fuzz [smoke=1] [worlds>=1] "
+                     "[seed=1] [horizon_s>0] "
+                     "[out=BENCH_scenario_fuzz.json]\n");
+        return 2;
+    }
+    const auto worlds = static_cast<std::size_t>(worlds_arg);
     const std::string out_path =
         config.getString("out", "BENCH_scenario_fuzz.json");
 

@@ -64,6 +64,12 @@ jsonNumber(double v)
     return buf;
 }
 
+bool
+byIndex(const ScenarioOutcome &a, const ScenarioOutcome &b)
+{
+    return a.index < b.index;
+}
+
 } // namespace
 
 FleetReport
@@ -71,7 +77,7 @@ FleetReport::fromOutcomes(std::vector<ScenarioOutcome> rows)
 {
     FleetReport report;
     report.rows_ = std::move(rows);
-    report.rebuild();
+    std::sort(report.rows_.begin(), report.rows_.end(), byIndex);
     return report;
 }
 
@@ -79,7 +85,8 @@ void
 FleetReport::merge(const FleetReport &other)
 {
     rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
-    rebuild();
+    std::sort(rows_.begin(), rows_.end(), byIndex);
+    derived_ = false;
 }
 
 void
@@ -95,21 +102,19 @@ FleetReport::mergeRow(ScenarioOutcome row)
         });
     SOV_ASSERT(it == rows_.end() || it->index != row.index);
     rows_.insert(it, std::move(row));
-    deriveAggregates();
+    derived_ = false;
 }
 
-void
-FleetReport::rebuild()
+const FleetAggregate &
+FleetReport::aggregate() const
 {
-    std::sort(rows_.begin(), rows_.end(),
-              [](const ScenarioOutcome &a, const ScenarioOutcome &b) {
-                  return a.index < b.index;
-              });
-    deriveAggregates();
+    if (!derived_)
+        deriveAggregates();
+    return aggregate_;
 }
 
 void
-FleetReport::deriveAggregates()
+FleetReport::deriveAggregates() const
 {
     for (std::size_t i = 1; i < rows_.size(); ++i)
         SOV_ASSERT(rows_[i].index > rows_[i - 1].index);
@@ -146,6 +151,7 @@ FleetReport::deriveAggregates()
             a.pipeline_p99_ms_digest.add(o.pipeline_p99_ms);
         }
     }
+    derived_ = true;
 }
 
 std::uint64_t
@@ -161,7 +167,7 @@ FleetReport::fingerprint() const
 std::string
 FleetReport::toJson() const
 {
-    const FleetAggregate &a = aggregate_;
+    const FleetAggregate &a = aggregate();
     std::ostringstream os;
     os << "{\n  \"scenarios\": " << a.scenarios
        << ",\n  \"collisions\": " << a.collisions

@@ -5,11 +5,18 @@
  * A FleetReport is built from per-scenario outcome rows. Aggregates
  * (collision/availability counts, gap/latency percentiles) are never
  * accumulated in completion order: they are *derived* by folding the
- * rows in canonical index order. merge() therefore just unions row
- * sets and re-derives — any sharding of the scenario space, merged in
- * any order, yields a bit-identical report. fingerprint() hashes the
- * canonical serialization so benches and tests can assert exactly
- * that.
+ * rows in canonical index order, on the first read after the rows
+ * changed. merge() and mergeRow() therefore just union row sets — any
+ * sharding of the scenario space, merged in any order, yields a
+ * bit-identical report, and streaming n rows costs O(n) inserts, not
+ * n full re-derivations. fingerprint() hashes the canonical
+ * serialization so benches and tests can assert exactly that.
+ *
+ * Because the first read after a change writes the derived cache, a
+ * report must not be read from two threads at once while rows are
+ * pending derivation (the same rule as PreparedBox). sov::serve only
+ * merges and copies its streamed reports under its lock; readers
+ * derive on their own copies.
  */
 #pragma once
 
@@ -85,19 +92,20 @@ class FleetReport
   public:
     FleetReport() = default;
 
-    /** Build from rows (sorted by index; aggregates derived). */
+    /** Build from rows (sorted by index; aggregates derived on
+     *  read). */
     static FleetReport fromOutcomes(std::vector<ScenarioOutcome> rows);
 
-    /** Union @p other's rows into this report and re-derive the
-     *  aggregates; order-independent (see file comment). */
+    /** Union @p other's rows into this report; order-independent
+     *  (see file comment). */
     void merge(const FleetReport &other);
 
     /**
      * Stream one completed row into the report: the row is inserted
      * at its canonical position (rows stay sorted by index; a
-     * duplicate index is a caller bug and asserts) and the aggregates
-     * are re-derived by the same canonical index-order fold as
-     * fromOutcomes(). Consequence: streaming rows in ANY completion
+     * duplicate index is a caller bug and asserts). The aggregates are
+     * derived on the next read by the same canonical index-order fold
+     * as fromOutcomes(). Consequence: streaming rows in ANY completion
      * order yields a report bit-identical to fromOutcomes() over the
      * same row set — this is what lets sov::serve expose partial
      * results shard by shard without forking the determinism
@@ -106,7 +114,9 @@ class FleetReport
     void mergeRow(ScenarioOutcome row);
 
     const std::vector<ScenarioOutcome> &outcomes() const { return rows_; }
-    const FleetAggregate &aggregate() const { return aggregate_; }
+    /** The aggregates, derived from the rows if they changed since the
+     *  last read (see the file comment on threads). */
+    const FleetAggregate &aggregate() const;
 
     /** FNV-1a over the canonical serialization of every row: equal
      *  fingerprints <=> bit-identical reports. */
@@ -116,12 +126,13 @@ class FleetReport
     std::string toJson() const;
 
   private:
-    void rebuild();
     /** Assert canonical ordering, then fold the aggregates. */
-    void deriveAggregates();
+    void deriveAggregates() const;
 
     std::vector<ScenarioOutcome> rows_; //!< sorted by index
-    FleetAggregate aggregate_;
+    /** Derived from rows_ when derived_ is set. */
+    mutable FleetAggregate aggregate_;
+    mutable bool derived_ = false;
 };
 
 } // namespace sov::fleet

@@ -44,13 +44,15 @@ RadarModel::scan(const WorldSnapshot &world, const Pose2 &body,
 
 std::optional<double>
 RadarModel::nearestInPath(const WorldSnapshot &world, const Pose2 &body,
-                          double corridor_half_width, Timestamp t) const
+                          double corridor_half_width, Timestamp t,
+                          double range) const
 {
     if (dropout_filter_ && dropout_filter_(t))
         return std::nullopt;
     // Three parallel rays across the corridor approximate the beam.
     return world.corridorcast(body.position, body.direction(),
-                              corridor_half_width, config_.max_range, t);
+                              corridor_half_width, config_.max_range, t,
+                              range);
 }
 
 } // namespace sov

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -65,11 +66,15 @@ class RadarModel
      * (WorldSnapshot::corridorcast) approximate the beam.
      * @param corridor_half_width Lateral half-width of the checked
      *        corridor, typically half the vehicle width plus margin.
+     * @param range The farthest distance the caller's decision reads:
+     *        exact hits <= range, else none (the rays stay
+     *        config().max_range long, so a returned hit keeps its
+     *        bits; boxes wholly beyond it are never cast).
      */
-    std::optional<double> nearestInPath(const WorldSnapshot &world,
-                                        const Pose2 &body,
-                                        double corridor_half_width,
-                                        Timestamp t) const;
+    std::optional<double> nearestInPath(
+        const WorldSnapshot &world, const Pose2 &body,
+        double corridor_half_width, Timestamp t,
+        double range = std::numeric_limits<double>::infinity()) const;
 
     /**
      * Fault hook: when set and returning true at a scan time, the unit

@@ -29,6 +29,8 @@ ClosedLoopSim::ClosedLoopSim(World &world, Polyline2 route,
     pipeline_exec_.attachMetrics(&pipeline_metrics_);
     pipeline_exec_.setDeadline(config_.pipeline_deadline);
     can_.connect([this](const ControlCommand &cmd) { ecu_.onCommand(cmd); });
+    planner_input_.reference_path = route_;
+    frame_slots_.resize(config_.max_frames_in_flight);
 
     // Legacy perception-miss knob, now a first-class fault channel
     // (Sec. III-C scenario 2). p = 0 creates no channel and draws
@@ -255,12 +257,14 @@ ClosedLoopSim::planningCycle()
     // Perception oracle with modelled latency: the planner sees the
     // world as it was at cycle start, and its command reaches the CAN
     // bus after the computing latency drawn from the pipeline model.
-    PlannerInput input;
+    // The input is reused across cycles (it holds the route), so a
+    // warm cycle copies no path and grows no object list.
+    PlannerInput &input = planner_input_;
     input.now = now;
     input.ego_pose = vehicle_.pose();
     input.ego_speed = vehicle_.speed();
-    input.reference_path = route_;
     input.speed_limit = std::min(config_.cruise_speed, speed_limit);
+    input.objects.clear();
     if (cam.freeze && last_camera_.valid) {
         // Frozen sensor: the planner acts on the previous frame's
         // world view (objects have moved on; the plan is stale).
@@ -339,8 +343,22 @@ ClosedLoopSim::planningCycle()
 void
 ClosedLoopSim::releasePipelineFrame(const ControlCommand &command)
 {
+    // The command waits in a slot, so the completion callback captures
+    // only this and the slot index and fits std::function's inline
+    // buffer: a released frame allocates nothing. The window keeps
+    // max_frames_in_flight slots busy at most, except that a frame a
+    // sensor latency spike delayed is released past it; then a slot
+    // is added.
+    std::size_t slot = 0;
+    while (slot < frame_slots_.size() && frame_slots_[slot].busy)
+        ++slot;
+    if (slot == frame_slots_.size())
+        frame_slots_.emplace_back();
+    frame_slots_[slot] = FrameSlot{command, true};
     pipeline_exec_.releaseFrame(
-        [this, cmd = command](const runtime::FrameTrace &trace) {
+        [this, slot](const runtime::FrameTrace &trace) {
+            const ControlCommand cmd = frame_slots_[slot].command;
+            frame_slots_[slot].busy = false;
             // skip-frame: an abandoned frame transmits no stale/garbage
             // command, but its retirement still frees a window slot.
             if (!trace.failed)

@@ -263,6 +263,16 @@ class ClosedLoopSim
     /** Async mode: the command of the one frame parked under
      *  backpressure (latest wins; see PipelineMode). */
     std::optional<ControlCommand> pending_release_;
+    /** The command a released frame transmits on completion. */
+    struct FrameSlot
+    {
+        ControlCommand command;
+        bool busy = false;
+    };
+    /** One slot per frame in flight (releasePipelineFrame). */
+    std::vector<FrameSlot> frame_slots_;
+    /** This cycle's planner input, reused (it holds the route). */
+    PlannerInput planner_input_;
 
     // Trace wiring (all optional; inert when recorder_ is null).
     obs::TraceRecorder *recorder_ = nullptr;

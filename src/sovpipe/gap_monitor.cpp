@@ -11,14 +11,14 @@ namespace sov {
 
 namespace {
 
-/** How far any point of @p from can move to reach @p to (radius
- *  @p to_radius): center shift, rotation at the new radius, extent
- *  change. NaN when either box is not finite. */
+/** How far any point of @p to (radius @p to_radius) can lie from the
+ *  point of @p from its local coordinates map to, beyond the center
+ *  shift: rotation at the new radius plus extent change. NaN when
+ *  either box is not finite. */
 double
-moveBound(const OrientedBox2 &from, const OrientedBox2 &to, double to_radius)
+turnBound(const OrientedBox2 &from, const OrientedBox2 &to, double to_radius)
 {
-    return (to.pose.position - from.pose.position).norm() +
-           to_radius * std::fabs(to.pose.heading - from.pose.heading) +
+    return to_radius * std::fabs(to.pose.heading - from.pose.heading) +
            std::fabs(to.half_length - from.half_length) +
            std::fabs(to.half_width - from.half_width);
 }
@@ -51,7 +51,8 @@ GapMonitor::reset()
 
 bool
 GapMonitor::broadphaseSkips(std::size_t i, const Obstacle &obs,
-                            bool closed_form, double ego_move, double time_s)
+                            bool closed_form, const EgoStep &ego_step,
+                            double time_s)
 {
     // Broadphase (see the file comment). A stale slot had a finite,
     // positive gap last step: a TTC estimate is possible.
@@ -64,10 +65,19 @@ GapMonitor::broadphaseSkips(std::size_t i, const Obstacle &obs,
                          maxAbs(box.box().pose.position) + ego_.radius() +
                          box.radius();
     if (slot.stale || slot.prev_gap < 1e17) {
+        // Relative displacement: the obstacle's center shift less the
+        // ego's, plus both boxes' turn bounds. The margin's scale takes
+        // in last step's centers too: the shifts round in their
+        // coordinates, which the relative shift no longer bounds.
+        const OrientedBox2 &from = slot.prev_box;
+        const OrientedBox2 &to = box.box();
+        const double relative =
+            ((to.pose.position - from.pose.position) - ego_step.shift).norm() +
+            ego_step.turn + turnBound(from, to, box.radius());
         const double move =
-            (ego_move + moveBound(slot.prev_box, box.box(), box.radius())) *
-                (1.0 + 1e-9) +
-            PreparedBox::broadphaseMargin(scale);
+            relative * (1.0 + 1e-9) +
+            PreparedBox::broadphaseMargin(scale + ego_step.prev_scale +
+                                          maxAbs(from.pose.position));
         if (!(bound * dt_s_ >= facts_.min_ttc * move))
             return false;
     }
@@ -100,7 +110,11 @@ GapMonitor::step(const OrientedBox2 &ego, const std::vector<Obstacle> &obstacles
     }
     prev_ego_ = ego_.box();
     ego_.assign(ego);
-    const double ego_move = moveBound(prev_ego_, ego, ego_.radius());
+    const EgoStep ego_step{ego.pose.position - prev_ego_.pose.position,
+                           turnBound(prev_ego_, ego, ego_.radius()),
+                           maxAbs(prev_ego_.pose.position)};
+    // How far any point of the ego moved.
+    const double ego_move = ego_step.shift.norm() + ego_step.turn;
     ego_sum_ += ego_move;
     ++ego_terms_;
     const Timestamp prev_t = prev_t_;
@@ -112,9 +126,9 @@ GapMonitor::step(const OrientedBox2 &ego, const std::vector<Obstacle> &obstacles
     // radius is fixed and its center moves by velocity * (time change)
     // up to the rounding of footprintAt(), a few ulps of the center
     // and of the row's base position; every point of the ego moves at
-    // most its moveBound per step (extent changes included, which
+    // most its move bound per step (extent changes included, which
     // bound its radius change). So the center distance less both radii
-    // shrinks by at most the ego's moveBound sum plus speed * elapsed
+    // shrinks by at most the ego's move bound sum plus speed * elapsed
     // since issue, and the bound's margin grows by 1e-9 of the scale
     // change, itself at most that same distance. kWiden covers that
     // 1e-9 and the relative rounding of the sums; slot.slack covers the
@@ -157,7 +171,7 @@ GapMonitor::step(const OrientedBox2 &ego, const std::vector<Obstacle> &obstacles
         PreparedBox &box = boxes_[i];
         box.assign(obs.footprintAt(t));
         if (broadphaseSkips(i, obs, !closed_form.empty() && closed_form[i] != 0,
-                            ego_move, time_s))
+                            ego_step, time_s))
             continue;
 
         if (slot.stale) {

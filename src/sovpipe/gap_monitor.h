@@ -14,11 +14,13 @@
  *    and >= min_gap, so the step neither collides nor lowers min_gap;
  *  - and, when a TTC estimate is possible (the obstacle had a gap last
  *    step), bound * dt / move >= min_ttc, where move bounds how far
- *    the gap can shrink in one step: the ego's plus the obstacle's
- *    displacement, each center shift + radius * |heading change| +
- *    |extent changes| (every point of a box moves at most that far),
- *    widened for rounding. The estimate gap / closing is then at least
- *    min_ttc.
+ *    the gap can shrink in one step: their relative displacement,
+ *    |obstacle center shift - ego center shift| + each box's radius *
+ *    |heading change| + every |extent change| (a point of a box moves
+ *    by its center's shift plus at most the rest, so a pair of points,
+ *    one per box, closes by at most that), widened for rounding. The
+ *    estimate gap / closing is then at least min_ttc. Co-moving pairs
+ *    (an agent pacing the ego) close by almost nothing per step.
  *
  * A skipped obstacle's gap is still needed as the next step's previous
  * gap when that step checks it exactly; it is recomputed then from the
@@ -28,16 +30,16 @@
  * Hershberger 1997). A row marked closed-form (a constant-velocity
  * agent: one footprintAt() for the whole run) that the broadphase skips
  * goes to sleep on a certificate: the bound at issue, the ego's running
- * moveBound sum then, the obstacle's speed and the issue time. While
+ * move bound sum then, the obstacle's speed and the issue time. While
  * asleep its bound at a later step is at least
  *
- *     issue bound - (ego moveBounds since issue + speed * elapsed)
+ *     issue bound - (ego move bounds since issue + speed * elapsed)
  *
  * widened for rounding (see gap_monitor.cpp), and the step's move at
  * most the ego's move + speed * step, so the broadphase test above run
  * on these bounds proves the skip without building the footprint: a
- * few flops per step, no assign, clearanceBound, moveBound or square
- * root. The first step the proof fails (or the row changed) the slot
+ * few flops per step, no assign, clearanceBound, move bound or
+ * square root. The first step the proof fails (or the row changed) the slot
  * wakes: its previous footprint is rebuilt from the row's closed form
  * and the step runs as above. A certified skip is a skip the
  * broadphase would have made, so every step leaves the same facts and
@@ -118,10 +120,19 @@ class GapMonitor
         double slack = 0.0;    //!< absolute rounding cover
     };
 
+    /** The ego's motion over the step, as the broadphase reads it. */
+    struct EgoStep
+    {
+        Vec2 shift;        //!< center shift
+        double turn;       //!< rotation at its radius + extent changes
+        double prev_scale; //!< maxAbs of last step's center
+    };
+
     /** The broadphase at slot @p i with its footprint in boxes_[i];
      *  true = skipped. Issues a certificate for a @p closed_form row. */
     bool broadphaseSkips(std::size_t i, const Obstacle &obs,
-                         bool closed_form, double ego_move, double time_s);
+                         bool closed_form, const EgoStep &ego_step,
+                         double time_s);
 
     double dt_s_;
     GapFacts facts_;
@@ -134,7 +145,7 @@ class GapMonitor
     OrientedBox2 prev_ego_{};
     /** Last step's time. */
     Timestamp prev_t_;
-    /** Running sum of the ego's per-step moveBound since reset(), and
+    /** Running sum of the ego's per-step move bound since reset(), and
      *  the number of terms in it. */
     double ego_sum_ = 0.0;
     std::uint64_t ego_terms_ = 0;

@@ -48,7 +48,11 @@ class ReactivePath final : private EventTarget
     /**
      * Evaluate one radar/sonar cycle with the vehicle at @p body
      * moving at @p speed. Triggers or releases the emergency brake.
-     * @return The measured nearest in-path distance, if any.
+     * The radar is asked only as far as a decision reads (Q: the
+     * trigger distance while unlatched, release_distance once latched
+     * and stopped, -inf while latched and moving).
+     * @return The measured nearest in-path distance: exact hits <= Q,
+     *         else none.
      */
     std::optional<double> evaluate(const WorldSnapshot &world, const Pose2 &body,
                                    double speed, Timestamp t);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
 
 #include "core/logging.h"
 
@@ -93,7 +95,7 @@ WorldSnapshot::raycast(const Vec2 &origin, const Vec2 &direction,
 std::optional<double>
 WorldSnapshot::corridorcast(const Vec2 &origin, const Vec2 &direction,
                             double half_width, double max_range,
-                            Timestamp t) const
+                            Timestamp t, double range) const
 {
     SOV_ASSERT(max_range > 0.0);
     // raycast()'s zero-direction rule and normalized() (which panics on
@@ -103,6 +105,9 @@ WorldSnapshot::corridorcast(const Vec2 &origin, const Vec2 &direction,
     const Vec2 dir = direction.normalized();
     const Vec2 normal(-direction.y(), direction.x());
     const double laterals[3] = {-half_width, 0.0, half_width};
+    Vec2 from[3];
+    for (std::size_t i = 0; i < 3; ++i)
+        from[i] = origin + normal * laterals[i];
 
     // Strip test. The three rays run along dir from origin + normal *
     // lateral, |normal * lateral| <= |half_width| * (|x| + |y| of
@@ -121,6 +126,21 @@ WorldSnapshot::corridorcast(const Vec2 &origin, const Vec2 &direction,
     // scale bounding every coordinate, extent and the range. rho is
     // compared squared, so a rejected box costs no square root. NaN
     // and infinite terms fail the test and take the exact casts.
+    //
+    // Range test. Every point of the box lies within rho of c, and
+    // every ray origin within reach of origin, so along every ray the
+    // box spans no less than along - reach - rho and no more than
+    // along + reach + rho, along = dot(c - origin, dir). A box wholly
+    // behind every origin (along + reach + m < -rho) or wholly beyond
+    // @p range (along - reach - m - range > rho) is skipped, on three
+    // conditions that make castRay's rounded hits obey those spans
+    // (DESIGN.md, Broadphase): no ray runs within `band` of where an
+    // edge nearly parallel to it would lie (lat_i near hw or hl: such
+    // an edge's intersect() parameter is rounding noise and may land
+    // anywhere on the ray), both extents are at least 1e-6 of the
+    // scale, and the scale is below 1e100, so the exact cast of a
+    // skipped box is finite: a box behind has no hit, a box beyond has
+    // only hits past @p range, none of them NaN.
     const double reach =
         std::fabs(half_width) * (std::fabs(direction.x()) +
                                  std::fabs(direction.y()));
@@ -130,39 +150,81 @@ WorldSnapshot::corridorcast(const Vec2 &origin, const Vec2 &direction,
 
     std::optional<PreparedRay> rays[3];
     std::optional<double> best[3];
-    for (const Obstacle &obs : *obstacles_) {
-        const Vec2 center =
-            obs.footprint.pose.position + obs.velocity * time_s;
-        const double hl = obs.footprint.half_length;
-        const double hw = obs.footprint.half_width;
-        if (std::isfinite(obs.footprint.pose.heading)) {
-            const Vec2 d = center - origin;
-            const double lat = std::fabs(d.x() * dir.y() - d.y() * dir.x());
-            const double scale = ray_scale + maxAbs(center) +
-                                 (std::fabs(hl) + std::fabs(hw));
-            const double margin = 2.0 * PreparedBox::broadphaseMargin(scale) *
-                                  (1.0 + (scale + 1.0) * per_range);
-            const double clear = lat - reach - margin;
-            if (clear > 0.0 && clear * clear > hl * hl + hw * hw)
-                continue;
-        }
-        if (!rays[0]) {
-            for (std::size_t i = 0; i < 3; ++i) {
-                const Vec2 from = origin + normal * laterals[i];
-                rays[i].emplace(Segment2{from, from + dir * max_range});
+    // One pass over the obstacles, skipping boxes wholly beyond
+    // @p beyond; true when it skipped one that way.
+    const auto fold = [&](double beyond) {
+        bool skipped_beyond = false;
+        for (const Obstacle &obs : *obstacles_) {
+            const Vec2 center =
+                obs.footprint.pose.position + obs.velocity * time_s;
+            const double hl = obs.footprint.half_length;
+            const double hw = obs.footprint.half_width;
+            if (std::isfinite(obs.footprint.pose.heading)) {
+                const Vec2 d = center - origin;
+                const double lat = std::fabs(d.x() * dir.y() - d.y() * dir.x());
+                const double ahl = std::fabs(hl), ahw = std::fabs(hw);
+                const double scale = ray_scale + maxAbs(center) + (ahl + ahw);
+                const double margin = 2.0 * PreparedBox::broadphaseMargin(scale) *
+                                      (1.0 + (scale + 1.0) * per_range);
+                const double rho2 = hl * hl + hw * hw;
+                const double clear = lat - reach - margin;
+                if (clear > 0.0 && clear * clear > rho2)
+                    continue;
+                const double along = d.x() * dir.x() + d.y() * dir.y();
+                const double ahead = along - reach - margin - beyond;
+                const double behind = -along - reach - margin;
+                const bool is_beyond = ahead > 0.0 && ahead * ahead > rho2;
+                if ((is_beyond || (behind > 0.0 && behind * behind > rho2)) &&
+                    ahl >= 1e-6 * scale && ahw >= 1e-6 * scale &&
+                    scale < 1e100) {
+                    const double band = 5e-4 * (ahl + ahw) + margin;
+                    bool clear_of_edges = true;
+                    for (const Vec2 &o : from) {
+                        const Vec2 di = center - o;
+                        const double lat_i =
+                            std::fabs(di.x() * dir.y() - di.y() * dir.x());
+                        clear_of_edges = clear_of_edges &&
+                                         std::fabs(lat_i - ahw) > band &&
+                                         std::fabs(lat_i - ahl) > band;
+                    }
+                    if (clear_of_edges) {
+                        skipped_beyond = skipped_beyond || is_beyond;
+                        continue;
+                    }
+                }
             }
+            if (!rays[0]) {
+                for (std::size_t i = 0; i < 3; ++i)
+                    rays[i].emplace(Segment2{from[i], from[i] + dir * max_range});
+            }
+            // Obstacle-major over three accumulators is each ray's own
+            // fold, in the same obstacle order.
+            const PreparedBox box(obs.footprintAt(t));
+            for (std::size_t i = 0; i < 3; ++i)
+                box.castRay(*rays[i], best[i]);
         }
-        // Obstacle-major over three accumulators is each ray's own
-        // fold, in the same obstacle order.
-        const PreparedBox box(obs.footprintAt(t));
-        for (std::size_t i = 0; i < 3; ++i)
-            box.castRay(*rays[i], best[i]);
+        return skipped_beyond;
+    };
+    // A ray's fold keeps its first hit when that is NaN, so a skipped
+    // hit past @p range decides whether a later NaN sticks: with a NaN
+    // left, fold again skipping nothing beyond (exceptional: NaN comes
+    // only from non-finite or huge boxes and rays).
+    if (fold(range) &&
+        std::any_of(std::begin(best), std::end(best),
+                    [](const std::optional<double> &hit) {
+                        return hit && std::isnan(*hit);
+                    })) {
+        for (auto &hit : best)
+            hit.reset();
+        fold(std::numeric_limits<double>::infinity());
     }
     std::optional<double> nearest;
     for (const auto &hit : best) {
         if (hit && (!nearest || *hit < *nearest))
             nearest = hit;
     }
+    if (nearest && *nearest > range)
+        return std::nullopt;
     return nearest;
 }
 

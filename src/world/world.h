@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -88,17 +89,22 @@ class WorldSnapshot
      * started at @p origin and at @p half_width to either side of it
      * (origin + normal * lateral, normal the left normal of
      * @p direction) — the radar corridor of the reactive path
-     * (Sec. IV). Bit-identical to the least of raycast() from the
-     * three origins, right ray first, folded as `hit && (!best ||
-     * *hit < *best)`, but one pass over the obstacles: a box whose
-     * bounding circle lies clear of the whole strip (see world.cpp)
-     * is skipped before its footprint is built, the rest fold into all
-     * three rays, and a strip with no such box builds no ray.
+     * (Sec. IV) — unless it lies beyond @p range: exact hits <= range,
+     * else none. The hit is bit-identical to the least of raycast()
+     * from the three origins, right ray first, folded as `hit &&
+     * (!best || *hit < *best)` (a NaN result is kept: no range
+     * excludes it; a NaN range excludes nothing). One pass over the
+     * obstacles: a box whose bounding circle lies clear of the whole
+     * strip, wholly behind every ray origin, or wholly beyond
+     * @p range along it (see world.cpp) is skipped before its
+     * footprint is built, the rest fold into all three rays, and a
+     * pass with no such box builds no ray. The rays keep @p max_range,
+     * so every hit they return keeps its bits.
      */
-    std::optional<double> corridorcast(const Vec2 &origin,
-                                       const Vec2 &direction,
-                                       double half_width, double max_range,
-                                       Timestamp t) const;
+    std::optional<double> corridorcast(
+        const Vec2 &origin, const Vec2 &direction, double half_width,
+        double max_range, Timestamp t,
+        double range = std::numeric_limits<double>::infinity()) const;
 
     /** Obstacles whose center is within @p range of @p position at t. */
     std::vector<Obstacle> obstaclesNear(const Vec2 &position, double range,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "core/rng.h"
 #include "fleet/fleet_runner.h"
 
 namespace sov::fleet {
@@ -106,6 +107,54 @@ TEST(FleetReportStream, MergeRowThenMergeUnionStaysCanonical)
     left.merge(right); // streamed halves union like batch shards
     EXPECT_EQ(left.fingerprint(),
               FleetReport::fromOutcomes(rows).fingerprint());
+}
+
+TEST(FleetReportStream, ShuffledStreamOf1600RowsMatchesBatch)
+{
+    // Synthetic rows covering every aggregate input, streamed in a
+    // shuffled completion order with reads in between: the aggregates
+    // derived on read must come out as the batch build's, byte for
+    // byte, however many rows arrived since the last read.
+    Rng rng(5);
+    std::vector<ScenarioOutcome> rows(1600);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        ScenarioOutcome &o = rows[i];
+        o.name = "row-" + std::to_string(i);
+        o.index = i;
+        o.seed = i + 1;
+        o.collided = rng.bernoulli(0.1);
+        o.stopped = rng.bernoulli(0.2);
+        o.min_gap = rng.uniform(0.0, 30.0);
+        o.distance_travelled = rng.uniform(0.0, 200.0);
+        o.availability = rng.uniform(0.5, 1.0);
+        o.deadline_misses = static_cast<std::uint64_t>(rng.uniformInt(0, 5));
+        o.frames_dropped = static_cast<std::uint64_t>(rng.uniformInt(0, 5));
+        o.sensor_dropouts = static_cast<std::uint64_t>(rng.uniformInt(0, 3));
+        o.worst_level =
+            static_cast<health::DegradationLevel>(rng.uniformInt(0, 3));
+        o.pipeline_frames = static_cast<std::uint64_t>(rng.uniformInt(0, 3));
+        o.pipeline_mean_ms = rng.uniform(100.0, 300.0);
+        o.pipeline_p99_ms = rng.uniform(300.0, 900.0);
+    }
+    const FleetReport batch = FleetReport::fromOutcomes(rows);
+
+    std::vector<ScenarioOutcome> shuffled = rows;
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+        const auto j = static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(i) - 1));
+        std::swap(shuffled[i - 1], shuffled[j]);
+    }
+    FleetReport streamed;
+    for (std::size_t k = 0; k < shuffled.size(); ++k) {
+        streamed.mergeRow(shuffled[k]);
+        if (k % 397 == 0) {
+            EXPECT_EQ(streamed.aggregate().scenarios, k + 1);
+        }
+    }
+    EXPECT_EQ(streamed.fingerprint(), batch.fingerprint());
+    EXPECT_EQ(streamed.toJson(), batch.toJson());
+    EXPECT_EQ(streamed.aggregate().min_gap_digest.quantile(0.1),
+              batch.aggregate().min_gap_digest.quantile(0.1));
 }
 
 } // namespace

@@ -26,7 +26,10 @@
  * on a vertex's diagonal or a few ulps off an edge line, at 1e6 and
  * 1e150 anchors, with extents down to subnormal) and firstCollision's
  * time cursor (duplicate timestamps, a sample midway between two
- * states, one or no states, states that end early).
+ * states, one or no states, states that end early). The corridor
+ * query's decision range is checked against the oracle filtered to
+ * hits <= range, with boxes at the range or the origin line, edges
+ * along a ray, boxes too large to cast, and special ranges.
  */
 #include <gtest/gtest.h>
 
@@ -897,6 +900,196 @@ TEST(GeometryOracle, CorridorStripsBitIdentical)
     EXPECT_GT(hits, kCases / 10);
     EXPECT_GT(misses, kCases / 10);
     EXPECT_GT(zeros, kCases / 50);
+}
+
+/** @p hit unless it lies beyond @p range (NaN is beyond nothing). */
+std::optional<double>
+withinRange(const std::optional<double> &hit, double range)
+{
+    if (hit && *hit > range)
+        return std::nullopt;
+    return hit;
+}
+
+TEST(GeometryOracle, DecisionRangeCorridorBitIdentical)
+{
+    // The decision-range corridor query against the three raycasts of
+    // the full 60 m corridor, filtered to hits <= range. Boxes have
+    // their bounding circle or a corner (one where the box meets the
+    // circle, or any) a boundary offset of the scale off the range or
+    // off the origin line, contain a ray origin, lie along the
+    // corridor with a side or end edge on a ray's line (where
+    // intersect()'s parameter is rounding noise, so the full cast can
+    // report a box far beyond the range at any distance), carry NaN
+    // and infinite terms, or lie 1e157 out on a 1e158 corridor, too
+    // large to cast without overflow. Ranges include -inf, -0, 0,
+    // NaN, +inf and the unfiltered hit itself, exact or one ulp either
+    // side.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kMaxRange = 60.0;
+    Rng rng(5151);
+    const std::vector<double> offsets = boundaryOffsets();
+    const LaneMap map;
+    const std::vector<Landmark> landmarks;
+    const RadarModel radar(RadarConfig{}, Rng(1));
+    const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng.uniform(0.0, static_cast<double>(n)));
+    };
+    int kept = 0, cut = 0, none = 0, noise_hits = 0;
+    for (int c = 0; c < kCases; ++c) {
+        const Vec2 anchor = rng.bernoulli(0.2)
+            ? Vec2(1e6 + rng.uniform(-5.0, 5.0), -1e6 + rng.uniform(-5.0, 5.0))
+            : Vec2(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0));
+        const Pose2 body{anchor, randomHeading(rng)};
+        const Vec2 dir = body.direction();
+        const Vec2 normal(-dir.y(), dir.x());
+        const double w = rng.bernoulli(0.2)   ? 0.0
+                         : rng.bernoulli(0.5) ? 0.8
+                                              : rng.uniform(0.05, 1.5);
+        const double laterals[3] = {-w, 0.0, w};
+        const Timestamp t = Timestamp::seconds(rng.uniform(0.0, 2.0));
+        const double u = rng.uniform();
+        double range = u < 0.06   ? -kInf
+                       : u < 0.1  ? kNaN
+                       : u < 0.16 ? kInf
+                       : u < 0.19 ? 0.0
+                       : u < 0.21 ? -0.0
+                                  : rng.uniform(0.5, 15.0);
+        const double place =
+            std::isfinite(range) ? range : rng.uniform(0.5, 15.0);
+        const double scale = std::max(maxAbs(anchor), 1.0);
+
+        std::vector<Obstacle> obstacles;
+        const std::size_t n = 1 + pick(5);
+        for (std::size_t i = 0; i < n; ++i) {
+            OrientedBox2 box = finiteBox(rng, Vec2(0.0, 0.0));
+            const double hl = box.half_length, hw = box.half_width;
+            const double rho = std::sqrt(hl * hl + hw * hw);
+            const double off = offsets[pick(offsets.size())] * scale;
+            const Vec2 from = body.position + normal * laterals[pick(3)];
+            const double kind = rng.uniform();
+            if (kind < 0.12) {
+                // Bounding circle's near end on the range.
+                box.pose.position = from + dir * (place + rho + off) +
+                                    normal * rng.uniform(-rho, rho);
+            } else if (kind < 0.2) {
+                // Bounding circle's far end on the origin line.
+                box.pose.position = from + dir * (off - rho) +
+                                    normal * rng.uniform(-rho, rho);
+            } else if (kind < 0.35 && hl > 0.0 && hw > 0.0) {
+                // Corner first along a ray, where the box meets its
+                // bounding circle: on the range, or on the origin line
+                // pointing ahead.
+                const double diagonal = std::atan2(hw, hl);
+                if (rng.bernoulli(0.6)) {
+                    box.pose.heading = body.heading + M_PI - diagonal;
+                    box.pose.position = from + dir * (place + off + rho);
+                } else {
+                    box.pose.heading = body.heading - diagonal;
+                    box.pose.position = from + dir * (off - rho);
+                }
+            } else if (kind < 0.45) {
+                // A corner on a ray, on the range or the origin line.
+                const auto cs = oracle::corners(
+                    OrientedBox2{Pose2{Vec2(0.0, 0.0), box.pose.heading}, hl, hw});
+                box.pose.position =
+                    from + dir * ((rng.bernoulli(0.6) ? place : 0.0) + off) -
+                    cs[pick(4)];
+            } else if (kind < 0.55) {
+                // Containing a ray origin.
+                box.pose.position =
+                    from - rotated(Vec2(rng.uniform(-0.9, 0.9) * hl,
+                                        rng.uniform(-0.9, 0.9) * hw),
+                                   box.pose.heading);
+            } else if (kind < 0.75) {
+                // Along the corridor, an edge on a ray's line: heading
+                // the body's (a few ulps off, turned by pi or pi/2).
+                static const double turns[] = {0.0, M_PI, M_PI / 2.0, -M_PI / 2.0};
+                const std::size_t turn = pick(4);
+                box.half_length = rng.uniform(0.3, 3.0);
+                box.half_width = rng.uniform(0.2, 1.5);
+                box.pose.heading = body.heading + turns[turn] +
+                                   static_cast<double>(pick(5)) * 2e-16 *
+                                       (rng.bernoulli(0.5) ? 1.0 : -1.0);
+                const double edge_off = turn < 2 ? box.half_width : box.half_length;
+                box.pose.position = from + dir * rng.uniform(-15.0, 50.0) +
+                                    normal * (rng.bernoulli(0.5) ? edge_off : -edge_off);
+            } else if (kind < 0.82) {
+                box = nonFiniteBox(rng, from + dir * rng.uniform(-5.0, 40.0));
+            } else {
+                box.pose.position = from + dir * rng.uniform(-10.0, 60.0) +
+                                    normal * rng.uniform(-3.0, 3.0);
+            }
+            Obstacle o;
+            o.id = static_cast<ObstacleId>(i);
+            o.footprint = box;
+            if (rng.bernoulli(0.3)) {
+                o.velocity = Vec2(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0));
+                o.footprint.pose.position -= o.velocity * t.toSeconds();
+            }
+            obstacles.push_back(o);
+        }
+
+        // Now and then a corridor so long that boxes on it are too
+        // large to cast without overflow (their exact casts hit NaN),
+        // yet small enough to square.
+        double max_range = kMaxRange;
+        if (rng.bernoulli(0.03)) {
+            max_range = 1e158;
+            for (std::size_t i = 0; i < obstacles.size(); i += 2) {
+                obstacles[i].footprint = OrientedBox2{
+                    Pose2{body.position + dir * rng.uniform(1e156, 5e157) +
+                              normal * rng.uniform(-1e151, 1e151),
+                          randomHeading(rng)},
+                    rng.uniform(2e152, 1e153), rng.uniform(2e152, 1e153)};
+                obstacles[i].velocity = Vec2(0.0, 0.0);
+            }
+        }
+
+        const WorldSnapshot snap(map, obstacles, landmarks, Timestamp::origin());
+        const auto full = oracle::nearestInPath(obstacles, body, w, max_range, t);
+        if (full && std::isfinite(*full) && rng.bernoulli(0.2)) {
+            const double v = rng.uniform();
+            range = v < 0.4   ? *full
+                    : v < 0.7 ? std::nextafter(*full, -kInf)
+                              : std::nextafter(*full, kInf);
+        }
+        const auto want = withinRange(full, range);
+        ASSERT_TRUE(sameValue(want, snap.corridorcast(body.position, dir, w,
+                                                      max_range, t, range)))
+            << "case " << c << " range " << range;
+        if (max_range == kMaxRange) {
+            ASSERT_TRUE(
+                sameValue(want, radar.nearestInPath(snap, body, w, t, range)))
+                << "case " << c << " range " << range;
+        }
+        if (want)
+            ++kept;
+        else if (full)
+            ++cut;
+        else
+            ++none;
+        // A hit nearer than every box's bounding circle reaches is
+        // intersect()'s rounding noise on an edge along a ray.
+        if (full && std::isfinite(*full)) {
+            bool explained = false;
+            for (const Obstacle &o : obstacles) {
+                const OrientedBox2 b = o.footprintAt(t);
+                const double reach = std::sqrt(b.half_length * b.half_length +
+                                               b.half_width * b.half_width) +
+                                     w + 1e-6 * scale;
+                explained = explained ||
+                            !std::isfinite(b.pose.position.squaredNorm()) ||
+                            (b.pose.position - body.position).dot(dir) - reach <= *full;
+            }
+            noise_hits += !explained;
+        }
+    }
+    EXPECT_GT(kept, kCases / 10);
+    EXPECT_GT(cut, kCases / 10);
+    EXPECT_GT(none, kCases / 20);
+    // The noise class is exercised, not only constructed.
+    EXPECT_GT(noise_hits, 0);
 }
 
 TEST(GeometryOracle, ClearanceBoundNeverExceedsTheGap)

@@ -1,9 +1,9 @@
 // Allocation gate for the event core: once warmed up, fixed-rate
 // lanes, typed one-shots, the dataflow executor's per-frame path, the
-// planner's collision sweep and a physics step's obstacle pass (radar
-// corridor plus gap monitor) allocate nothing. This binary replaces
-// the global operator new with a counting one, so it runs apart from
-// the other runtime tests.
+// closed loop's frame release, the planner's collision sweep and a
+// physics step's obstacle pass (radar corridor plus gap monitor)
+// allocate nothing. This binary replaces the global operator new with
+// a counting one, so it runs apart from the other runtime tests.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +18,7 @@
 #include "runtime/dataflow.h"
 #include "sensors/radar.h"
 #include "sim/simulator.h"
+#include "sovpipe/closed_loop.h"
 #include "sovpipe/gap_monitor.h"
 #include "sovpipe/fig5_graph.h"
 #include "vehicle/can_bus.h"
@@ -122,6 +123,39 @@ TEST(EventAlloc, DataflowFramesAllocateNothing)
 
     EXPECT_GE(completed - completed_before, 999u);
     EXPECT_EQ(after - before, 0u);
+}
+
+/** Allocations made building and running a closed loop on an empty
+ *  straight road for @p horizon_s, and the frames it completed. */
+std::pair<std::uint64_t, std::size_t>
+closedLoopRun(double horizon_s)
+{
+    World world;
+    const Polyline2 route(std::vector<Vec2>{Vec2(0.0, 0.0), Vec2(2000.0, 0.0)});
+    const std::uint64_t before = allocations();
+    ClosedLoopSim sim(world, route, ClosedLoopConfig{}, SovPipelineConfig{},
+                      Rng(1));
+    (void)sim.run(Duration::seconds(horizon_s));
+    return {allocations() - before, sim.pipelineMetrics().count("total")};
+}
+
+TEST(EventAlloc, ClosedLoopFramesAllocateNothing)
+{
+    // Two runs that differ only in length. Each planning cycle plans
+    // and releases one Fig. 5 frame whose completion transmits the
+    // command; the longer run's extra frames may allocate only where
+    // the per-stage sample buffers double, far below one allocation
+    // per frame (a completion callback capturing the command itself
+    // would not fit std::function's inline buffer: one per frame).
+    const auto [short_allocs, short_frames] = closedLoopRun(10.0);
+    const auto [long_allocs, long_frames] = closedLoopRun(40.0);
+    ASSERT_GT(long_frames, short_frames + 200);
+    const double per_frame =
+        static_cast<double>(long_allocs - short_allocs) /
+        static_cast<double>(long_frames - short_frames);
+    EXPECT_LT(per_frame, 0.25) << (long_allocs - short_allocs)
+                               << " allocations over "
+                               << (long_frames - short_frames) << " frames";
 }
 
 TEST(EventAlloc, WarmCollisionSweepAllocatesNothing)

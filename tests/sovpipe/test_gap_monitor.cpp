@@ -10,8 +10,9 @@
  * the step a collision is reported on to match the oracle's bit for
  * bit over seeded random step sequences: republished rows with heading
  * and extent jumps, obstacle-count changes, a stopped ego, first-step
- * collisions and NaN poses, and corner-first approaches at far
- * anchors.
+ * collisions and NaN poses, corner-first approaches at far anchors,
+ * and agents pacing a yawing ego, where only the relative-displacement
+ * TTC bound can skip.
  *
  * Rows marked closed-form sleep on wake certificates instead of being
  * checked each step. Long constant-velocity sequences (thousands of
@@ -446,6 +447,110 @@ TEST(GapMonitor, SkippedGapsFeedTheNextEstimate)
     }
     EXPECT_TRUE(oracle.facts.collided);
     EXPECT_EQ(monitor.facts().nearest_obstacle, 9u);
+}
+
+TEST(GapMonitor, CoMovingAgentsMatchTheExhaustiveLoop)
+{
+    // Agents pacing the ego: each step they shift by the ego's own
+    // displacement (some with a small drift of their own), while the
+    // ego yaws and the agents spin and resize now and then. A wall far
+    // ahead sets a finite min_ttc early, so the TTC test decides the
+    // skips: the sum of both displacements never passes it for a pacer,
+    // the relative displacement often does, and the rotation and
+    // extent terms (the ego's footprint changes size now and then too)
+    // are then all that stand between a skip and a missed estimate.
+    // The facts must match the exhaustive loop every step.
+    Rng rng(2024);
+    int collisions = 0, closing_runs = 0;
+    for (int run = 0; run < 300; ++run) {
+        const bool far_anchor = rng.bernoulli(0.15);
+        Pose2 ego{far_anchor ? Vec2(1e6, -1e6) : Vec2(0.0, 0.0),
+                  rng.uniform(-M_PI, M_PI)};
+        const double speed = rng.uniform(1.0, 8.0);
+        double yaw_rate = rng.bernoulli(0.3) ? 0.0 : rng.uniform(-0.8, 0.8);
+        const Vec2 fwd(std::cos(ego.heading), std::sin(ego.heading));
+        const Vec2 left(-fwd.y(), fwd.x());
+
+        std::vector<Mover> movers;
+        if (rng.bernoulli(0.8)) {
+            Mover wall;
+            wall.row.id = 0;
+            wall.row.footprint = OrientedBox2{
+                Pose2{ego.position + fwd * rng.uniform(15.0, 60.0) +
+                          left * rng.uniform(-1.0, 1.0),
+                      ego.heading + M_PI / 2.0},
+                0.5 + rng.uniform(0.0, 3.0), 0.3};
+            movers.push_back(wall);
+        }
+        const auto pacers = 1 + static_cast<std::size_t>(rng.uniform(0.0, 5.0));
+        for (std::size_t i = 0; i < pacers; ++i) {
+            Mover m;
+            m.row.id = static_cast<ObstacleId>(i + 1);
+            const double ahead = rng.bernoulli(0.5) ? rng.uniform(3.0, 15.0)
+                                                    : rng.uniform(-8.0, 8.0);
+            const double side = rng.bernoulli(0.3) ? rng.uniform(-1.0, 1.0)
+                                                   : rng.uniform(2.5, 7.0) *
+                                                         (rng.bernoulli(0.5) ? 1.0 : -1.0);
+            m.row.footprint = OrientedBox2{
+                Pose2{ego.position + fwd * ahead + left * side,
+                      rng.bernoulli(0.5) ? ego.heading : rng.uniform(-M_PI, M_PI)},
+                rng.uniform(0.3, 2.5), rng.uniform(0.2, 1.2)};
+            if (rng.bernoulli(0.3))
+                m.velocity = Vec2(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3));
+            if (rng.bernoulli(0.3))
+                m.spin = rng.uniform(-0.8, 0.8);
+            movers.push_back(m);
+        }
+
+        OracleMonitor oracle(kDt);
+        GapMonitor monitor(kDt);
+        std::vector<Obstacle> rows;
+        std::vector<OrientedBox2> boxes;
+        double ego_hl = 1.3, ego_hw = 0.7;
+        for (int k = 0; k < 1000; ++k) {
+            if (rng.bernoulli(0.005))
+                yaw_rate = rng.bernoulli(0.3) ? 0.0 : rng.uniform(-0.8, 0.8);
+            if (rng.bernoulli(0.003)) {
+                ego_hl = rng.uniform(1.0, 2.0);
+                ego_hw = rng.uniform(0.5, 1.0);
+            }
+            ego.heading += yaw_rate * kDt;
+            const Vec2 shift =
+                Vec2(std::cos(ego.heading), std::sin(ego.heading)) * (speed * kDt);
+            ego.position += shift;
+            for (Mover &m : movers) {
+                if (m.row.id == 0)
+                    continue; // the wall stands still
+                m.row.footprint.pose.position += shift + m.velocity * kDt;
+                m.row.footprint.pose.heading += m.spin * kDt;
+                if (rng.bernoulli(0.003)) {
+                    m.row.footprint.half_length = rng.uniform(0.3, 2.5);
+                    m.row.footprint.half_width = rng.uniform(0.2, 1.2);
+                }
+            }
+            const Timestamp t = stepTime(k);
+            rows.clear();
+            boxes.clear();
+            for (const Mover &m : movers) {
+                rows.push_back(m.row);
+                boxes.push_back(m.row.footprintAt(t));
+            }
+            const OrientedBox2 ego_box{ego, ego_hl, ego_hw};
+            const bool want = oracle.step(ego_box, rows, boxes);
+            const bool got = monitor.step(ego_box, rows, {}, t);
+            ASSERT_EQ(want, got) << "run " << run << " step " << k;
+            ASSERT_TRUE(sameFacts(oracle.facts, monitor.facts()))
+                << "run " << run << " step " << k;
+            if (want) {
+                ++collisions;
+                break;
+            }
+        }
+        if (oracle.facts.min_ttc < 1e18 && !oracle.facts.collided)
+            ++closing_runs;
+    }
+    EXPECT_GT(collisions, 10);
+    EXPECT_GT(closing_runs, 100);
 }
 
 /** A constant-velocity row placed relative to the ego at time
