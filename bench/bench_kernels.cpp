@@ -29,11 +29,12 @@
  *     apply. A sanitized build (SOV_SANITIZE) sets every speed floor
  *     to 0 and keeps gates 1 and 2.
  *
- * Results (ns per call, speedup, checksums) go to BENCH_kernels.json
- * via the shared bench harness.
+ * Each row's variants are timed interleaved, best of N
+ * (bench::interleavedBestNs). Results (ns per call, speedup,
+ * checksums) go to BENCH_kernels.json via the shared bench harness.
  *
  * Usage:
- *   bench_kernels [smoke=1] [reps=N] [out=BENCH_kernels.json]
+ *   bench_kernels [smoke=1] [reps>=1] [out=BENCH_kernels.json]
  */
 #include <cmath>
 #include <cstdint>
@@ -54,8 +55,8 @@
 #include "vision/stereo.h"
 
 using namespace sov;
-using bench::bestNs;
 using bench::hex;
+using bench::interleavedBestNs;
 
 namespace {
 
@@ -213,7 +214,12 @@ main(int argc, char **argv)
 {
     const Config config = Config::fromArgs(argc, argv);
     const bool smoke = config.getBool("smoke", false);
-    const int reps = static_cast<int>(config.getInt("reps", smoke ? 3 : 5));
+    const std::int64_t reps = config.getInt("reps", smoke ? 3 : 5);
+    if (reps < 1) {
+        std::fprintf(stderr, "usage: bench_kernels [smoke=1] [reps>=1] "
+                             "[out=BENCH_kernels.json]\n");
+        return 2;
+    }
     // Smoke inputs are small, so fixed per-frame costs amortize less.
     // A sanitized build gates equivalence and determinism only: its
     // host-clock speed says nothing about the kernels, so every speed
@@ -256,23 +262,27 @@ main(int argc, char **argv)
         }
         const auto [left, right] = renderScene(intr);
 
-        StereoConfig cfg;
-        cfg.max_disparity = smoke ? 24 : 48;
-        const StereoMatcher ref_matcher(cfg);
-        cfg.backend = KernelBackend::Fast;
-        const StereoMatcher fast_matcher(cfg);
+        StereoConfig ref_cfg;
+        ref_cfg.max_disparity = smoke ? 24 : 48;
+        StereoConfig fast_cfg = ref_cfg;
+        fast_cfg.backend = KernelBackend::Fast;
+        StereoConfig simd_cfg = ref_cfg;
+        simd_cfg.backend = KernelBackend::Simd;
+        const StereoMatcher ref_matcher(ref_cfg);
+        const StereoMatcher fast_matcher(fast_cfg);
+        const StereoMatcher simd_matcher(simd_cfg);
+
+        DisparityMap ref_map, fast_map, simd_map;
+        const auto [ref_ns, fast_ns, simd_ns] = interleavedBestNs(
+            reps, [&] { ref_map = ref_matcher.match(left, right); },
+            [&] { fast_map = fast_matcher.match(left, right); },
+            [&] { simd_map = simd_matcher.match(left, right); });
 
         KernelRow row;
         row.name = "stereo_match";
         row.floor = stereo_floor;
-
-        DisparityMap ref_map, fast_map;
-        row.ref_ns = bestNs(smoke ? 2 : reps, [&] {
-            ref_map = ref_matcher.match(left, right);
-        });
-        row.fast_ns = bestNs(reps, [&] {
-            fast_map = fast_matcher.match(left, right);
-        });
+        row.ref_ns = ref_ns;
+        row.fast_ns = fast_ns;
         row.checksum_ref = fingerprint(ref_map);
         row.checksum_fast = fingerprint(fast_map);
         row.equivalent = row.checksum_ref == row.checksum_fast;
@@ -280,37 +290,14 @@ main(int argc, char **argv)
         row.pass = row.equivalent && row.speedup >= row.floor;
         rows.push_back(row);
 
-        std::printf("stereo %zux%zu (max_disparity %d): density %.2f\n",
-                    left.width(), left.height(), cfg.max_disparity,
-                    fast_map.density);
-
-        // Determinism gate: Fast fingerprints across thread counts.
-        std::printf("  thread fingerprints:");
-        for (const std::size_t threads : {1u, 2u, 8u}) {
-            ThreadPool pool(threads);
-            StereoMatcher pooled(cfg);
-            pooled.setThreadPool(&pool);
-            const std::uint64_t fp = fingerprint(pooled.match(left, right));
-            std::printf(" %zu:%s", threads, hex(fp).c_str());
-            if (fp != row.checksum_fast)
-                thread_fingerprints_ok = false;
-        }
-        std::printf(" serial:%s -> %s\n", hex(row.checksum_fast).c_str(),
-                    thread_fingerprints_ok ? "identical" : "MISMATCH");
-
         // Simd tier: the vectorized SAD rounds identically to the Fast
         // scalar loop, so the output must stay bit-identical to the
         // Reference oracle; the speed floor binds on AVX2 hosts only.
-        cfg.backend = KernelBackend::Simd;
-        const StereoMatcher simd_matcher(cfg);
         KernelRow srow;
         srow.name = "stereo_match_simd";
         srow.floor = simd_floor;
-        DisparityMap simd_map;
         srow.ref_ns = row.fast_ns; // baseline is the Fast tier
-        srow.fast_ns = bestNs(reps, [&] {
-            simd_map = simd_matcher.match(left, right);
-        });
+        srow.fast_ns = simd_ns;
         srow.checksum_ref = row.checksum_ref;
         srow.checksum_fast = fingerprint(simd_map);
         srow.equivalent = srow.checksum_fast == srow.checksum_ref;
@@ -318,21 +305,31 @@ main(int argc, char **argv)
         srow.pass = srow.equivalent && srow.speedup >= srow.floor;
         rows.push_back(srow);
 
-        // Determinism gate also covers the Simd tier.
-        std::printf("  simd thread fingerprints:");
-        for (const std::size_t threads : {1u, 2u, 8u}) {
-            ThreadPool pool(threads);
-            StereoMatcher pooled(cfg);
-            pooled.setThreadPool(&pool);
-            const std::uint64_t fp =
-                fingerprint(pooled.match(left, right));
-            std::printf(" %zu:%s", threads, hex(fp).c_str());
-            if (fp != srow.checksum_fast)
-                thread_fingerprints_ok = false;
-        }
-        std::printf(" serial:%s -> %s\n",
-                    hex(srow.checksum_fast).c_str(),
-                    thread_fingerprints_ok ? "identical" : "MISMATCH");
+        std::printf("stereo %zux%zu (max_disparity %d): density %.2f\n",
+                    left.width(), left.height(), ref_cfg.max_disparity,
+                    fast_map.density);
+
+        // Determinism gate: the Fast and Simd outputs must not depend
+        // on the thread pool size.
+        const auto threadFingerprints = [&](const char *tier,
+                                            const StereoConfig &cfg,
+                                            std::uint64_t serial) {
+            std::printf("  %s thread fingerprints:", tier);
+            for (const std::size_t threads : {1u, 2u, 8u}) {
+                ThreadPool pool(threads);
+                StereoMatcher pooled(cfg);
+                pooled.setThreadPool(&pool);
+                const std::uint64_t fp =
+                    fingerprint(pooled.match(left, right));
+                std::printf(" %zu:%s", threads, hex(fp).c_str());
+                if (fp != serial)
+                    thread_fingerprints_ok = false;
+            }
+            std::printf(" serial:%s -> %s\n", hex(serial).c_str(),
+                        thread_fingerprints_ok ? "identical" : "MISMATCH");
+        };
+        threadFingerprints("fast", fast_cfg, row.checksum_fast);
+        threadFingerprints("simd", simd_cfg, srow.checksum_fast);
     }
 
     // ----------------------------------------------------------- conv2d
@@ -351,17 +348,26 @@ main(int argc, char **argv)
         for (auto &v : grad_out.data())
             v = static_cast<float>(irng.uniform(-1.0, 1.0));
 
+        // Simd forward: gemmF32's axpy micro-row is element-wise, so
+        // the vectorized GEMM must reproduce the Fast output
+        // bit-for-bit.
+        Rng wrng3(77);
+        Conv2d simd_conv(8, 16, 3, wrng3);
+        simd_conv.setBackend(KernelBackend::Simd);
+
         const int conv_reps = smoke ? 5 : 10;
-        Tensor ref_out, fast_out;
+        Tensor ref_out, fast_out, simd_out;
+        const auto [ref_fwd_ns, fast_fwd_ns, simd_fwd_ns] =
+            interleavedBestNs(
+                conv_reps,
+                [&] { ref_out = ref_conv.forward(Tensor(input), true); },
+                [&] { fast_out = fast_conv.forward(Tensor(input), true); },
+                [&] { simd_out = simd_conv.forward(Tensor(input), true); });
         KernelRow fwd;
         fwd.name = "conv2d_forward";
         fwd.floor = conv_floor;
-        fwd.ref_ns = bestNs(conv_reps, [&] {
-            ref_out = ref_conv.forward(Tensor(input), true);
-        });
-        fwd.fast_ns = bestNs(conv_reps, [&] {
-            fast_out = fast_conv.forward(Tensor(input), true);
-        });
+        fwd.ref_ns = ref_fwd_ns;
+        fwd.fast_ns = fast_fwd_ns;
         fwd.checksum_ref = fingerprint(ref_out);
         fwd.checksum_fast = fingerprint(fast_out);
         fwd.max_rel_diff = maxRelDiff(ref_out, fast_out);
@@ -374,17 +380,21 @@ main(int argc, char **argv)
         // (the reference skips zero gradients, so its cost is
         // input-dependent).
         Tensor ref_grad, fast_grad;
+        const auto [ref_bwd_ns, fast_bwd_ns] = interleavedBestNs(
+            conv_reps,
+            [&] {
+                ref_grad = ref_conv.backward(grad_out);
+                ref_conv.applyGradients(0.0f, 1); // rezero accumulators
+            },
+            [&] {
+                fast_grad = fast_conv.backward(grad_out);
+                fast_conv.applyGradients(0.0f, 1);
+            });
         KernelRow bwd;
         bwd.name = "conv2d_backward";
         bwd.floor = 0.0;
-        bwd.ref_ns = bestNs(conv_reps, [&] {
-            ref_grad = ref_conv.backward(grad_out);
-            ref_conv.applyGradients(0.0f, 1); // rezero accumulators
-        });
-        bwd.fast_ns = bestNs(conv_reps, [&] {
-            fast_grad = fast_conv.backward(grad_out);
-            fast_conv.applyGradients(0.0f, 1);
-        });
+        bwd.ref_ns = ref_bwd_ns;
+        bwd.fast_ns = fast_bwd_ns;
         bwd.checksum_ref = fingerprint(ref_grad);
         bwd.checksum_fast = fingerprint(fast_grad);
         bwd.max_rel_diff = maxRelDiff(ref_grad, fast_grad);
@@ -393,22 +403,13 @@ main(int argc, char **argv)
         bwd.pass = bwd.equivalent;
         rows.push_back(bwd);
 
-        // Simd forward: gemmF32's axpy micro-row is element-wise, so
-        // the vectorized GEMM must reproduce the Fast output
-        // bit-for-bit. Speedup over Fast is reported, not floored —
-        // the im2col/copy overhead around the GEMM caps it on small
-        // shapes.
-        Rng wrng3(77);
-        Conv2d simd_conv(8, 16, 3, wrng3);
-        simd_conv.setBackend(KernelBackend::Simd);
-        Tensor simd_out;
+        // Simd speedup over Fast is reported, not floored — the
+        // im2col/copy overhead around the GEMM caps it on small shapes.
         KernelRow sfwd;
         sfwd.name = "conv2d_forward_simd";
         sfwd.floor = 0.0;
         sfwd.ref_ns = fwd.fast_ns; // baseline is the Fast tier
-        sfwd.fast_ns = bestNs(conv_reps, [&] {
-            simd_out = simd_conv.forward(Tensor(input), true);
-        });
+        sfwd.fast_ns = simd_fwd_ns;
         sfwd.checksum_ref = fwd.checksum_fast;
         sfwd.checksum_fast = fingerprint(simd_out);
         sfwd.equivalent = sfwd.checksum_fast == sfwd.checksum_ref;
@@ -431,17 +432,21 @@ main(int argc, char **argv)
         row.floor = fft_floor;
 
         std::vector<Complex> adhoc, planned;
-        row.ref_ns = bestNs(fft_reps, [&] {
-            adhoc = signal;
-            fft2d(adhoc, side, side, false);
-            fft2d(adhoc, side, side, true);
-        });
         Fft2dPlan plan(side, side);
-        row.fast_ns = bestNs(fft_reps, [&] {
-            planned = signal;
-            plan.forward(planned.data(), simd_level);
-            plan.inverse(planned.data(), simd_level);
-        });
+        const auto [adhoc_ns, planned_ns] = interleavedBestNs(
+            fft_reps,
+            [&] {
+                adhoc = signal;
+                fft2d(adhoc, side, side, false);
+                fft2d(adhoc, side, side, true);
+            },
+            [&] {
+                planned = signal;
+                plan.forward(planned.data(), simd_level);
+                plan.inverse(planned.data(), simd_level);
+            });
+        row.ref_ns = adhoc_ns;
+        row.fast_ns = planned_ns;
         row.checksum_ref =
             bench::fnv1a(adhoc.data(), adhoc.size() * sizeof(Complex));
         row.checksum_fast =
@@ -502,38 +507,14 @@ main(int argc, char **argv)
         simd_cfg.backend = KernelBackend::Simd;
 
         IcpResult hist_r, ref_r, fast_r, simd_r;
-        // The four variants are timed round-robin within each rep, not
-        // in four back-to-back blocks: this host's clock sags over
-        // consecutive runs, so block order would tax whichever variant
-        // ran last (~10% on the thin icp_align margin). Interleaving
-        // walks every variant down the same thermal trajectory and
-        // best-of-N still picks each one's coolest rep.
-        const auto onceNs = [](auto &&f) {
-            const auto t0 = std::chrono::steady_clock::now();
-            f();
-            const auto t1 = std::chrono::steady_clock::now();
-            return static_cast<double>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    t1 - t0)
-                    .count());
-        };
-        double hist_ns = 1e30, ref_ns = 1e30, fast_ns = 1e30,
-               simd_ns = 1e30;
-        for (int rep = 0; rep < icp_reps; ++rep) {
-            hist_ns = std::min(hist_ns, onceNs([&] {
-                hist_r = icpAlignHistorical(source, target, tree,
-                                            ref_cfg);
-            }));
-            ref_ns = std::min(ref_ns, onceNs([&] {
-                ref_r = icpAlign(source, target, tree, {}, ref_cfg);
-            }));
-            fast_ns = std::min(fast_ns, onceNs([&] {
-                fast_r = icpAlign(source, target, tree, {}, fast_cfg);
-            }));
-            simd_ns = std::min(simd_ns, onceNs([&] {
-                simd_r = icpAlign(source, target, tree, {}, simd_cfg);
-            }));
-        }
+        const auto [hist_ns, ref_ns, fast_ns, simd_ns] = interleavedBestNs(
+            icp_reps,
+            [&] {
+                hist_r = icpAlignHistorical(source, target, tree, ref_cfg);
+            },
+            [&] { ref_r = icpAlign(source, target, tree, {}, ref_cfg); },
+            [&] { fast_r = icpAlign(source, target, tree, {}, fast_cfg); },
+            [&] { simd_r = icpAlign(source, target, tree, {}, simd_cfg); });
 
         // The 3× floor row: Fast vs the historical Matrix-churn loop
         // this PR replaced (the in-tree Reference replays its rounding

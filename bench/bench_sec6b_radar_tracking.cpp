@@ -3,22 +3,28 @@
  * Reproduces Sec. VI-B (tracking): replacing the KCF visual tracker
  * with radar tracking + spatial synchronization.
  *
- * Google-benchmark measures the *real* compute of both paths on this
- * host: a full KCF update (windowed 2-D FFT correlation, 64x64) vs
- * the spatial-synchronization matcher (project + greedy match).
- * Functional equivalence is shown by tracking a crossing pedestrian
- * with both and reporting the velocity estimate.
+ * The bench times the *real* compute of both paths on this host: a
+ * full KCF update (windowed 2-D FFT correlation, 64x64) vs the
+ * spatial-synchronization matcher (project + greedy match), plus a
+ * radar-tracker scan update. Each row is a fixed batch of calls, and
+ * the rows are timed interleaved, best of N
+ * (bench::interleavedBestNs); a row's ns per call is its best sample
+ * divided by its batch. Functional equivalence is shown by tracking a
+ * crossing pedestrian with the radar path and reporting the velocity
+ * estimate.
  *
  * Expected shape (paper): spatial sync ~1 ms on the CPU, ~100x
  * lighter than KCF; radar additionally provides radial velocity
  * "for free" and is robust to visual degradation.
+ *
+ * Usage:
+ *   bench_sec6b_radar_tracking [smoke=1] [reps>=1]
  */
-#include <benchmark/benchmark.h>
-
+#include <cmath>
 #include <cstdio>
-#include <string>
 #include <vector>
 
+#include "core/config.h"
 #include "core/rng.h"
 #include "harness.h"
 #include "sensors/radar.h"
@@ -51,54 +57,42 @@ trackingFrame(double cx, double cy)
     return img;
 }
 
+/**
+ * Times the three rows into the "micro" table. KCF: one sample is a
+ * pass over 8 frames with a persistent tracker. Spatial sync: 1024
+ * matches of 6 radar tracks against 6 detections. Radar tracker: 40
+ * scans at 20 Hz from a fresh tracker and radar, so every sample
+ * scans the same world while its 6 obstacles are still in range.
+ */
 void
-BM_KcfTrackingUpdate(benchmark::State &state)
+microRows(bench::BenchReport &report, std::int64_t reps)
 {
-    KcfTracker tracker;
-    double cx = 160, cy = 120;
-    tracker.init(trackingFrame(cx, cy), cx, cy);
+    constexpr int kKcfFrames = 8;
+    KcfTracker kcf;
+    kcf.init(trackingFrame(160, 120), 160, 120);
     std::vector<Image> frames;
-    for (int i = 0; i < 8; ++i)
-        frames.push_back(trackingFrame(cx + 2.0 * i, cy + i));
-    std::size_t i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(tracker.update(frames[i % 8]));
-        ++i;
-    }
-}
-BENCHMARK(BM_KcfTrackingUpdate);
+    for (int i = 0; i < kKcfFrames; ++i)
+        frames.push_back(trackingFrame(160 + 2.0 * i, 120 + i));
 
-void
-BM_RadarSpatialSync(benchmark::State &state)
-{
+    constexpr int kSyncCalls = 1024;
     const CameraModel cam(CameraIntrinsics{}, Vec3(0, 0, 0));
     const CameraPose pose = cam.poseAt(Pose2{Vec2(0, 0), 0.0}, 1.5);
     std::vector<RadarTrack> tracks;
+    std::vector<Detection> detections;
     for (int i = 0; i < 6; ++i) {
         RadarTrack t;
         t.id = i;
         t.position = Vec2(10.0 + 3.0 * i, (i % 3) - 1.0);
         t.velocity = Vec2(-1.0, 0.2);
         tracks.push_back(t);
-    }
-    std::vector<Detection> detections;
-    for (int i = 0; i < 6; ++i) {
         Detection d;
         d.cls = ObjectClass::Pedestrian;
         d.confidence = 0.8;
         d.box = BoundingBox{40.0 * i + 20.0, 100.0, 25.0, 50.0};
         detections.push_back(d);
     }
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            spatialSync(cam, pose, tracks, detections));
-    }
-}
-BENCHMARK(BM_RadarSpatialSync);
 
-void
-BM_RadarTrackerScanUpdate(benchmark::State &state)
-{
+    constexpr int kScans = 40;
     World world;
     Rng rng(9);
     for (int i = 0; i < 6; ++i) {
@@ -108,47 +102,61 @@ BM_RadarTrackerScanUpdate(benchmark::State &state)
         o.velocity = Vec2(rng.uniform(-1, 1), rng.uniform(-1, 1));
         world.addObstacle(o);
     }
-    RadarConfig cfg;
-    cfg.detection_probability = 1.0;
-    RadarModel radar(cfg, Rng(10));
-    RadarTracker tracker;
-    int step = 0;
-    for (auto _ : state) {
-        const auto dets =
-            radar.scan(world, Pose2{Vec2(0, 0), 0.0}, Vec2(5.6, 0),
-                       Timestamp::seconds(step * 0.05));
-        tracker.update(Pose2{Vec2(0, 0), 0.0}, dets,
-                       Timestamp::seconds(step * 0.05));
-        ++step;
-    }
-}
-BENCHMARK(BM_RadarTrackerScanUpdate);
+    RadarConfig radar_cfg;
+    radar_cfg.detection_probability = 1.0;
+    const Pose2 origin{Vec2(0, 0), 0.0};
+    std::size_t scanned = 0;
 
-/** Records per-benchmark timings while still printing the console
- *  table, so the shared report can gate on the measured ratio. */
-class CaptureReporter : public benchmark::ConsoleReporter
-{
-  public:
-    struct Run
-    {
-        std::string name;
-        double real_ns;
-        std::int64_t iterations;
+    const auto best = bench::interleavedBestNs(
+        reps,
+        [&] {
+            for (const Image &frame : frames)
+                kcf.update(frame);
+        },
+        [&] {
+            for (int i = 0; i < kSyncCalls; ++i)
+                spatialSync(cam, pose, tracks, detections);
+        },
+        [&] {
+            RadarModel radar(radar_cfg, Rng(10));
+            RadarTracker tracker;
+            scanned = 0;
+            for (int k = 0; k < kScans; ++k) {
+                const Timestamp t = Timestamp::seconds(k * 0.05);
+                const auto dets = radar.scan(world, origin, Vec2(5.6, 0), t);
+                scanned += dets.size();
+                tracker.update(origin, dets, t);
+            }
+        });
+
+    const double kcf_ns = best[0] / kKcfFrames;
+    const double sync_ns = best[1] / kSyncCalls;
+    const double scan_ns = best[2] / kScans;
+    const double detections_per_scan =
+        static_cast<double>(scanned) / kScans;
+    std::printf("%-26s %14s %10s\n", "row", "ns per call", "calls");
+    const auto row = [&](const char *name, double ns,
+                         int batch) -> bench::Row & {
+        std::printf("%-26s %14.1f %10lld\n", name, ns,
+                    static_cast<long long>(reps * batch));
+        return report.addRow("micro")
+            .set("name", name)
+            .set("real_ns_per_iter", ns)
+            .set("iterations", reps * batch);
     };
+    row("BM_KcfTrackingUpdate", kcf_ns, kKcfFrames);
+    row("BM_RadarSpatialSync", sync_ns, kSyncCalls);
+    row("BM_RadarTrackerScanUpdate", scan_ns, kScans)
+        .set("detections_per_scan", detections_per_scan);
+    std::printf("radar scans see %.1f detections each\n",
+                detections_per_scan);
 
-    void
-    ReportRuns(const std::vector<benchmark::BenchmarkReporter::Run> &runs)
-        override
-    {
-        for (const auto &r : runs)
-            captured.push_back(Run{r.benchmark_name(),
-                                   r.GetAdjustedRealTime(),
-                                   r.iterations});
-        benchmark::ConsoleReporter::ReportRuns(runs);
-    }
-
-    std::vector<Run> captured;
-};
+    report.meta("kcf_over_spatial_sync", kcf_ns / sync_ns);
+    report.gate("spatial_sync_lighter_than_kcf", sync_ns < kcf_ns,
+                "paper: spatial sync ~100x lighter than KCF");
+    report.gate("radar_scan_sees_obstacles", detections_per_scan > 0.0,
+                "the scan row must time scans with targets in range");
+}
 
 /** Functional demonstration printed before the micro-benchmarks. */
 void
@@ -193,27 +201,18 @@ functionalDemo(bench::BenchReport &report)
 int
 main(int argc, char **argv)
 {
-    bench::BenchReport report("sec6b_radar_tracking");
-    functionalDemo(report);
-    benchmark::Initialize(&argc, argv);
-    CaptureReporter reporter;
-    benchmark::RunSpecifiedBenchmarks(&reporter);
+    const Config config = Config::fromArgs(argc, argv);
+    const bool smoke = config.getBool("smoke", false);
+    const std::int64_t reps = config.getInt("reps", smoke ? 3 : 15);
+    if (reps < 1) {
+        std::fprintf(stderr, "usage: bench_sec6b_radar_tracking "
+                             "[smoke=1] [reps>=1]\n");
+        return 2;
+    }
 
-    double kcf_ns = 0.0, sync_ns = 0.0;
-    for (const auto &r : reporter.captured) {
-        report.addRow("micro")
-            .set("name", r.name)
-            .set("real_ns_per_iter", r.real_ns)
-            .set("iterations", r.iterations);
-        if (r.name.find("Kcf") != std::string::npos)
-            kcf_ns = r.real_ns;
-        else if (r.name.find("SpatialSync") != std::string::npos)
-            sync_ns = r.real_ns;
-    }
-    if (kcf_ns > 0.0 && sync_ns > 0.0) {
-        report.meta("kcf_over_spatial_sync", kcf_ns / sync_ns);
-        report.gate("spatial_sync_lighter_than_kcf", sync_ns < kcf_ns,
-                    "paper: spatial sync ~100x lighter than KCF");
-    }
+    bench::BenchReport report("sec6b_radar_tracking");
+    report.setSmoke(smoke);
+    functionalDemo(report);
+    microRows(report, reps);
     return report.write();
 }

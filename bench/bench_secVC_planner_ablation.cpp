@@ -2,16 +2,22 @@
  * @file
  * Reproduces the Sec. V-C planner comparison: the lane-level MPC
  * (~3 ms on the paper's CPU) vs the Baidu-Apollo-style EM motion
- * planner (~100 ms, 33x). Google-benchmark measures the real compute
- * of both implementations on this host; the ratio — not the absolute
+ * planner (~100 ms, 33x). The bench times the real compute of both
+ * implementations on this host; the ratio — not the absolute
  * numbers — is the reproduced result.
+ *
+ * Each row is a fixed batch of plan() calls, and the rows are timed
+ * interleaved, best of N (bench::interleavedBestNs); a row's ns per
+ * call is its best sample divided by its batch.
+ *
+ * Usage:
+ *   bench_secVC_planner_ablation [smoke=1] [reps>=1]
  */
-#include <benchmark/benchmark.h>
-
+#include <cmath>
 #include <cstdio>
-#include <string>
-#include <vector>
+#include <iterator>
 
+#include "core/config.h"
 #include "harness.h"
 #include "planning/em_planner.h"
 #include "planning/mpc.h"
@@ -42,80 +48,20 @@ busyIntersection()
     return in;
 }
 
-void
-BM_LaneLevelMpc(benchmark::State &state)
+EmPlannerConfig
+lateralSamples(std::size_t n)
 {
-    const MpcPlanner planner;
-    const PlannerInput in = busyIntersection();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(planner.plan(in));
-}
-BENCHMARK(BM_LaneLevelMpc)->Unit(benchmark::kMicrosecond);
-
-void
-BM_EmStylePlanner(benchmark::State &state)
-{
-    // Centimeter-granularity settings (the Apollo EM planner's whole
-    // point, Sec. V-C): 0.25 m stations, 41 lateral samples, 24-speed
-    // grid — versus the lane-granularity MPC above.
     EmPlannerConfig cfg;
-    cfg.station_step = 0.25;
-    cfg.lateral_samples = 41;
-    cfg.speed_samples = 24;
-    const EmPlanner planner(cfg);
-    const PlannerInput in = busyIntersection();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(planner.plan(in));
+    cfg.lateral_samples = n;
+    return cfg;
 }
-BENCHMARK(BM_EmStylePlanner)->Unit(benchmark::kMicrosecond);
 
-void
-BM_EmStyleDpResolutionSweep(benchmark::State &state)
+/** A row's name and its plan() calls per timed sample (about a
+ *  millisecond of work each on a 2 GHz Xeon). */
+struct Micro
 {
-    // Ablation: EM planner cost vs lateral grid resolution — why
-    // centimeter-granularity planning is expensive.
-    EmPlannerConfig cfg;
-    cfg.lateral_samples = static_cast<std::size_t>(state.range(0));
-    const EmPlanner planner(cfg);
-    const PlannerInput in = busyIntersection();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(planner.plan(in));
-}
-BENCHMARK(BM_EmStyleDpResolutionSweep)
-    ->Arg(7)
-    ->Arg(13)
-    ->Arg(25)
-    ->Arg(51)
-    ->Unit(benchmark::kMicrosecond);
-
-/** Records per-benchmark timings while still printing the console
- *  table, so the shared report can gate on the measured ratio. */
-class CaptureReporter : public benchmark::ConsoleReporter
-{
-  public:
-    struct Run
-    {
-        std::string name;
-        double real_ns;
-        std::int64_t iterations;
-    };
-
-    void
-    ReportRuns(const std::vector<benchmark::BenchmarkReporter::Run> &runs)
-        override
-    {
-        // GetAdjustedRealTime() is in the run's time_unit (kMicrosecond
-        // here); the report's column is nanoseconds.
-        for (const auto &r : runs)
-            captured.push_back(
-                Run{r.benchmark_name(),
-                    r.GetAdjustedRealTime() * 1e9 /
-                        benchmark::GetTimeUnitMultiplier(r.time_unit),
-                    r.iterations});
-        benchmark::ConsoleReporter::ReportRuns(runs);
-    }
-
-    std::vector<Run> captured;
+    const char *name;
+    int batch;
 };
 
 } // namespace
@@ -123,30 +69,69 @@ class CaptureReporter : public benchmark::ConsoleReporter
 int
 main(int argc, char **argv)
 {
+    const Config config = Config::fromArgs(argc, argv);
+    const bool smoke = config.getBool("smoke", false);
+    const std::int64_t reps = config.getInt("reps", smoke ? 3 : 20);
+    if (reps < 1) {
+        std::fprintf(stderr, "usage: bench_secVC_planner_ablation "
+                             "[smoke=1] [reps>=1]\n");
+        return 2;
+    }
+
     std::printf("=== Sec. V-C: planner cost comparison ===\n");
     std::printf("paper: lane-level MPC ~3 ms; EM-style planner ~100 ms "
                 "(33x).\nThe reproduced result is the *ratio* of the "
-                "two benchmarks below.\n\n");
-    benchmark::Initialize(&argc, argv);
-    CaptureReporter reporter;
-    benchmark::RunSpecifiedBenchmarks(&reporter);
+                "first two rows below.\n\n");
+
+    const PlannerInput in = busyIntersection();
+    const MpcPlanner mpc;
+    // Centimeter-granularity settings (the Apollo EM planner's whole
+    // point, Sec. V-C): 0.25 m stations, 41 lateral samples, 24-speed
+    // grid — versus the lane-granularity MPC.
+    EmPlannerConfig fine;
+    fine.station_step = 0.25;
+    fine.lateral_samples = 41;
+    fine.speed_samples = 24;
+    const EmPlanner em(fine);
+    // Ablation: EM planner cost vs lateral grid resolution — why
+    // centimeter-granularity planning is expensive.
+    const EmPlanner em7(lateralSamples(7)), em13(lateralSamples(13)),
+        em25(lateralSamples(25)), em51(lateralSamples(51));
+
+    const Micro micro[] = {{"BM_LaneLevelMpc", 64},
+                           {"BM_EmStylePlanner", 1},
+                           {"BM_EmStyleDpResolutionSweep/7", 8},
+                           {"BM_EmStyleDpResolutionSweep/13", 8},
+                           {"BM_EmStyleDpResolutionSweep/25", 4},
+                           {"BM_EmStyleDpResolutionSweep/51", 2}};
+    const auto batch = [&in](int calls, const auto &planner) {
+        return [calls, &planner, &in] {
+            for (int i = 0; i < calls; ++i)
+                planner.plan(in);
+        };
+    };
+    const auto best = bench::interleavedBestNs(
+        reps, batch(micro[0].batch, mpc), batch(micro[1].batch, em),
+        batch(micro[2].batch, em7), batch(micro[3].batch, em13),
+        batch(micro[4].batch, em25), batch(micro[5].batch, em51));
+    static_assert(std::size(micro) == best.size());
 
     bench::BenchReport report("secVC_planner_ablation");
-    double mpc_ns = 0.0, em_ns = 0.0;
-    for (const auto &r : reporter.captured) {
+    report.setSmoke(smoke);
+    std::printf("%-32s %14s %10s\n", "row", "ns per call", "calls");
+    double ns[std::size(micro)];
+    for (std::size_t i = 0; i < std::size(micro); ++i) {
+        ns[i] = best[i] / micro[i].batch;
+        const std::int64_t calls = reps * micro[i].batch;
+        std::printf("%-32s %14.0f %10lld\n", micro[i].name, ns[i],
+                    static_cast<long long>(calls));
         report.addRow("micro")
-            .set("name", r.name)
-            .set("real_ns_per_iter", r.real_ns)
-            .set("iterations", r.iterations);
-        if (r.name.find("LaneLevelMpc") != std::string::npos)
-            mpc_ns = r.real_ns;
-        else if (r.name == "BM_EmStylePlanner")
-            em_ns = r.real_ns;
+            .set("name", micro[i].name)
+            .set("real_ns_per_iter", ns[i])
+            .set("iterations", calls);
     }
-    if (mpc_ns > 0.0 && em_ns > 0.0) {
-        report.meta("em_over_mpc", em_ns / mpc_ns);
-        report.gate("em_costlier_than_mpc", em_ns > mpc_ns,
-                    "paper: EM-style planner ~33x the lane-level MPC");
-    }
+    report.meta("em_over_mpc", ns[1] / ns[0]);
+    report.gate("em_costlier_than_mpc", ns[1] > ns[0],
+                "paper: EM-style planner ~33x the lane-level MPC");
     return report.write();
 }

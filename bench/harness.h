@@ -17,15 +17,18 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/hash.h"
+#include "core/logging.h"
 #include "obs/metrics.h"
 
 namespace sov::bench {
@@ -69,22 +72,31 @@ inline constexpr std::int64_t kMaxBenchThreads = 1024;
  */
 std::vector<std::size_t> threadLadder(std::int64_t max_threads);
 
-/** Best-of-N wall time of f(), in nanoseconds per call. */
-template <typename F>
-double
-bestNs(int reps, F &&f)
+/**
+ * Interleaved best-of-N wall time, in nanoseconds per call of each
+ * variant. Every rep runs f[0](), f[1](), ... once each, in order, so
+ * all variants ride the same host phase (a clock that sags over
+ * consecutive runs, a noisy neighbour) and no block order taxes
+ * whichever ran last; each variant's result is its fastest rep.
+ * @p reps must be at least 1.
+ */
+template <typename... F>
+std::array<double, sizeof...(F)>
+interleavedBestNs(std::int64_t reps, F &&...f)
 {
-    double best = 1e30;
-    for (int i = 0; i < reps; ++i) {
+    SOV_ASSERT(reps >= 1);
+    std::array<double, sizeof...(F)> best;
+    best.fill(std::numeric_limits<double>::infinity());
+    const auto time = [&best](std::size_t i, auto &call) {
         const auto t0 = std::chrono::steady_clock::now();
-        f();
+        call();
         const auto t1 = std::chrono::steady_clock::now();
-        best = std::min(
-            best,
-            static_cast<double>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    t1 - t0)
-                    .count()));
+        best[i] = std::min(
+            best[i], std::chrono::duration<double, std::nano>(t1 - t0).count());
+    };
+    for (std::int64_t rep = 0; rep < reps; ++rep) {
+        std::size_t i = 0;
+        (time(i++, f), ...);
     }
     return best;
 }

@@ -3,10 +3,12 @@
  * Pins the shared bench-report envelope: exact JSON layout (golden
  * string), the meta.host stamp, gate -> pass -> exit-code semantics,
  * meta overwrite, string escaping, the fingerprint formatting every
- * bench shares, and the thread ladder scaling sweeps run.
+ * bench shares, the thread ladder scaling sweeps run, and the
+ * interleaved best-of-N timer every host-timed row goes through.
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -219,4 +221,21 @@ TEST(BenchHarness, ThreadLadderIsCappedAndRejectsBadCounts)
     EXPECT_TRUE(bench::threadLadder(bench::kMaxBenchThreads + 1).empty());
     EXPECT_TRUE(
         bench::threadLadder(std::numeric_limits<std::int64_t>::max()).empty());
+}
+
+TEST(BenchHarness, InterleavedBestNsRunsVariantsRoundRobin)
+{
+    std::string order;
+    const auto best = bench::interleavedBestNs(
+        4, [&] { order += 'A'; }, [&] { order += 'B'; },
+        [&] { order += 'C'; });
+    EXPECT_EQ(order, "ABCABCABCABC");
+    ASSERT_EQ(best.size(), 3u);
+    for (const double ns : best) {
+        EXPECT_TRUE(std::isfinite(ns));
+        EXPECT_GE(ns, 0.0);
+    }
+
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(bench::interleavedBestNs(0, [] {}), "reps >= 1");
 }
