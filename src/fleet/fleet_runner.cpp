@@ -81,7 +81,7 @@ FleetRunner::runScenario(const ScenarioSpec &spec,
         o.pipeline_p99_ms = pipeline.percentile("total", 99.0);
     }
     if (metrics) {
-        *metrics = pipeline;
+        *metrics = sim.takePipelineMetrics();
         metrics->incr("scenarios");
         metrics->incr("collisions", r.collided ? 1 : 0);
         metrics->incr("safe_stops", r.stopped ? 1 : 0);
@@ -90,6 +90,17 @@ FleetRunner::runScenario(const ScenarioSpec &spec,
         metrics->incr("can_frames_lost", r.can_frames_lost);
     }
     return o;
+}
+
+const obs::MetricRegistry &
+FleetRunner::mergedMetrics() const
+{
+    // Canonical index-order fold: the merged registry (and thus its
+    // fingerprint) does not depend on which worker ran what.
+    for (const obs::MetricRegistry &m : shard_metrics_)
+        merged_metrics_.merge(m);
+    shard_metrics_.clear();
+    return merged_metrics_;
 }
 
 FleetReport
@@ -104,21 +115,18 @@ FleetRunner::run(const std::vector<ScenarioSpec> &scenarios)
     const auto start = std::chrono::steady_clock::now();
 
     std::vector<ScenarioOutcome> rows(scenarios.size());
-    std::vector<obs::MetricRegistry> shard_metrics(scenarios.size());
+    // The last run's registries go first, folded or not.
+    merged_metrics_.clear();
+    shard_metrics_.clear();
+    shard_metrics_.resize(scenarios.size());
     {
         ThreadPool pool(numThreads());
         // Per-index slots: workers never share mutable state, so the
         // pool only decides *when* each row is computed.
         pool.parallelFor(scenarios.size(), [&](std::size_t i) {
-            rows[i] = runScenario(scenarios[i], &shard_metrics[i]);
+            rows[i] = runScenario(scenarios[i], &shard_metrics_[i]);
         });
     }
-
-    // Canonical index-order fold: the merged registry (and thus its
-    // fingerprint) does not depend on which worker ran what.
-    merged_metrics_.clear();
-    for (const obs::MetricRegistry &m : shard_metrics)
-        merged_metrics_.merge(m);
 
     const auto end = std::chrono::steady_clock::now();
     timing_.wall_seconds =

@@ -93,19 +93,21 @@ class FleetRunner
      * registries in scenario-index order. Because each scenario's
      * registry is a pure function of (master seed, scenario identity)
      * and the fold order is canonical, the merged registry — and its
-     * fingerprint() — is independent of the thread count.
+     * fingerprint() — is independent of the thread count. run() keeps
+     * the per-scenario registries and the first call after it folds
+     * them, so a caller that never reads the merge never pays for it;
+     * because that call writes the fold, it must not race another.
      */
-    const obs::MetricRegistry &mergedMetrics() const
-    {
-        return merged_metrics_;
-    }
+    const obs::MetricRegistry &mergedMetrics() const;
 
     std::size_t numThreads() const;
 
   private:
     FleetConfig config_;
     FleetTiming timing_;
-    obs::MetricRegistry merged_metrics_;
+    /** The last run()'s registries, by scenario index, until folded. */
+    mutable std::vector<obs::MetricRegistry> shard_metrics_;
+    mutable obs::MetricRegistry merged_metrics_;
 };
 
 } // namespace sov::fleet

@@ -2,38 +2,43 @@
 
 #include <algorithm>
 
+#include "core/logging.h"
+
 namespace sov::health {
 
-void
+SensorId
 HealthMonitor::watchSensor(const std::string &name,
                            const HeartbeatSpec &spec, Timestamp now)
 {
-    specs_[name] = spec;
+    for (std::size_t id = 0; id < sensors_.size(); ++id) {
+        if (sensors_[id].name == name) {
+            sensors_[id].spec = spec;
+            return static_cast<SensorId>(id);
+        }
+    }
     // Anchor the silence budget at registration so a sensor that
     // never produces a single sample still goes stale.
-    auto it = last_beat_.find(name);
-    if (it == last_beat_.end())
-        last_beat_[name] = now;
+    sensors_.push_back(Sensor{name, spec, now});
+    return static_cast<SensorId>(sensors_.size() - 1);
 }
 
 void
-HealthMonitor::noteHeartbeat(const std::string &name, Timestamp t)
+HealthMonitor::noteHeartbeat(SensorId sensor, Timestamp t)
 {
-    const auto [it, inserted] = last_beat_.try_emplace(name, t);
-    if (!inserted && it->second < t)
-        it->second = t;
+    SOV_ASSERT(sensor < sensors_.size());
+    Timestamp &last = sensors_[sensor].last_beat;
+    if (last < t)
+        last = t;
 }
 
 bool
 HealthMonitor::sensorStale(const std::string &name, Timestamp now) const
 {
-    const auto spec = specs_.find(name);
-    if (spec == specs_.end())
-        return false;
-    const auto beat = last_beat_.find(name);
-    if (beat == last_beat_.end())
-        return true;
-    return now - beat->second > spec->second.stale_after;
+    for (const Sensor &sensor : sensors_) {
+        if (sensor.name == name)
+            return sensor.staleAt(now);
+    }
+    return false;
 }
 
 void
@@ -79,10 +84,12 @@ HealthMonitor::evaluate(Timestamp now, std::uint64_t frames_in_flight)
     HealthSample sample;
     for (const std::uint32_t count : window_)
         sample.pipeline_faults_in_window += count;
-    for (const auto &[name, spec] : specs_) {
-        if (!sensorStale(name, now))
+    // Staleness folds into two flags by OR, so the order the sensors
+    // are visited in cannot change the sample.
+    for (const Sensor &sensor : sensors_) {
+        if (!sensor.staleAt(now))
             continue;
-        if (spec.reactive_critical)
+        if (sensor.spec.reactive_critical)
             sample.reactive_sensors_stale = true;
         else
             sample.proactive_sensors_stale = true;

@@ -18,8 +18,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "health/degradation.h"
 #include "runtime/dataflow.h"
@@ -39,6 +39,10 @@ struct HeartbeatSpec
     bool reactive_critical = false;
 };
 
+/** A watched sensor stream: watchSensor() hands it out and
+ *  noteHeartbeat() takes it, so a beat costs no name lookup. */
+using SensorId = std::uint32_t;
+
 /** The monitor. */
 class HealthMonitor final : public runtime::DataflowHealthListener
 {
@@ -46,13 +50,15 @@ class HealthMonitor final : public runtime::DataflowHealthListener
     explicit HealthMonitor(const DegradationPolicy &policy = {})
         : manager_(policy) {}
 
-    /** Register a sensor stream. @p now anchors the silence budget so
-     *  a sensor that never beats still goes stale. */
-    void watchSensor(const std::string &name, const HeartbeatSpec &spec,
-                     Timestamp now = Timestamp::origin());
+    /** Register a sensor stream and return its id. @p now anchors the
+     *  silence budget so a sensor that never beats still goes stale.
+     *  Watching a name again replaces its spec and keeps its id and
+     *  last beat. */
+    SensorId watchSensor(const std::string &name, const HeartbeatSpec &spec,
+                         Timestamp now = Timestamp::origin());
 
-    /** Note one delivered sample of @p name at @p t. */
-    void noteHeartbeat(const std::string &name, Timestamp t);
+    /** Note one delivered sample of the watched @p sensor at @p t. */
+    void noteHeartbeat(SensorId sensor, Timestamp t);
 
     /** True if @p name has been silent beyond its budget at @p now.
      *  Unwatched sensors are never stale. */
@@ -88,9 +94,21 @@ class HealthMonitor final : public runtime::DataflowHealthListener
     std::uint64_t framesCompleted() const { return frames_completed_; }
 
   private:
+    struct Sensor
+    {
+        std::string name;
+        HeartbeatSpec spec;
+        Timestamp last_beat;
+
+        bool staleAt(Timestamp now) const
+        {
+            return now - last_beat > spec.stale_after;
+        }
+    };
+
     DegradationManager manager_;
-    std::map<std::string, HeartbeatSpec> specs_;
-    std::map<std::string, Timestamp> last_beat_;
+    /** Indexed by SensorId, in registration order. */
+    std::vector<Sensor> sensors_;
     std::deque<std::uint32_t> window_; //!< per-cycle fault counts
     std::uint32_t pending_faults_ = 0;
     Duration stall_after_ = Duration::seconds(1.0);

@@ -499,6 +499,23 @@ Polyline2::headingAt(double s) const
     return std::atan2(d.y(), d.x());
 }
 
+Aabb2
+Polyline2::boundsBetween(double s0, double s1) const
+{
+    const Vec2 a = sample(s0), b = sample(s1);
+    Aabb2 box{Vec2(std::min(a.x(), b.x()), std::min(a.y(), b.y())),
+              Vec2(std::max(a.x(), b.x()), std::max(a.y(), b.y()))};
+    for (auto i = static_cast<std::size_t>(
+             std::upper_bound(cumlen_.begin(), cumlen_.end(), s0) -
+             cumlen_.begin());
+         i < points_.size() && cumlen_[i] < s1; ++i) {
+        const Vec2 &p = points_[i];
+        box.lo = Vec2(std::min(box.lo.x(), p.x()), std::min(box.lo.y(), p.y()));
+        box.hi = Vec2(std::max(box.hi.x(), p.x()), std::max(box.hi.y(), p.y()));
+    }
+    return box;
+}
+
 std::pair<double, double>
 Polyline2::project(const Vec2 &p) const
 {

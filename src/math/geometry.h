@@ -252,6 +252,14 @@ class Polyline2
     double headingAt(double s) const;
 
     /**
+     * The bounding box of the polyline from arc length @p s0 to
+     * @p s1 >= @p s0: of sample(s0), sample(s1) and every vertex whose
+     * arc length lies strictly between them. Every sample(s) with s in
+     * [s0, s1] lies in it up to the rounding of its interpolation.
+     */
+    Aabb2 boundsBetween(double s0, double s1) const;
+
+    /**
      * Project a point onto the polyline.
      * @return (arc length of the projection, signed lateral offset);
      *         positive offset is to the left of travel direction.

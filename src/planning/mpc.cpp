@@ -141,12 +141,25 @@ MpcPlanner::plan(const PlannerInput &input) const
                            config_.max_curvature);
     out.command.steer_curvature = curvature;
 
-    // Speed planning: obstacle-limited target speed.
-    const auto predictions = predictObjects(input.objects, input.now);
+    // Speed planning: obstacle-limited target speed. Only objects the
+    // swept broadphase cannot rule out are predicted, in input order,
+    // so the sweep meets the same first collision.
+    const PredictionConfig prediction;
+    const double sweep_speed = std::max(input.ego_speed, 1.0);
+    const SweptBroadphase broadphase(input.reference_path, s, sweep_speed,
+                                     prediction);
+    std::size_t live = 0;
+    for (const FusedObject &object : input.objects) {
+        if (broadphase.clearance(object) > 0.0)
+            continue;
+        if (live == predictions_.size())
+            predictions_.emplace_back();
+        predictObject(object, input.now, prediction, predictions_[live++]);
+    }
     double target = input.speed_limit;
     const auto collision = firstCollision(
-        input.reference_path, s, std::max(input.ego_speed, 1.0),
-        predictions);
+        input.reference_path, s, sweep_speed,
+        std::span<const ObjectPrediction>(predictions_.data(), live));
     if (collision) {
         const double gap = collision->arc_length - config_.standoff;
         if (gap <= 0.0) {

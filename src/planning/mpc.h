@@ -57,7 +57,13 @@ class MpcPlanner
   public:
     explicit MpcPlanner(const MpcConfig &config = {}) : config_(config) {}
 
-    /** Plan one control cycle. */
+    /**
+     * Plan one control cycle. Objects the swept broadphase of
+     * firstCollision() rules out are not predicted; the rest are
+     * predicted into storage the planner reuses, so a warm planner does
+     * not allocate, and one planner must not plan on two threads at
+     * once.
+     */
     MpcOutput plan(const PlannerInput &input) const;
 
     const MpcConfig &config() const { return config_; }
@@ -90,6 +96,9 @@ class MpcPlanner
     MpcConfig config_;
     /** Indexed by speed bucket; grown on first use of a bucket. */
     mutable std::vector<CachedGain> gain_cache_;
+    /** The surviving objects' predictions of the last cycle, first
+     *  ones live; grown to the most survivors seen, never shrunk. */
+    mutable std::vector<ObjectPrediction> predictions_;
 };
 
 } // namespace sov

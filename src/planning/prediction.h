@@ -19,6 +19,11 @@ namespace sov {
  *  sample (most never get past their broadphase and stay unprepared). */
 struct PredictedState
 {
+    PredictedState(Timestamp t, const OrientedBox2 &box)
+        : time(t), footprint(box)
+    {
+    }
+
     Timestamp time;
     PreparedBox footprint;
 };
@@ -45,5 +50,11 @@ struct PredictionConfig
 std::vector<ObjectPrediction> predictObjects(
     const std::vector<FusedObject> &objects, Timestamp now,
     const PredictionConfig &config = {});
+
+/** Constant-velocity prediction of @p object into @p out, whose states
+ *  are replaced, each constructed in place: a reused @p out keeps its
+ *  capacity, so a warm one does not allocate. */
+void predictObject(const FusedObject &object, Timestamp now,
+                   const PredictionConfig &config, ObjectPrediction &out);
 
 } // namespace sov

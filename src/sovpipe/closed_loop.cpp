@@ -79,7 +79,8 @@ ClosedLoopSim::ClosedLoopSim(World &world, Polyline2 route,
             Duration::seconds(1.0 / config_.planner_rate_hz);
         camera.stale_after =
             Duration::seconds(5.0 / config_.planner_rate_hz);
-        health_->watchSensor("camera", camera, sim_.now());
+        camera_sensor_ =
+            health_->watchSensor("camera", camera, sim_.now());
         // The radar guards the reactive path: silence beyond 200 ms
         // means the last line of defense is blind -> SAFE_STOP.
         health::HeartbeatSpec radar;
@@ -87,7 +88,7 @@ ClosedLoopSim::ClosedLoopSim(World &world, Polyline2 route,
             Duration::seconds(1.0 / config_.physics_rate_hz);
         radar.stale_after = Duration::millisF(200.0);
         radar.reactive_critical = true;
-        health_->watchSensor("radar", radar, sim_.now());
+        radar_sensor_ = health_->watchSensor("radar", radar, sim_.now());
     }
 
     reset();
@@ -231,7 +232,7 @@ ClosedLoopSim::planningCycle()
         return;
     }
     if (health_)
-        health_->noteHeartbeat("camera", now);
+        health_->noteHeartbeat(camera_sensor_, now);
     ++proactive_cycles_;
 
     // Congestion disposition: when a latency tail backs the pipeline
@@ -407,7 +408,7 @@ ClosedLoopSim::physicsStep()
             }
         } else {
             if (health_)
-                health_->noteHeartbeat("radar", sim_.now());
+                health_->noteHeartbeat(radar_sensor_, sim_.now());
             reactive_.evaluate(snap, vehicle_.pose(), vehicle_.speed(),
                                sim_.now());
             if (recorder_) {

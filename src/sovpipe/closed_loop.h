@@ -195,6 +195,12 @@ class ClosedLoopSim
         return pipeline_metrics_;
     }
 
+    /** Move pipelineMetrics() out, leaving the sim's own empty. */
+    obs::MetricRegistry takePipelineMetrics()
+    {
+        return std::move(pipeline_metrics_);
+    }
+
     /**
      * Stream the run into @p recorder (nullptr detaches): every Fig. 5
      * stage execution as a span on its resource lane, frame spans,
@@ -259,6 +265,9 @@ class ClosedLoopSim
     fault::SensorFaultHub sensor_faults_;
     fault::FaultChannel *radar_dropout_ = nullptr;
     std::unique_ptr<health::HealthMonitor> health_;
+    /** The monitor's ids of the camera and radar streams. */
+    health::SensorId camera_sensor_ = 0;
+    health::SensorId radar_sensor_ = 0;
     CameraSnapshot last_camera_;
     /** Async mode: the command of the one frame parked under
      *  backpressure (latest wins; see PipelineMode). */

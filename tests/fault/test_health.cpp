@@ -122,13 +122,40 @@ TEST(HealthMonitor, SensorGoesStaleAfterSilenceBudget)
     HealthMonitor mon;
     HeartbeatSpec spec;
     spec.stale_after = Duration::millisF(300.0);
-    mon.watchSensor("camera", spec, Timestamp::origin());
+    const SensorId camera =
+        mon.watchSensor("camera", spec, Timestamp::origin());
 
-    mon.noteHeartbeat("camera", Timestamp::millisF(100.0));
+    mon.noteHeartbeat(camera, Timestamp::millisF(100.0));
     EXPECT_FALSE(mon.sensorStale("camera", Timestamp::millisF(350.0)));
+    EXPECT_TRUE(mon.sensorStale("camera", Timestamp::millisF(401.0)));
+    // A beat older than the last one moves nothing.
+    mon.noteHeartbeat(camera, Timestamp::millisF(50.0));
     EXPECT_TRUE(mon.sensorStale("camera", Timestamp::millisF(401.0)));
     // Unwatched names never report stale.
     EXPECT_FALSE(mon.sensorStale("lidar", Timestamp::seconds(100.0)));
+}
+
+TEST(HealthMonitor, SensorIdsAreStableAcrossRewatch)
+{
+    HealthMonitor mon;
+    HeartbeatSpec spec;
+    spec.stale_after = Duration::millisF(300.0);
+    const SensorId camera =
+        mon.watchSensor("camera", spec, Timestamp::origin());
+    const SensorId radar =
+        mon.watchSensor("radar", spec, Timestamp::origin());
+    EXPECT_NE(camera, radar);
+
+    // Watching a name again swaps its spec but keeps its id and its
+    // last beat (the silence budget is not re-anchored).
+    mon.noteHeartbeat(radar, Timestamp::millisF(100.0));
+    spec.stale_after = Duration::millisF(500.0);
+    EXPECT_EQ(mon.watchSensor("radar", spec, Timestamp::seconds(10.0)),
+              radar);
+    EXPECT_FALSE(mon.sensorStale("radar", Timestamp::millisF(550.0)));
+    EXPECT_TRUE(mon.sensorStale("radar", Timestamp::millisF(601.0)));
+    // The other sensor's beats stay its own.
+    EXPECT_TRUE(mon.sensorStale("camera", Timestamp::millisF(301.0)));
 }
 
 TEST(HealthMonitor, StaleProactiveSensorDegradesToReactiveOnly)

@@ -45,6 +45,7 @@
 #include "math/geometry.h"
 #include "properties/geometry_oracle.h"
 #include "planning/collision.h"
+#include "planning/mpc.h"
 #include "planning/prediction.h"
 #include "sensors/radar.h"
 #include "world/world.h"
@@ -1465,18 +1466,10 @@ asOracle(const std::vector<ObjectPrediction> &predictions)
     return out;
 }
 
-/** firstCollision against the oracle's full scan, bit for bit; the
- *  production hit (if any) goes to @p hit. */
 ::testing::AssertionResult
-sweepMatches(const Polyline2 &path, double start_s, double speed,
-             const std::vector<ObjectPrediction> &predictions,
-             std::optional<CollisionInfo> &hit)
+sameCollision(const std::optional<CollisionInfo> &want,
+              const std::optional<CollisionInfo> &got)
 {
-    const EgoFootprint ego;
-    const auto want = oracle::firstCollision(
-        path, start_s, speed, asOracle(predictions), ego, 40.0);
-    const auto got = firstCollision(path, start_s, speed, predictions, ego);
-    hit = got;
     if (want.has_value() != got.has_value())
         return ::testing::AssertionFailure()
             << "hit " << want.has_value() << " vs " << got.has_value();
@@ -1489,14 +1482,27 @@ sweepMatches(const Polyline2 &path, double start_s, double speed,
     return ::testing::AssertionSuccess();
 }
 
+/** firstCollision against the oracle's full scan, bit for bit; the
+ *  production hit (if any) goes to @p hit. */
+::testing::AssertionResult
+sweepMatches(const Polyline2 &path, double start_s, double speed,
+             const std::vector<ObjectPrediction> &predictions,
+             std::optional<CollisionInfo> &hit)
+{
+    const EgoFootprint ego;
+    const auto want = oracle::firstCollision(
+        path, start_s, speed, asOracle(predictions), ego, 40.0);
+    hit = firstCollision(path, start_s, speed, predictions, ego);
+    return sameCollision(want, hit);
+}
+
 /** A 0.3 m square object state @p ns after the origin, centered at
  *  (@p x, @p y). */
 PredictedState
 stateAt(std::int64_t ns, double x, double y = 0.0)
 {
-    return PredictedState{
-        Timestamp::nanos(ns),
-        PreparedBox(OrientedBox2{Pose2{Vec2(x, y), 0.0}, 0.3, 0.3})};
+    return PredictedState{Timestamp::nanos(ns),
+                          OrientedBox2{Pose2{Vec2(x, y), 0.0}, 0.3, 0.3}};
 }
 
 ObjectPrediction
@@ -1659,6 +1665,312 @@ TEST(GeometryOracle, FirstCollisionIrregularTimestampsBitIdentical)
         hits += hit.has_value();
     }
     EXPECT_GT(hits, kCases / 40);
+}
+
+
+// --------------------------------------------- swept prediction cull
+
+/** MpcPlanner::plan as it was before the swept cull: every object is
+ *  predicted and swept. */
+MpcOutput
+planPredictingEveryObject(const MpcPlanner &planner, const PlannerInput &input)
+{
+    const MpcConfig &config = planner.config();
+    MpcOutput out;
+    out.command.issued_at = input.now;
+    const auto [s, lateral] =
+        input.reference_path.project(input.ego_pose.position);
+    const double path_heading = input.reference_path.headingAt(s);
+    const double heading_err =
+        wrapAngle(input.ego_pose.heading - path_heading);
+    out.lateral_error = lateral;
+    out.heading_error = heading_err;
+    const double lookahead = 1.0;
+    const double kappa_ref = wrapAngle(
+        input.reference_path.headingAt(s + lookahead) -
+        input.reference_path.headingAt(s)) / lookahead;
+    const LqrGain k = planner.lqrGain(input.ego_speed);
+    double curvature =
+        kappa_ref - (k.lateral * lateral + k.heading * heading_err);
+    curvature = std::clamp(curvature, -config.max_curvature,
+                           config.max_curvature);
+    out.command.steer_curvature = curvature;
+    const auto predictions = predictObjects(input.objects, input.now);
+    double target = input.speed_limit;
+    const auto collision = firstCollision(
+        input.reference_path, s, std::max(input.ego_speed, 1.0),
+        predictions);
+    if (collision) {
+        const double gap = collision->arc_length - config.standoff;
+        if (gap <= 0.0) {
+            target = 0.0;
+            out.blocked = true;
+        } else {
+            target = std::min(
+                target, std::sqrt(2.0 * config.comfort_decel * gap));
+        }
+    }
+    out.target_speed = target;
+    const double dv = target - input.ego_speed;
+    out.command.acceleration = std::clamp(
+        dv / config.dt, -config.hard_decel, config.max_accel);
+    return out;
+}
+
+::testing::AssertionResult
+samePlan(const MpcOutput &want, const MpcOutput &got)
+{
+    if (want.command.issued_at != got.command.issued_at ||
+        bits(want.command.steer_curvature) !=
+            bits(got.command.steer_curvature) ||
+        bits(want.command.acceleration) != bits(got.command.acceleration) ||
+        want.command.emergency_brake != got.command.emergency_brake ||
+        bits(want.lateral_error) != bits(got.lateral_error) ||
+        bits(want.heading_error) != bits(got.heading_error) ||
+        bits(want.target_speed) != bits(got.target_speed) ||
+        want.blocked != got.blocked)
+        return ::testing::AssertionFailure()
+            << "target " << want.target_speed << " vs " << got.target_speed
+            << ", accel " << want.command.acceleration << " vs "
+            << got.command.acceleration;
+    return ::testing::AssertionSuccess();
+}
+
+/** A route from @p anchor with 1 to 4 segments, turning up to 2 rad at
+ *  each interior vertex. */
+Polyline2
+randomRoute(Rng &rng, const Vec2 &anchor)
+{
+    std::vector<Vec2> points{anchor};
+    double heading = randomHeading(rng);
+    const int n_points = 2 + static_cast<int>(rng.uniform(0.0, 4.0));
+    for (int i = 1; i < n_points; ++i) {
+        heading += rng.bernoulli(0.3) ? rng.uniform(-2.0, 2.0)
+                                      : rng.uniform(-0.3, 0.3);
+        points.push_back(points.back() +
+                         Vec2(std::cos(heading), std::sin(heading)) *
+                             rng.uniform(2.0, 20.0));
+    }
+    return Polyline2(points);
+}
+
+/** Where the swept cull decides: an object near the route, one at the
+ *  sample window's far edge, one whose centre segment ends a few ulps
+ *  or about one margin either side of the widened sample box, or one
+ *  with a NaN or infinite position or velocity. */
+FusedObject
+cullProbe(Rng &rng, const SweptBroadphase &broadphase, const Polyline2 &path,
+          double start_s, double speed, const PredictionConfig &cfg,
+          double reach, std::uint32_t track_id)
+{
+    FusedObject obj;
+    obj.track_id = track_id;
+    if (rng.bernoulli(0.6))
+        obj.velocity = Vec2(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0));
+    const double u = rng.uniform();
+    if (u < 0.25) {
+        obj.position = path.sample(rng.uniform(0.0, path.length())) +
+            Vec2(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0));
+    } else if (u < 0.45) {
+        // Ahead at the edge of the window of matchable samples.
+        if (rng.bernoulli(0.5))
+            obj.velocity = Vec2(0.0, 0.0);
+        double edge = start_s + speed * (cfg.horizon_s + 0.5);
+        if (!std::isfinite(edge))
+            edge = start_s;
+        obj.position = path.sample(edge + rng.uniform(-3.0, 3.0)) +
+            Vec2(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5));
+    } else if (u < 0.95) {
+        // On one side of the widened box: the segment's nearest
+        // coordinate at reach plus a multiple of the margin, nudged by
+        // a few ulps.
+        const Aabb2 &box = broadphase.samples();
+        const double scale =
+            2.0 * std::max(maxAbs(box.lo), maxAbs(box.hi)) + reach + 10.0;
+        const double margin = 2.0 * PreparedBox::broadphaseMargin(scale);
+        double off = reach + margin * std::floor(rng.uniform(-2.0, 3.0));
+        const int ulps = static_cast<int>(rng.uniform(-4.0, 5.0));
+        for (int i = 0; i < std::abs(ulps); ++i)
+            off = std::nextafter(off, ulps > 0 ? 1e300 : -1e300);
+        if (rng.bernoulli(0.3))
+            obj.velocity = Vec2(0.0, 0.0);
+        const Vec2 travel = obj.velocity * cfg.horizon_s;
+        const auto side = static_cast<int>(rng.uniform(0.0, 4.0));
+        const int axis = side / 2;
+        const double along_lo = (axis == 0 ? box.lo.y() : box.lo.x()) - reach;
+        const double along_hi = (axis == 0 ? box.hi.y() : box.hi.x()) + reach;
+        const double along = rng.uniform(along_lo, along_hi);
+        const double d = axis == 0 ? travel.x() : travel.y();
+        double across;
+        if (side % 2 == 0) {
+            // Beyond hi: the segment's least coordinate sits at hi + off.
+            const double hi = axis == 0 ? box.hi.x() : box.hi.y();
+            across = (hi + off) - std::min(d, 0.0);
+        } else {
+            const double lo = axis == 0 ? box.lo.x() : box.lo.y();
+            across = (lo - off) - std::max(d, 0.0);
+        }
+        obj.position = axis == 0 ? Vec2(across, along) : Vec2(along, across);
+    } else {
+        static const double special[] = {
+            kNaN, std::numeric_limits<double>::infinity(),
+            -std::numeric_limits<double>::infinity()};
+        const double x =
+            special[static_cast<std::size_t>(rng.uniform(0.0, 3.0))];
+        obj.position = path.sample(rng.uniform(0.0, path.length()));
+        double *slot[] = {&obj.position.x(), &obj.position.y(),
+                          &obj.velocity.x(), &obj.velocity.y()};
+        *slot[static_cast<std::size_t>(rng.uniform(0.0, 4.0))] = x;
+    }
+    return obj;
+}
+
+TEST(GeometryOracle, SweptCullKeepsFirstCollision)
+{
+    Rng rng(2024);
+    // Speeds at which whole 0.5 m samples land on the window's edge
+    // (speed * (4 s + 0.5 s) a multiple of 0.5 m), the 1 m/s clamp and
+    // its neighbours, zero, and random ones.
+    static const double speeds[] = {
+        1.0, 2.0, 1.0 / 9.0 * 4.0, 5.0, std::nextafter(1.0, 0.0),
+        std::nextafter(1.0, 2.0), 0.0, 0.5};
+    std::size_t culled = 0, kept = 0, at_cut = 0, hits = 0, edge_hits = 0;
+    for (int c = 0; c < kCases / 2; ++c) {
+        const Vec2 anchor = rng.bernoulli(0.1)
+            ? Vec2(1e12 + rng.uniform(-5.0, 5.0), 1e12)
+            : randomAnchor(rng);
+        const Polyline2 path = randomRoute(rng, anchor);
+        PredictionConfig cfg;
+        if (rng.bernoulli(0.3)) {
+            cfg.horizon_s = rng.uniform(0.5, 6.0);
+            cfg.step_s = rng.uniform(0.1, 1.0);
+            cfg.half_length = rng.uniform(0.0, 2.0);
+            cfg.half_width = rng.uniform(0.0, 2.0);
+        }
+        EgoFootprint ego;
+        if (rng.bernoulli(0.2)) {
+            ego.half_length = rng.uniform(0.0, 2.0);
+            ego.half_width = rng.uniform(0.0, 1.0);
+        }
+        const double speed = rng.bernoulli(0.5)
+            ? speeds[static_cast<std::size_t>(rng.uniform(0.0, 8.0))]
+            : rng.uniform(0.2, 8.0);
+        const double start_s = rng.bernoulli(0.2)
+            ? path.length() - rng.uniform(0.0, 3.0)
+            : rng.uniform(0.0, path.length());
+        const double lookahead = rng.uniform(5.0, 60.0);
+        const SweptBroadphase broadphase(path, start_s, speed, cfg, ego,
+                                         lookahead);
+        const double reach =
+            std::hypot(ego.half_length, ego.half_width) +
+            std::hypot(cfg.half_length, cfg.half_width);
+
+        std::vector<FusedObject> objects, survivors;
+        const auto n = static_cast<std::size_t>(rng.uniform(0.0, 6.0));
+        for (std::size_t i = 0; i < n; ++i)
+            objects.push_back(cullProbe(rng, broadphase, path, start_s,
+                                        speed, cfg, reach,
+                                        static_cast<std::uint32_t>(i + 1)));
+        const Timestamp now = Timestamp::seconds(rng.uniform(0.0, 30.0));
+        for (const FusedObject &obj : objects) {
+            const double clear = broadphase.clearance(obj);
+            const auto alone = firstCollision(
+                path, start_s, speed, predictObjects({obj}, now, cfg), ego,
+                lookahead);
+            // Within a few margins of the cut.
+            at_cut += std::fabs(clear) <=
+                      8.0 * PreparedBox::broadphaseMargin(
+                                2.0 * maxAbs(anchor) + 100.0);
+            if (clear > 0.0) {
+                // A culled object collides at no sample on its own.
+                ++culled;
+                ASSERT_FALSE(alone.has_value())
+                    << "case " << c << " track " << obj.track_id
+                    << " clearance " << clear;
+            } else {
+                ++kept;
+                survivors.push_back(obj);
+                hits += alone.has_value();
+                edge_hits += alone.has_value() &&
+                             alone->time_to_impact > cfg.horizon_s;
+            }
+        }
+        ASSERT_TRUE(sameCollision(
+            firstCollision(path, start_s, speed,
+                           predictObjects(objects, now, cfg), ego, lookahead),
+            firstCollision(path, start_s, speed,
+                           predictObjects(survivors, now, cfg), ego,
+                           lookahead)))
+            << "case " << c;
+
+        // The planner, whose sweep starts where the ego projects and runs
+        // at max(speed, 1), against its copy that predicts everything.
+        PlannerInput input;
+        input.now = now;
+        input.reference_path = path;
+        const double s0 = rng.uniform(0.0, path.length());
+        input.ego_pose = Pose2{path.sample(s0) + Vec2(rng.uniform(-1.0, 1.0),
+                                                      rng.uniform(-1.0, 1.0)),
+                               path.headingAt(s0) + rng.uniform(-0.3, 0.3)};
+        input.ego_speed = rng.bernoulli(0.5)
+            ? speeds[static_cast<std::size_t>(rng.uniform(0.0, 8.0))]
+            : rng.uniform(0.0, 8.0);
+        if (rng.bernoulli(0.02))
+            input.ego_speed = kNaN;
+        const double plan_s = path.project(input.ego_pose.position).first;
+        const double plan_speed = std::max(input.ego_speed, 1.0);
+        const SweptBroadphase plan_broadphase(path, plan_s, plan_speed);
+        const double plan_reach = std::hypot(1.3, 0.7) + std::hypot(0.6, 0.6);
+        for (std::size_t i = 0; i < n; ++i)
+            input.objects.push_back(cullProbe(
+                rng, plan_broadphase, path, plan_s, plan_speed,
+                PredictionConfig{}, plan_reach,
+                static_cast<std::uint32_t>(i + 1)));
+        const MpcPlanner planner;
+        ASSERT_TRUE(samePlan(planPredictingEveryObject(planner, input),
+                             planner.plan(input)))
+            << "case " << c;
+    }
+    EXPECT_GT(culled, 1000u);
+    EXPECT_GT(kept, 1000u);
+    EXPECT_GT(at_cut, 1000u);
+    EXPECT_GT(hits, 300u);
+    EXPECT_GT(edge_hits, 30u);
+
+    // Where only the margin keeps an object: a zero-width ego at the
+    // start of a level route and a zero-width static object behind it,
+    // end to end, a few ulps past both radii at a large anchor. The
+    // cut's gap before its margin is positive, yet the rounded ends
+    // touch and the sweep hits at the first sample.
+    std::size_t margin_hits = 0;
+    for (int c = 0; c < 2000; ++c) {
+        const double base = std::ldexp(1.0, 20 + c % 24);
+        const Vec2 anchor(base + rng.uniform(0.0, 1.0), base);
+        const Polyline2 path(
+            std::vector<Vec2>{anchor, anchor + Vec2(30.0, 0.0)});
+        PredictionConfig cfg;
+        cfg.half_length = rng.uniform(0.1, 1.0);
+        cfg.half_width = 0.0;
+        EgoFootprint ego;
+        ego.half_length = rng.uniform(0.5, 2.0);
+        ego.half_width = 0.0;
+        const SweptBroadphase broadphase(path, 0.0, 2.0, cfg, ego);
+        const double reach = ego.half_length + cfg.half_length;
+        FusedObject obj;
+        obj.track_id = 1;
+        obj.position = Vec2(anchor.x() - reach, anchor.y());
+        for (int k = c % 5; k > 0; --k)
+            obj.position.x() = std::nextafter(obj.position.x(), 0.0);
+        const bool hit =
+            firstCollision(path, 0.0, 2.0,
+                           predictObjects({obj}, Timestamp::origin(), cfg),
+                           ego)
+                .has_value();
+        ASSERT_FALSE(broadphase.clearance(obj) > 0.0 && hit) << "case " << c;
+        margin_hits +=
+            hit && broadphase.samples().lo.x() - obj.position.x() - reach > 0.0;
+    }
+    EXPECT_GT(margin_hits, 20u);
 }
 
 } // namespace

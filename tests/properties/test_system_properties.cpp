@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "analysis/energy_model.h"
 #include "analysis/latency_model.h"
@@ -87,6 +88,14 @@ struct CacheCase
     std::uint64_t size_kb;
     std::uint32_t assoc;
 };
+
+/** Prints "64KB_4way". Without it gtest prints the struct's bytes,
+ *  padding included, and ctest names each case by that print. */
+void
+PrintTo(const CacheCase &c, std::ostream *os)
+{
+    *os << c.size_kb << "KB_" << c.assoc << "way";
+}
 
 class CacheContainment : public ::testing::TestWithParam<CacheCase>
 {

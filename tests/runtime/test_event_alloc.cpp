@@ -1,8 +1,8 @@
 // Allocation gate for the event core: once warmed up, fixed-rate
 // lanes, typed one-shots, the dataflow executor's per-frame path, the
-// closed loop's frame release, the planner's collision sweep and a
-// physics step's obstacle pass (radar corridor plus gap monitor)
-// allocate nothing. This binary replaces the global operator new with
+// closed loop's frame release, the planner's cycle and its collision
+// sweep and a physics step's obstacle pass (radar corridor plus gap
+// monitor) allocate nothing. This binary replaces the global operator new with
 // a counting one, so it runs apart from the other runtime tests.
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "fleet/fuzzer.h"
 #include "fleet/scenario.h"
 #include "planning/collision.h"
+#include "planning/mpc.h"
 #include "planning/planner_types.h"
 #include "platform/platform_model.h"
 #include "runtime/dataflow.h"
@@ -176,6 +177,42 @@ TEST(EventAlloc, WarmCollisionSweepAllocatesNothing)
     for (int i = 0; i < 100; ++i) {
         const auto hit = firstCollision(path, 0.0, 5.0, predictions);
         EXPECT_EQ(hit.has_value(), warm.has_value());
+    }
+    EXPECT_EQ(allocations() - before, 0u);
+}
+
+TEST(EventAlloc, WarmPlanWithObjectsAllocatesNothing)
+{
+    // plan() predicts the objects the swept broadphase keeps into
+    // storage the planner reuses and leaves the rest unpredicted: once
+    // a planner has planned as many survivors, a cycle allocates
+    // nothing.
+    PlannerInput input;
+    input.reference_path =
+        Polyline2(std::vector<Vec2>{Vec2(0.0, 0.0), Vec2(60.0, 0.0)});
+    input.ego_pose = Pose2{Vec2(0.0, 0.0), 0.0};
+    input.ego_speed = 5.0;
+    const Vec2 places[] = {Vec2(8.0, 0.5), Vec2(12.0, 3.0),
+                           Vec2(20.0, 30.0), Vec2(-25.0, 0.0)};
+    const SweptBroadphase broadphase(input.reference_path, 0.0,
+                                     input.ego_speed);
+    for (std::size_t i = 0; i < 4; ++i) {
+        FusedObject obj;
+        obj.track_id = static_cast<std::uint32_t>(i + 1);
+        obj.position = places[i];
+        if (i == 1)
+            obj.velocity = Vec2(0.0, -1.0);
+        input.objects.push_back(obj);
+        // The first two are live, the last two culled.
+        EXPECT_EQ(broadphase.clearance(obj) > 0.0, i >= 2) << "object " << i;
+    }
+    const MpcPlanner planner;
+    const MpcOutput warm = planner.plan(input);
+    ASSERT_LT(warm.target_speed, input.speed_limit);
+    const std::uint64_t before = allocations();
+    for (int i = 1; i <= 100; ++i) {
+        input.now = Timestamp::millisF(100.0 * i);
+        EXPECT_EQ(planner.plan(input).target_speed, warm.target_speed);
     }
     EXPECT_EQ(allocations() - before, 0u);
 }
