@@ -28,7 +28,9 @@
  * smoke=1 runs a reduced matrix (the smoke fault presets, shorter
  * horizon) for CI. Exit is nonzero if a supervised cell collided or
  * the async supervised column diverged: CI runs the matrix as a hard
- * robustness gate.
+ * robustness gate. threads outside [0, 1024] (0 = one per hardware
+ * thread), a horizon_s that is not a positive finite number, or a
+ * non-finite wall_x prints the usage line and exits 2.
  */
 #include <cmath>
 #include <cstdio>
@@ -71,8 +73,18 @@ main(int argc, char **argv)
         config.getDouble("horizon_s", smoke ? 20.0 : 40.0);
     const double wall_x = config.getDouble("wall_x", 40.0);
     const auto seed = static_cast<std::uint64_t>(config.getInt("seed", 1));
-    const auto threads =
-        static_cast<std::size_t>(config.getInt("threads", 0));
+    const std::int64_t threads_arg = config.getInt("threads", 0);
+    if (threads_arg < 0 || threads_arg > bench::kMaxBenchThreads ||
+        !std::isfinite(horizon_s) || horizon_s <= 0.0 ||
+        !std::isfinite(wall_x)) {
+        std::fprintf(stderr,
+                     "usage: bench_fault_matrix [smoke=1] [horizon_s>0] "
+                     "[wall_x=40] [seed=1] [threads=0..%lld] "
+                     "[out=BENCH_fault_matrix.json]\n",
+                     static_cast<long long>(bench::kMaxBenchThreads));
+        return 2;
+    }
+    const auto threads = static_cast<std::size_t>(threads_arg);
     const std::string out_path =
         config.getString("out", "BENCH_fault_matrix.json");
 

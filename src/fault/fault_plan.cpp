@@ -1,5 +1,7 @@
 #include "fault/fault_plan.h"
 
+#include <cmath>
+
 #include "core/logging.h"
 
 namespace sov::fault {
@@ -80,6 +82,11 @@ FaultPlan::add(const FaultSpec &spec)
 {
     SOV_ASSERT(!spec.name.empty());
     SOV_ASSERT(spec.probability >= 0.0 && spec.probability <= 1.0);
+    SOV_ASSERT(spec.window_end >= spec.window_start);
+    SOV_ASSERT(spec.latency >= Duration::zero());
+    SOV_ASSERT(std::isfinite(spec.multiplier) && spec.multiplier >= 0.0);
+    SOV_ASSERT(std::isfinite(spec.corruption_sigma) &&
+               spec.corruption_sigma >= 0.0);
     for (const auto &existing : channels_)
         SOV_ASSERT(existing->spec().name != spec.name);
     channels_.push_back(std::make_unique<FaultChannel>(
@@ -94,22 +101,6 @@ FaultPlan::setTraceRecorder(obs::TraceRecorder *recorder)
     recorder_ = recorder;
     for (const auto &channel : channels_)
         channel->setTraceRecorder(recorder);
-}
-
-FaultChannel *
-FaultPlan::find(FaultTarget target, FaultMode mode,
-                const std::string &stage)
-{
-    for (const auto &channel : channels_) {
-        const FaultSpec &s = channel->spec();
-        if (s.target != target || s.mode != mode)
-            continue;
-        if (target == FaultTarget::PipelineStage && !stage.empty() &&
-            s.stage != stage)
-            continue;
-        return channel.get();
-    }
-    return nullptr;
 }
 
 std::vector<FaultChannel *>
@@ -130,17 +121,6 @@ FaultPlan::totalInjections() const
     for (const auto &channel : channels_)
         total += channel->injections();
     return total;
-}
-
-FaultSpec
-perceptionMiss(double probability)
-{
-    FaultSpec spec;
-    spec.name = "perception-miss";
-    spec.target = FaultTarget::Perception;
-    spec.mode = FaultMode::Dropout;
-    spec.probability = probability;
-    return spec;
 }
 
 } // namespace sov::fault

@@ -21,6 +21,7 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -45,6 +46,10 @@ enum class FaultTarget
     CanBus,        //!< command frame loss on the CAN link
     Rpr,           //!< FPGA partial-reconfiguration failure
 };
+
+/** Number of FaultTarget values (Rpr is the last). */
+inline constexpr std::size_t kFaultTargetCount =
+    static_cast<std::size_t>(FaultTarget::Rpr) + 1;
 
 /** How the fault manifests. */
 enum class FaultMode
@@ -129,13 +134,11 @@ class FaultPlan
     FaultPlan &operator=(const FaultPlan &) = delete;
 
     /** Register @p spec; the returned channel lives as long as the
-     *  plan. Spec names must be unique within the plan. */
+     *  plan. Spec names must be unique within the plan; the
+     *  probability must lie in [0, 1], the window must not end before
+     *  it starts, and latency, multiplier and corruption sigma must be
+     *  non-negative (the last two finite). */
     FaultChannel &add(const FaultSpec &spec);
-
-    /** First channel matching target/mode (and stage name for
-     *  PipelineStage targets); nullptr if absent. */
-    FaultChannel *find(FaultTarget target, FaultMode mode,
-                       const std::string &stage = std::string());
 
     /** All channels aimed at @p target. */
     std::vector<FaultChannel *> channelsFor(FaultTarget target);
@@ -155,9 +158,5 @@ class FaultPlan
     std::vector<std::unique_ptr<FaultChannel>> channels_;
     obs::TraceRecorder *recorder_ = nullptr;
 };
-
-/** The legacy ClosedLoopConfig::perception_miss_probability knob as a
- *  FaultSpec (Sec. III-C scenario 2: the detector misses an object). */
-FaultSpec perceptionMiss(double probability);
 
 } // namespace sov::fault

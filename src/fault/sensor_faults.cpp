@@ -2,41 +2,14 @@
 
 namespace sov::fault {
 
-SensorDisposition
-SensorFaultHub::evaluate(FaultTarget sensor, Timestamp t)
+SensorFaultHub::SensorFaultHub(FaultPlan *plan)
 {
-    SensorDisposition disposition;
-    if (plan_ == nullptr)
-        return disposition;
-    for (FaultChannel *channel : plan_->channelsFor(sensor)) {
-        if (!channel->shouldInject(t))
-            continue;
-        switch (channel->spec().mode) {
-        case FaultMode::Dropout:
-            disposition.drop = true;
-            break;
-        case FaultMode::Freeze:
-            disposition.freeze = true;
-            break;
-        case FaultMode::LatencySpike:
-            disposition.extra_latency += channel->spec().latency;
-            break;
-        case FaultMode::Corruption:
-            disposition.corruption = channel;
-            break;
-        default:
-            break; // stage/CAN/RPR modes don't apply to sensor samples
-        }
+    if (plan == nullptr)
+        return;
+    for (std::size_t i = 0; i < kFaultTargetCount; ++i) {
+        by_target_[i] = plan->channelsFor(static_cast<FaultTarget>(i));
+        size_ += by_target_[i].size();
     }
-    return disposition;
-}
-
-std::function<bool(Timestamp)>
-makeDropoutFilter(FaultChannel *channel)
-{
-    if (channel == nullptr)
-        return {};
-    return [channel](Timestamp t) { return channel->shouldInject(t); };
 }
 
 } // namespace sov::fault

@@ -1,18 +1,20 @@
 /**
  * @file
- * Sensor-side fault evaluation: folds every channel of a FaultPlan
- * aimed at one sensor into a per-sample disposition (drop it, freeze
+ * Per-sample fault evaluation: folds every channel of a FaultPlan
+ * aimed at one target into a per-sample disposition (drop it, freeze
  * it, delay it, corrupt it). Consumers keep their own last-good state
  * for Freeze; the hub only decides.
  *
- * The radar and sonar models additionally expose a dropout filter
- * hook (sensors/radar.h, sensors/sonar.h) for code paths that talk to
- * the sensor object directly; makeDropoutFilter() adapts a channel to
- * that hook.
+ * The hub resolves the plan's channels target by target once, when it
+ * is built, so an evaluation walks a ready list and never allocates.
+ * It is the closed loop's one route for sensor, perception and CAN
+ * faults (sovpipe/closed_loop.h); the sensor models themselves carry
+ * no fault hooks.
  */
 #pragma once
 
-#include <functional>
+#include <array>
+#include <vector>
 
 #include "fault/fault_plan.h"
 
@@ -35,28 +37,63 @@ struct SensorDisposition
     }
 };
 
-/** Per-sensor view over a FaultPlan. */
+/** Per-target view over a FaultPlan. */
 class SensorFaultHub
 {
   public:
-    /** @param plan May be nullptr (fault-free: every disposition is
-     *  clean and nothing ever draws). Not owned. */
-    explicit SensorFaultHub(FaultPlan *plan = nullptr) : plan_(plan) {}
+    /** Resolve the channels @p plan holds now, per target in plan
+     *  order. nullptr = fault-free: every disposition is clean and
+     *  nothing ever draws. Not owned; must outlive the hub. */
+    explicit SensorFaultHub(FaultPlan *plan = nullptr);
 
     /**
-     * Evaluate all channels targeting @p sensor for one sample at
-     * @p t. Dropout wins over Freeze when both fire.
+     * Evaluate all channels aimed at @p target for one sample at
+     * @p t, each deciding on its own stream. Dropout wins over Freeze
+     * when both fire; a channel in a stage mode decides but changes
+     * nothing. Inline: the closed loop asks once per physics step and
+     * per perceived object, and a target with no channels must cost
+     * no call.
      */
-    SensorDisposition evaluate(FaultTarget sensor, Timestamp t);
+    SensorDisposition
+    evaluate(FaultTarget target, Timestamp t)
+    {
+        SensorDisposition disposition;
+        for (FaultChannel *channel : channels(target)) {
+            if (!channel->shouldInject(t))
+                continue;
+            switch (channel->spec().mode) {
+            case FaultMode::Dropout:
+                disposition.drop = true;
+                break;
+            case FaultMode::Freeze:
+                disposition.freeze = true;
+                break;
+            case FaultMode::LatencySpike:
+                disposition.extra_latency += channel->spec().latency;
+                break;
+            case FaultMode::Corruption:
+                disposition.corruption = channel;
+                break;
+            default:
+                break; // stage modes don't apply to samples
+            }
+        }
+        return disposition;
+    }
 
-    bool active() const { return plan_ != nullptr && !plan_->empty(); }
+    /** The channels aimed at @p target, in plan order. */
+    const std::vector<FaultChannel *> &
+    channels(FaultTarget target) const
+    {
+        return by_target_[static_cast<std::size_t>(target)];
+    }
+
+    /** Channels bound across all targets. */
+    std::size_t size() const { return size_; }
 
   private:
-    FaultPlan *plan_;
+    std::array<std::vector<FaultChannel *>, kFaultTargetCount> by_target_;
+    std::size_t size_ = 0;
 };
-
-/** Adapt @p channel to the sensors' dropout-filter hook. The channel
- *  must outlive the filter. */
-std::function<bool(Timestamp)> makeDropoutFilter(FaultChannel *channel);
 
 } // namespace sov::fault

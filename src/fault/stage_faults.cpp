@@ -10,6 +10,12 @@ void
 StageFaultInjector::addChannel(FaultChannel *channel)
 {
     SOV_ASSERT(channel != nullptr);
+    const FaultSpec &spec = channel->spec();
+    if (spec.mode == FaultMode::Dropout || spec.mode == FaultMode::Freeze ||
+        spec.mode == FaultMode::Corruption) {
+        SOV_FATAL("stage fault '" + spec.name + "' has sensor mode " +
+                  toString(spec.mode));
+    }
     channels_.push_back(channel);
 }
 
@@ -48,7 +54,7 @@ StageFaultInjector::execute(std::size_t frame)
             duration += spec.latency;
             break;
         default:
-            break; // sensor modes don't apply to stages
+            break; // addChannel refused the sensor modes
         }
     }
     return duration;

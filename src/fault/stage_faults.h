@@ -34,7 +34,9 @@ class StageFaultInjector final : public runtime::StageExecutor
 
     /** Attach a Crash / Hang / LatencyMultiplier / LatencySpike
      *  channel; evaluated in attachment order, first crash or hang
-     *  wins. Channel not owned, must outlive the injector. */
+     *  wins. Channel not owned, must outlive the injector. A channel
+     *  in a sensor mode (Dropout, Freeze, Corruption) is refused with
+     *  a fatal error naming its spec. */
     void addChannel(FaultChannel *channel);
 
     Duration execute(std::size_t frame) override;
@@ -54,7 +56,8 @@ class StageFaultInjector final : public runtime::StageExecutor
  * Wrap every stage named by a PipelineStage channel of @p plan with a
  * StageFaultInjector (in place, via StageGraph::replaceExecutor) and
  * attach the channels. Stages named by several channels get one
- * injector with all of them.
+ * injector with all of them. A stage channel in a sensor mode is
+ * refused (see StageFaultInjector::addChannel).
  * @return Number of stages wrapped.
  */
 std::size_t installStageFaults(runtime::StageGraph &graph, FaultPlan &plan,

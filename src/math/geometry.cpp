@@ -471,6 +471,11 @@ Vec2
 Polyline2::sample(double s) const
 {
     SOV_ASSERT(!points_.empty());
+    // NaN fails both clamps below, and the search would then read one
+    // past the end of cumlen_.
+    if (std::isnan(s))
+        return Vec2(std::numeric_limits<double>::quiet_NaN(),
+                    std::numeric_limits<double>::quiet_NaN());
     if (points_.size() == 1 || s <= 0.0)
         return points_.front();
     if (s >= length())

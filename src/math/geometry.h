@@ -245,7 +245,8 @@ class Polyline2
     /** Total arc length. */
     double length() const;
 
-    /** Point at arc length s (clamped to [0, length]). */
+    /** Point at arc length s (clamped to [0, length]); both
+     *  coordinates NaN for a NaN @p s. */
     Vec2 sample(double s) const;
 
     /** Tangent heading (radians) at arc length s. */

@@ -9,8 +9,6 @@ RadarModel::scan(const WorldSnapshot &world, const Pose2 &body,
                  const Vec2 &ego_velocity, Timestamp t)
 {
     std::vector<RadarDetection> detections;
-    if (dropout_filter_ && dropout_filter_(t))
-        return detections;
     const double boresight = body.heading + config_.mount_yaw;
 
     for (const auto &obs : world.obstacles()) {
@@ -47,8 +45,6 @@ RadarModel::nearestInPath(const WorldSnapshot &world, const Pose2 &body,
                           double corridor_half_width, Timestamp t,
                           double range) const
 {
-    if (dropout_filter_ && dropout_filter_(t))
-        return std::nullopt;
     // Three parallel rays across the corridor approximate the beam.
     return world.corridorcast(body.position, body.direction(),
                               corridor_half_width, config_.max_range, t,

@@ -6,11 +6,14 @@
  * obstacles in the field of view — the sensor that (1) replaces
  * compute-intensive visual tracking (Sec. VI-B) and (2) drives the
  * reactive safety path (Sec. IV).
+ *
+ * The model itself is always healthy: injected radar faults act in
+ * the closed loop (sovpipe/closed_loop.h), which asks its
+ * fault::SensorFaultHub before each reactive-path poll.
  */
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -76,17 +79,6 @@ class RadarModel
         double corridor_half_width, Timestamp t,
         double range = std::numeric_limits<double>::infinity()) const;
 
-    /**
-     * Fault hook: when set and returning true at a scan time, the unit
-     * produces no data for that scan (RF blanking, power glitch). The
-     * fault layer adapts a dropout FaultChannel to this signature.
-     */
-    void
-    setDropoutFilter(std::function<bool(Timestamp)> filter)
-    {
-        dropout_filter_ = std::move(filter);
-    }
-
     Duration period() const
     {
         return Duration::seconds(1.0 / config_.rate_hz);
@@ -97,7 +89,6 @@ class RadarModel
   private:
     RadarConfig config_;
     Rng rng_;
-    std::function<bool(Timestamp)> dropout_filter_;
 };
 
 } // namespace sov

@@ -9,8 +9,6 @@ SonarModel::ping(const WorldSnapshot &world, const Pose2 &body, Timestamp t)
 {
     SonarReading reading;
     reading.trigger_time = t;
-    if (dropout_filter_ && dropout_filter_(t))
-        return reading;
 
     // Sweep a few rays across the cone; nearest return wins.
     const double beam = body.heading + config_.mount_yaw;

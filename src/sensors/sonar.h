@@ -3,10 +3,12 @@
  * Ultrasonic (sonar) ranger — the short-range complement of radar on
  * the reactive path (Sec. IV). Reports the distance to the nearest
  * surface inside a wide cone, with a short maximum range.
+ *
+ * The model itself is always healthy; the closed loop does not drive
+ * a sonar, and rejects a fault plan that targets one.
  */
 #pragma once
 
-#include <functional>
 #include <optional>
 
 #include "core/rng.h"
@@ -43,14 +45,6 @@ class SonarModel
     /** Ping from the vehicle at @p body, time @p t. */
     SonarReading ping(const WorldSnapshot &world, const Pose2 &body, Timestamp t);
 
-    /** Fault hook: when set and returning true at a ping time, the
-     *  unit returns an empty reading (transducer dropout). */
-    void
-    setDropoutFilter(std::function<bool(Timestamp)> filter)
-    {
-        dropout_filter_ = std::move(filter);
-    }
-
     Duration period() const
     {
         return Duration::seconds(1.0 / config_.rate_hz);
@@ -61,7 +55,6 @@ class SonarModel
   private:
     SonarConfig config_;
     Rng rng_;
-    std::function<bool(Timestamp)> dropout_filter_;
 };
 
 } // namespace sov

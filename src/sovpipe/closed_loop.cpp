@@ -8,6 +8,33 @@
 
 namespace sov {
 
+namespace {
+
+/** Whether the closed loop applies @p spec (DESIGN.md, "Fault model
+ *  & degradation"); installStageFaults checks stage modes. */
+bool
+loopApplies(const fault::FaultSpec &spec)
+{
+    using fault::FaultMode;
+    switch (spec.target) {
+    case fault::FaultTarget::Camera:
+        return spec.mode == FaultMode::Dropout ||
+            spec.mode == FaultMode::Freeze ||
+            spec.mode == FaultMode::LatencySpike ||
+            spec.mode == FaultMode::Corruption;
+    case fault::FaultTarget::Perception:
+    case fault::FaultTarget::Radar:
+    case fault::FaultTarget::CanBus:
+        return spec.mode == FaultMode::Dropout;
+    case fault::FaultTarget::PipelineStage:
+        return true;
+    default:
+        return false; // no IMU, GPS, sonar or RPR in the loop
+    }
+}
+
+} // namespace
+
 ClosedLoopSim::ClosedLoopSim(World &world, Polyline2 route,
                              const ClosedLoopConfig &config,
                              const SovPipelineConfig &pipeline_config,
@@ -19,7 +46,6 @@ ClosedLoopSim::ClosedLoopSim(World &world, Polyline2 route,
       vehicle_(), ecu_(sim_, vehicle_), can_(sim_),
       radar_(RadarConfig{}, rng_.fork("radar")),
       reactive_(sim_, ecu_, radar_),
-      own_faults_(rng_.fork("fault")),
       sensor_faults_(config_.faults),
       gaps_(Duration::seconds(1.0 / config_.physics_rate_hz).toSeconds())
 {
@@ -29,32 +55,25 @@ ClosedLoopSim::ClosedLoopSim(World &world, Polyline2 route,
     pipeline_exec_.attachMetrics(&pipeline_metrics_);
     pipeline_exec_.setDeadline(config_.pipeline_deadline);
     can_.connect([this](const ControlCommand &cmd) { ecu_.onCommand(cmd); });
+    // Each command frame, camera frame, perceived object and radar
+    // sweep asks the hub.
+    can_.setLossFilter([this](Timestamp t) {
+        return sensor_faults_.evaluate(fault::FaultTarget::CanBus, t).drop;
+    });
     planner_input_.reference_path = route_;
     frame_slots_.resize(config_.max_frames_in_flight);
 
-    // Legacy perception-miss knob, now a first-class fault channel
-    // (Sec. III-C scenario 2). p = 0 creates no channel and draws
-    // nothing, so fault-free runs reproduce the pre-fault-layer
-    // schedule bit for bit.
-    if (config_.perception_miss_probability > 0.0) {
-        perception_miss_.push_back(&own_faults_.add(
-            fault::perceptionMiss(config_.perception_miss_probability)));
-    }
-
     if (config_.faults) {
-        for (fault::FaultChannel *ch :
-             config_.faults->channelsFor(fault::FaultTarget::Perception)) {
-            if (ch->spec().mode == fault::FaultMode::Dropout)
-                perception_miss_.push_back(ch);
-        }
-        // The reactive path polls the radar via the world oracle at
-        // physics rate; its dropout channel is consulted there (one
-        // draw per sweep) rather than through the model's filter hook.
-        radar_dropout_ = config_.faults->find(fault::FaultTarget::Radar,
-                                              fault::FaultMode::Dropout);
-        if (fault::FaultChannel *loss = config_.faults->find(
-                fault::FaultTarget::CanBus, fault::FaultMode::Dropout)) {
-            can_.setLossFilter(fault::makeDropoutFilter(loss));
+        for (std::size_t i = 0; i < fault::kFaultTargetCount; ++i) {
+            for (const fault::FaultChannel *ch : sensor_faults_.channels(
+                     static_cast<fault::FaultTarget>(i))) {
+                const fault::FaultSpec &spec = ch->spec();
+                if (!loopApplies(spec))
+                    SOV_FATAL("closed loop cannot apply fault '" +
+                              spec.name + "' (" +
+                              fault::toString(spec.target) + "/" +
+                              fault::toString(spec.mode) + ")");
+            }
         }
         fault::installStageFaults(pipeline_.graph(), *config_.faults,
                                   [this] { return sim_.now(); });
@@ -122,7 +141,6 @@ ClosedLoopSim::setTraceRecorder(obs::TraceRecorder *recorder)
 {
     recorder_ = recorder;
     pipeline_exec_.attachTrace(recorder);
-    own_faults_.setTraceRecorder(recorder);
     if (config_.faults)
         config_.faults->setTraceRecorder(recorder);
     if (!recorder_)
@@ -277,12 +295,8 @@ ClosedLoopSim::planningCycle()
                  now)) {
             // Injected vision failure: the detector misses this
             // object (each channel decides on its own stream).
-            bool missed = false;
-            for (fault::FaultChannel *ch : perception_miss_) {
-                if (ch->shouldInject(now))
-                    missed = true;
-            }
-            if (missed)
+            if (sensor_faults_.evaluate(fault::FaultTarget::Perception, now)
+                    .drop)
                 continue;
             FusedObject object;
             object.track_id = obs.id;
@@ -397,9 +411,8 @@ ClosedLoopSim::physicsStep()
     // than the planner (it bypasses the computing pipeline, Sec. IV).
     // Once SAFE_STOP latched the override, nothing may release it.
     if (config_.enable_reactive && !safe_stop_commanded_) {
-        const bool radar_out =
-            radar_dropout_ && radar_dropout_->shouldInject(sim_.now());
-        if (radar_out) {
+        if (sensor_faults_.evaluate(fault::FaultTarget::Radar, sim_.now())
+                .drop) {
             ++result_.sensor_dropouts;
             if (recorder_) {
                 recorder_->instant(trace_ids_.radar_dropout,
@@ -456,6 +469,10 @@ ClosedLoopSim::physicsStep()
 ClosedLoopResult
 ClosedLoopSim::run(Duration horizon)
 {
+    // The hub bound the plan at construction; a channel added since
+    // would never fire.
+    SOV_ASSERT(!config_.faults ||
+               config_.faults->size() == sensor_faults_.size());
     sim_.schedulePeriodic(
         Duration::seconds(1.0 / config_.planner_rate_hz),
         Duration::zero(), [this] { planningCycle(); });

@@ -66,10 +66,6 @@ struct ClosedLoopConfig
     double perception_range = 40.0;  //!< oracle-perception radius
     bool enable_reactive = true;
     bool enable_proactive = true;
-    /** Failure injection (Sec. III-C, scenario 2: "vision algorithms
-     *  produce wrong results, e.g., missing an object"): probability
-     *  that the perception stage drops an object this cycle. */
-    double perception_miss_probability = 0.0;
     /** Override the pipeline model with a fixed compute latency
      *  (for latency-sweep experiments); unset = run the Fig. 5
      *  dataflow graph on the simulation clock. */
@@ -87,7 +83,9 @@ struct ClosedLoopConfig
     std::uint64_t max_frames_in_flight = 3;
     /** Fault scenario to run under (Sec. III-C). Not owned; must
      *  outlive the sim. nullptr = fault-free. A plan whose channels
-     *  never fire leaves the run bit-identical to a fault-free one. */
+     *  never fire leaves the run bit-identical to a fault-free one.
+     *  Bound when the sim is built; a channel the loop cannot apply
+     *  is refused (DESIGN.md, "Fault model & degradation"). */
     fault::FaultPlan *faults = nullptr;
     /** Run the HealthMonitor + DegradationManager (one supervision
      *  cycle per planning cycle). Off = faults still inject but
@@ -256,14 +254,9 @@ class ClosedLoopSim
     MpcPlanner planner_;
 
     // Fault + health wiring.
-    /** Holds the legacy perception_miss_probability knob as a real
-     *  fault channel; forked off rng_ so constructing it never
-     *  perturbs the simulation streams. */
-    fault::FaultPlan own_faults_;
-    /** All Perception/Dropout channels (legacy + external plan). */
-    std::vector<fault::FaultChannel *> perception_miss_;
+    /** config_.faults, resolved per target: the one route by which
+     *  camera, perception, radar and CAN faults reach the loop. */
     fault::SensorFaultHub sensor_faults_;
-    fault::FaultChannel *radar_dropout_ = nullptr;
     std::unique_ptr<health::HealthMonitor> health_;
     /** The monitor's ids of the camera and radar streams. */
     health::SensorId camera_sensor_ = 0;

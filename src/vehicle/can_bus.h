@@ -42,7 +42,8 @@ class CanBus final : private EventTarget
     /**
      * Fault hook: when set and returning true at a transmit time, the
      * frame is counted sent but never delivered (bus error / arbitration
-     * loss). The fault layer adapts a FaultChannel to this signature.
+     * loss). The closed loop routes its CanBus fault channels here
+     * through fault::SensorFaultHub.
      */
     void
     setLossFilter(std::function<bool(Timestamp)> filter)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "fault/fault_plan.h"
+#include "fault/perception_miss_spec.h"
 #include "sovpipe/closed_loop.h"
 
 namespace sov {
@@ -47,12 +48,19 @@ runScenario(const ClosedLoopConfig &cfg, std::uint64_t seed,
 
 TEST(AsyncClosedLoop, SameSeedSameResult)
 {
-    ClosedLoopConfig cfg;
-    cfg.pipeline_mode = PipelineMode::Async;
-    cfg.perception_miss_probability = 0.3;
-    cfg.enable_health = true;
-    const auto a = runScenario(cfg, 11);
-    const auto b = runScenario(cfg, 11);
+    // Each run gets a fresh plan: a channel's stream is part of its
+    // state.
+    const auto run = [] {
+        FaultPlan plan(Rng(11).fork("fault"));
+        plan.add(test::perceptionMiss(0.3));
+        ClosedLoopConfig cfg;
+        cfg.pipeline_mode = PipelineMode::Async;
+        cfg.faults = &plan;
+        cfg.enable_health = true;
+        return runScenario(cfg, 11);
+    };
+    const auto a = run();
+    const auto b = run();
     EXPECT_EQ(a.collided, b.collided);
     EXPECT_EQ(a.min_gap, b.min_gap);
     EXPECT_EQ(a.availability, b.availability);

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include "fault/fault_plan.h"
+#include "fault/perception_miss_spec.h"
 #include "sovpipe/closed_loop.h"
 
 namespace sov {
 namespace {
 
+using fault::FaultChannel;
 using fault::FaultMode;
 using fault::FaultPlan;
 using fault::FaultSpec;
@@ -60,12 +62,18 @@ runScenario(const ClosedLoopConfig &cfg, std::uint64_t seed,
 
 TEST(ClosedLoopDeterminism, SameSeedSameResult)
 {
-    // Satellite: identical seeds must give bit-identical results.
-    ClosedLoopConfig cfg;
-    cfg.perception_miss_probability = 0.3;
-    cfg.enable_health = true;
-    const auto a = runScenario(cfg, 11);
-    const auto b = runScenario(cfg, 11);
+    // Identical seeds must give bit-identical results. Each run gets a
+    // fresh plan: a channel's stream is part of its state.
+    const auto run = [] {
+        FaultPlan plan(Rng(11).fork("fault"));
+        plan.add(test::perceptionMiss(0.3));
+        ClosedLoopConfig cfg;
+        cfg.faults = &plan;
+        cfg.enable_health = true;
+        return runScenario(cfg, 11);
+    };
+    const auto a = run();
+    const auto b = run();
     expectBitIdentical(a, b);
     EXPECT_EQ(a.final_level, b.final_level);
     EXPECT_EQ(a.worst_level, b.worst_level);
@@ -270,17 +278,19 @@ TEST(ClosedLoopFaults, CanFrameLossIsCountedAndSurvivable)
 
 TEST(ClosedLoopFaults, PerceptionMissChannelMatchesLegacyBehavior)
 {
-    // The legacy knob now routes through a fault channel; the
-    // behavioral contract of the original tests must hold: near-total
-    // vision failure without the reactive path collides, with it the
-    // vehicle stops.
+    // Near-total vision failure without the reactive path collides;
+    // with it the vehicle stops.
+    FaultPlan dangerous_plan(Rng(7).fork("fault"));
+    dangerous_plan.add(test::perceptionMiss(0.97));
     ClosedLoopConfig dangerous;
     dangerous.enable_reactive = false;
-    dangerous.perception_miss_probability = 0.97;
+    dangerous.faults = &dangerous_plan;
     EXPECT_TRUE(runScenario(dangerous, 7, 40.0, 30.0).collided);
 
+    FaultPlan covered_plan(Rng(7).fork("fault"));
+    covered_plan.add(test::perceptionMiss(0.97));
     ClosedLoopConfig covered;
-    covered.perception_miss_probability = 0.97;
+    covered.faults = &covered_plan;
     const auto saved = runScenario(covered, 7, 40.0, 30.0);
     EXPECT_FALSE(saved.collided);
     EXPECT_TRUE(saved.stopped);
@@ -288,8 +298,7 @@ TEST(ClosedLoopFaults, PerceptionMissChannelMatchesLegacyBehavior)
 
 TEST(ClosedLoopFaults, ExternalPerceptionChannelAlsoCausesMisses)
 {
-    // A Perception/Dropout channel in an external plan feeds the same
-    // miss logic as the legacy knob.
+    // A Perception/Dropout channel on any plan stream causes misses.
     FaultPlan plan(Rng(6));
     FaultSpec miss;
     miss.name = "vision-miss";
@@ -326,6 +335,65 @@ TEST(ClosedLoopFaults, CameraFreezeServesStaleWorld)
     EXPECT_FALSE(result.collided);
     EXPECT_TRUE(result.stopped);
     EXPECT_EQ(result.worst_level, DegradationLevel::Nominal);
+}
+
+TEST(ClosedLoopFaults, EveryRadarDropoutChannelBlanksItsWindow)
+{
+    // Two radar dropout channels with disjoint windows: each blanks
+    // the 200 Hz sweeps of its own second, and every blanked sweep
+    // counts as a sensor dropout.
+    FaultPlan plan(Rng(8));
+    FaultSpec early;
+    early.name = "radar-early";
+    early.target = FaultTarget::Radar;
+    early.mode = FaultMode::Dropout;
+    early.window_start = Timestamp::seconds(1.0);
+    early.window_end = Timestamp::seconds(2.0);
+    FaultChannel &a = plan.add(early);
+    FaultSpec late = early;
+    late.name = "radar-late";
+    late.window_start = Timestamp::seconds(3.0);
+    late.window_end = Timestamp::seconds(4.0);
+    FaultChannel &b = plan.add(late);
+
+    ClosedLoopConfig cfg;
+    cfg.faults = &plan;
+    const auto result = runScenario(cfg, 29, /*wall_x=*/0.0,
+                                    /*horizon_s=*/5.0);
+
+    EXPECT_EQ(a.injections(), 200u);
+    EXPECT_EQ(b.injections(), 200u);
+    EXPECT_EQ(result.sensor_dropouts, 400u);
+}
+
+/** Build a sim over a plan holding only @p spec (the constructor
+ *  binds and checks the plan). */
+void
+bindOnly(FaultSpec spec)
+{
+    FaultPlan plan(Rng(9));
+    spec.name = "unsupported";
+    plan.add(spec);
+    ClosedLoopConfig cfg;
+    cfg.faults = &plan;
+    World world;
+    ClosedLoopSim sim(world, straightRoute(), cfg, SovPipelineConfig{},
+                      Rng(30));
+}
+
+TEST(ClosedLoopFaultsDeathTest, RejectsChannelsTheLoopCannotApply)
+{
+    FaultSpec spec;
+    spec.target = FaultTarget::Radar;
+    spec.mode = FaultMode::Freeze;
+    EXPECT_DEATH(bindOnly(spec), "'unsupported' \\(radar/freeze\\)");
+    spec.target = FaultTarget::Perception;
+    spec.mode = FaultMode::Corruption;
+    EXPECT_DEATH(bindOnly(spec),
+                 "'unsupported' \\(perception/corruption\\)");
+    spec.target = FaultTarget::Imu;
+    spec.mode = FaultMode::Dropout;
+    EXPECT_DEATH(bindOnly(spec), "'unsupported' \\(imu/dropout\\)");
 }
 
 } // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "fault/fault_plan.h"
 #include "fault/sensor_faults.h"
 
@@ -125,22 +127,70 @@ TEST(FaultPlan, FindMatchesTargetModeAndStage)
     stage.stage = "planning";
     plan.add(stage);
 
-    EXPECT_NE(plan.find(FaultTarget::Camera, FaultMode::Dropout), nullptr);
-    EXPECT_EQ(plan.find(FaultTarget::Camera, FaultMode::Freeze), nullptr);
-    EXPECT_NE(plan.find(FaultTarget::PipelineStage, FaultMode::Crash,
-                        "planning"),
-              nullptr);
-    EXPECT_EQ(plan.find(FaultTarget::PipelineStage, FaultMode::Crash,
-                        "tracking"),
-              nullptr);
-    EXPECT_EQ(plan.channelsFor(FaultTarget::Camera).size(), 1u);
+    const auto cams = plan.channelsFor(FaultTarget::Camera);
+    ASSERT_EQ(cams.size(), 1u);
+    EXPECT_EQ(cams[0]->spec().mode, FaultMode::Dropout);
+    const auto stages = plan.channelsFor(FaultTarget::PipelineStage);
+    ASSERT_EQ(stages.size(), 1u);
+    EXPECT_EQ(stages[0]->spec().mode, FaultMode::Crash);
+    EXPECT_EQ(stages[0]->spec().stage, "planning");
+    EXPECT_TRUE(plan.channelsFor(FaultTarget::Radar).empty());
     EXPECT_EQ(plan.size(), 2u);
+}
+
+/** A spec that passes FaultPlan::add's checks. */
+FaultSpec
+validSpec()
+{
+    FaultSpec spec;
+    spec.name = "valid";
+    return spec;
+}
+
+TEST(FaultPlanDeathTest, RejectsWindowEndingBeforeItStarts)
+{
+    FaultPlan plan(Rng(1));
+    FaultSpec spec = validSpec();
+    spec.window_start = Timestamp::seconds(2.0);
+    spec.window_end = Timestamp::seconds(1.0);
+    EXPECT_DEATH(plan.add(spec), "window_end >= spec.window_start");
+    // An empty window [t, t) is legal: it never fires.
+    spec.window_end = spec.window_start;
+    EXPECT_FALSE(plan.add(spec).shouldInject(spec.window_start));
+}
+
+TEST(FaultPlanDeathTest, RejectsNegativeLatency)
+{
+    FaultPlan plan(Rng(1));
+    FaultSpec spec = validSpec();
+    spec.latency = Duration::millisF(-1.0);
+    EXPECT_DEATH(plan.add(spec), "latency >= Duration::zero");
+}
+
+TEST(FaultPlanDeathTest, RejectsNegativeOrNonFiniteMultiplier)
+{
+    FaultPlan plan(Rng(1));
+    for (const double bad : {-0.5, std::nan(""), HUGE_VAL}) {
+        FaultSpec spec = validSpec();
+        spec.multiplier = bad;
+        EXPECT_DEATH(plan.add(spec), "multiplier") << bad;
+    }
+}
+
+TEST(FaultPlanDeathTest, RejectsNegativeOrNonFiniteCorruptionSigma)
+{
+    FaultPlan plan(Rng(1));
+    for (const double bad : {-0.1, std::nan(""), HUGE_VAL}) {
+        FaultSpec spec = validSpec();
+        spec.corruption_sigma = bad;
+        EXPECT_DEATH(plan.add(spec), "corruption_sigma") << bad;
+    }
 }
 
 TEST(SensorFaultHub, NullPlanIsAlwaysClean)
 {
     SensorFaultHub hub(nullptr);
-    EXPECT_FALSE(hub.active());
+    EXPECT_EQ(hub.size(), 0u);
     const SensorDisposition d =
         hub.evaluate(FaultTarget::Camera, Timestamp::origin());
     EXPECT_FALSE(d.any());
@@ -162,7 +212,7 @@ TEST(SensorFaultHub, FoldsChannelsIntoDisposition)
     plan.add(spike);
 
     SensorFaultHub hub(&plan);
-    EXPECT_TRUE(hub.active());
+    EXPECT_EQ(hub.size(), 2u);
     const SensorDisposition d =
         hub.evaluate(FaultTarget::Imu, Timestamp::origin());
     EXPECT_TRUE(d.drop);
@@ -172,27 +222,29 @@ TEST(SensorFaultHub, FoldsChannelsIntoDisposition)
         hub.evaluate(FaultTarget::Gps, Timestamp::origin()).any());
 }
 
-TEST(SensorFaultHub, DropoutFilterAdapterFiresChannel)
+TEST(SensorFaultHub, ResolvesChannelsPerTargetInPlanOrder)
 {
     FaultPlan plan(Rng(5));
-    FaultSpec drop;
-    drop.name = "sonar-drop";
-    drop.target = FaultTarget::Sonar;
-    drop.mode = FaultMode::Dropout;
-    drop.window_start = Timestamp::seconds(1.0);
-    FaultChannel &ch = plan.add(drop);
+    for (const char *name : {"radar-a", "cam", "radar-b"}) {
+        FaultSpec spec;
+        spec.name = name;
+        spec.target = name[0] == 'c' ? FaultTarget::Camera
+                                     : FaultTarget::Radar;
+        plan.add(spec);
+    }
+    SensorFaultHub hub(&plan);
+    EXPECT_EQ(hub.size(), 3u);
+    const auto &radar = hub.channels(FaultTarget::Radar);
+    ASSERT_EQ(radar.size(), 2u);
+    EXPECT_EQ(radar[0]->spec().name, "radar-a");
+    EXPECT_EQ(radar[1]->spec().name, "radar-b");
+    EXPECT_EQ(hub.channels(FaultTarget::Camera).size(), 1u);
+    EXPECT_TRUE(hub.channels(FaultTarget::Sonar).empty());
 
-    auto filter = makeDropoutFilter(&ch);
-    EXPECT_FALSE(filter(Timestamp::origin()));
-    EXPECT_TRUE(filter(Timestamp::seconds(2.0)));
-}
-
-TEST(FaultPlan, PerceptionMissHelperMapsLegacyKnob)
-{
-    const FaultSpec spec = perceptionMiss(0.25);
-    EXPECT_EQ(spec.target, FaultTarget::Perception);
-    EXPECT_EQ(spec.mode, FaultMode::Dropout);
-    EXPECT_DOUBLE_EQ(spec.probability, 0.25);
+    // Both radar channels decide on every evaluation.
+    EXPECT_TRUE(hub.evaluate(FaultTarget::Radar, Timestamp::origin()).drop);
+    EXPECT_EQ(radar[0]->injections(), 1u);
+    EXPECT_EQ(radar[1]->injections(), 1u);
 }
 
 } // namespace

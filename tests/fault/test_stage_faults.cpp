@@ -46,6 +46,20 @@ TEST(StageFaults, InstallWrapsOnlyNamedStages)
     EXPECT_STREQ(g.executor(g.findStage("a")).kind(), "fixed");
 }
 
+TEST(StageFaultsDeathTest, InstallRejectsSensorModes)
+{
+    // A stage produces no sample to drop, freeze or corrupt.
+    for (const FaultMode mode :
+         {FaultMode::Dropout, FaultMode::Freeze, FaultMode::Corruption}) {
+        StageGraph g = twoStageGraph();
+        FaultPlan plan(Rng(1));
+        plan.add(stageFault("b-sensor-mode", "b", mode));
+        EXPECT_DEATH(installStageFaults(g, plan, {}),
+                     "stage fault 'b-sensor-mode' has sensor mode")
+            << toString(mode);
+    }
+}
+
 TEST(StageFaults, CrashAbandonsFrameEvenUnsupervised)
 {
     // A crash is a hard failure: with no watchdog policy there is no

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "math/geometry.h"
 
@@ -114,6 +115,21 @@ TEST(Polyline2, LengthAndSample)
     // Clamping.
     EXPECT_EQ(line.sample(-1.0), Vec2(0.0, 0.0));
     EXPECT_EQ(line.sample(100.0), Vec2(3.0, 4.0));
+}
+
+TEST(Polyline2, SampleOfNaNIsNaN)
+{
+    // A NaN arc length fails both clamps; the segment search must not
+    // run (it would read past the arc-length table).
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const Polyline2 &line :
+         {Polyline2({Vec2(0, 0), Vec2(3, 0)}),
+          Polyline2({Vec2(0, 0), Vec2(3, 0), Vec2(3, 4)}),
+          Polyline2({Vec2(1, 2)})}) {
+        const Vec2 p = line.sample(nan);
+        EXPECT_TRUE(std::isnan(p.x()));
+        EXPECT_TRUE(std::isnan(p.y()));
+    }
 }
 
 TEST(Polyline2, HeadingAt)

@@ -1,9 +1,10 @@
 // Allocation gate for the event core: once warmed up, fixed-rate
 // lanes, typed one-shots, the dataflow executor's per-frame path, the
-// closed loop's frame release, the planner's cycle and its collision
-// sweep and a physics step's obstacle pass (radar corridor plus gap
-// monitor) allocate nothing. This binary replaces the global operator new with
-// a counting one, so it runs apart from the other runtime tests.
+// closed loop's frame release (with or without a silent fault plan),
+// the planner's cycle and its collision sweep and a physics step's
+// obstacle pass (radar corridor plus gap monitor) allocate nothing.
+// This binary replaces the global operator new with a counting one, so
+// it runs apart from the other runtime tests.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -127,15 +128,17 @@ TEST(EventAlloc, DataflowFramesAllocateNothing)
 }
 
 /** Allocations made building and running a closed loop on an empty
- *  straight road for @p horizon_s, and the frames it completed. */
+ *  straight road for @p horizon_s under @p faults (may be nullptr),
+ *  and the frames it completed. */
 std::pair<std::uint64_t, std::size_t>
-closedLoopRun(double horizon_s)
+closedLoopRun(double horizon_s, fault::FaultPlan *faults = nullptr)
 {
     World world;
     const Polyline2 route(std::vector<Vec2>{Vec2(0.0, 0.0), Vec2(2000.0, 0.0)});
+    ClosedLoopConfig config;
+    config.faults = faults;
     const std::uint64_t before = allocations();
-    ClosedLoopSim sim(world, route, ClosedLoopConfig{}, SovPipelineConfig{},
-                      Rng(1));
+    ClosedLoopSim sim(world, route, config, SovPipelineConfig{}, Rng(1));
     (void)sim.run(Duration::seconds(horizon_s));
     return {allocations() - before, sim.pipelineMetrics().count("total")};
 }
@@ -150,6 +153,36 @@ TEST(EventAlloc, ClosedLoopFramesAllocateNothing)
     // would not fit std::function's inline buffer: one per frame).
     const auto [short_allocs, short_frames] = closedLoopRun(10.0);
     const auto [long_allocs, long_frames] = closedLoopRun(40.0);
+    ASSERT_GT(long_frames, short_frames + 200);
+    const double per_frame =
+        static_cast<double>(long_allocs - short_allocs) /
+        static_cast<double>(long_frames - short_frames);
+    EXPECT_LT(per_frame, 0.25) << (long_allocs - short_allocs)
+                               << " allocations over "
+                               << (long_frames - short_frames) << " frames";
+}
+
+TEST(EventAlloc, ClosedLoopFramesWithSilentFaultsAllocateNothing)
+{
+    // The same gate under a plan whose camera and radar channels never
+    // fire: every planning cycle and physics step still asks the fault
+    // hub, which walks lists resolved when the sim was built.
+    const auto silentPlan = [](fault::FaultPlan &plan) {
+        for (const fault::FaultTarget target :
+             {fault::FaultTarget::Camera, fault::FaultTarget::Radar}) {
+            fault::FaultSpec spec;
+            spec.name = fault::toString(target);
+            spec.target = target;
+            spec.probability = 0.0;
+            plan.add(spec);
+        }
+    };
+    fault::FaultPlan short_plan(Rng(2));
+    silentPlan(short_plan);
+    fault::FaultPlan long_plan(Rng(2));
+    silentPlan(long_plan);
+    const auto [short_allocs, short_frames] = closedLoopRun(10.0, &short_plan);
+    const auto [long_allocs, long_frames] = closedLoopRun(40.0, &long_plan);
     ASSERT_GT(long_frames, short_frames + 200);
     const double per_frame =
         static_cast<double>(long_allocs - short_allocs) /

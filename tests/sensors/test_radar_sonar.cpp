@@ -100,27 +100,6 @@ TEST(Radar, NearestInPathEmptyWhenClear)
                                      Timestamp::origin()).has_value());
 }
 
-TEST(Radar, DropoutFilterBlanksScanAndPath)
-{
-    RadarConfig cfg;
-    cfg.detection_probability = 1.0;
-    RadarModel radar(cfg, Rng(10));
-    const World w = worldWithCar(12.0, 0.0);
-    // Blank the unit from t = 1 s onward.
-    radar.setDropoutFilter([](Timestamp t) {
-        return t >= Timestamp::seconds(1.0);
-    });
-
-    EXPECT_FALSE(radar.scan(w, Pose2{Vec2(0, 0), 0.0}, Vec2(0, 0),
-                            Timestamp::origin()).empty());
-    EXPECT_TRUE(radar.scan(w, Pose2{Vec2(0, 0), 0.0}, Vec2(0, 0),
-                           Timestamp::seconds(2.0)).empty());
-    EXPECT_TRUE(radar.nearestInPath(w, Pose2{Vec2(0, 0), 0.0}, 0.8,
-                                    Timestamp::origin()).has_value());
-    EXPECT_FALSE(radar.nearestInPath(w, Pose2{Vec2(0, 0), 0.0}, 0.8,
-                                     Timestamp::seconds(2.0)).has_value());
-}
-
 TEST(Sonar, ShortRangeDetection)
 {
     SonarConfig cfg;
@@ -152,22 +131,6 @@ TEST(Sonar, ConeCatchesOffAxis)
     const auto r = sonar.ping(w, Pose2{Vec2(0, 0), 0.0},
                               Timestamp::origin());
     EXPECT_TRUE(r.range.has_value());
-}
-
-TEST(Sonar, DropoutFilterBlanksPing)
-{
-    SonarConfig cfg;
-    cfg.range_noise = 0.0;
-    SonarModel sonar(cfg, Rng(11));
-    const World w = worldWithCar(4.0, 0.0);
-    sonar.setDropoutFilter([](Timestamp t) {
-        return t >= Timestamp::seconds(1.0);
-    });
-
-    EXPECT_TRUE(sonar.ping(w, Pose2{Vec2(0, 0), 0.0},
-                           Timestamp::origin()).range.has_value());
-    EXPECT_FALSE(sonar.ping(w, Pose2{Vec2(0, 0), 0.0},
-                            Timestamp::seconds(2.0)).range.has_value());
 }
 
 } // namespace

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "fault/perception_miss_spec.h"
 #include "sovpipe/closed_loop.h"
 
 namespace sov {
@@ -131,9 +132,11 @@ TEST(ClosedLoop, VisionFailureAloneIsDangerous)
     // frames. The proactive path alone cannot be trusted.
     World world;
     world.addObstacle(wallAt(40.0));
+    fault::FaultPlan plan(Rng(7).fork("fault"));
+    plan.add(test::perceptionMiss(0.97));
     ClosedLoopConfig cfg;
     cfg.enable_reactive = false;
-    cfg.perception_miss_probability = 0.97;
+    cfg.faults = &plan;
     ClosedLoopSim sim(world, straightRoute(), cfg, SovPipelineConfig{},
                       Rng(7));
     const auto result = sim.run(Duration::seconds(30.0));
@@ -146,8 +149,10 @@ TEST(ClosedLoop, ReactivePathCoversVisionFailure)
     // ("the last line of defense", Sec. IV) stops the vehicle.
     World world;
     world.addObstacle(wallAt(40.0));
+    fault::FaultPlan plan(Rng(7).fork("fault"));
+    plan.add(test::perceptionMiss(0.97));
     ClosedLoopConfig cfg;
-    cfg.perception_miss_probability = 0.97;
+    cfg.faults = &plan;
     ClosedLoopSim sim(world, straightRoute(), cfg, SovPipelineConfig{},
                       Rng(7));
     const auto result = sim.run(Duration::seconds(30.0));
@@ -163,8 +168,10 @@ TEST(ClosedLoop, OccasionalMissesHandledProactively)
     // reactive trigger needed for a far obstacle.
     World world;
     world.addObstacle(wallAt(60.0));
+    fault::FaultPlan plan(Rng(8).fork("fault"));
+    plan.add(test::perceptionMiss(0.3));
     ClosedLoopConfig cfg;
-    cfg.perception_miss_probability = 0.3;
+    cfg.faults = &plan;
     ClosedLoopSim sim(world, straightRoute(), cfg, SovPipelineConfig{},
                       Rng(8));
     const auto result = sim.run(Duration::seconds(60.0));

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "fault/fault_plan.h"
+#include "fault/perception_miss_spec.h"
 #include "sovpipe/closed_loop.h"
 
 namespace sov {
@@ -59,11 +60,18 @@ TEST(ClosedLoopTrace, TracedRunIsBitIdenticalToUntraced)
 {
     // The acceptance bar for the spine: attaching a recorder must not
     // move a single bit of the simulation outcome.
+    // Each run gets a fresh plan: a channel's stream is part of its
+    // state.
+    FaultPlan bare_plan(Rng(31).fork("fault"));
+    bare_plan.add(test::perceptionMiss(0.3));
+    FaultPlan traced_plan(Rng(31).fork("fault"));
+    traced_plan.add(test::perceptionMiss(0.3));
     ClosedLoopConfig cfg;
-    cfg.perception_miss_probability = 0.3;
     cfg.enable_health = true;
+    cfg.faults = &bare_plan;
     const ClosedLoopResult bare = runScenario(cfg, 31, nullptr);
     obs::TraceRecorder rec;
+    cfg.faults = &traced_plan;
     const ClosedLoopResult traced = runScenario(cfg, 31, &rec);
 
     EXPECT_EQ(bare.collided, traced.collided);

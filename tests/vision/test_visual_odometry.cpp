@@ -34,9 +34,17 @@ renderAt(const World &w, const CameraModel &cam, const Pose2 &body)
 
 struct MotionCase
 {
+    const char *name;
     Pose2 from;
     Pose2 to;
 };
+
+/** Names each case after its motion, so the ctest IDs read as such. */
+void
+PrintTo(const MotionCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class VoMotion : public ::testing::TestWithParam<MotionCase>
 {
@@ -73,14 +81,16 @@ INSTANTIATE_TEST_SUITE_P(
     Motions, VoMotion,
     ::testing::Values(
         // Pure forward motion (one camera frame at 5.6 m/s, 30 FPS).
-        MotionCase{Pose2{Vec2(0, 0), 0.0}, Pose2{Vec2(0.19, 0.0), 0.0}},
+        MotionCase{"forward", Pose2{Vec2(0, 0), 0.0},
+                   Pose2{Vec2(0.19, 0.0), 0.0}},
         // Forward + slight yaw (turning).
-        MotionCase{Pose2{Vec2(0, 0), 0.0},
+        MotionCase{"forward_yaw", Pose2{Vec2(0, 0), 0.0},
                    Pose2{Vec2(0.18, 0.02), 0.012}},
         // Stationary.
-        MotionCase{Pose2{Vec2(2, 0), 0.0}, Pose2{Vec2(2, 0), 0.0}},
+        MotionCase{"stationary", Pose2{Vec2(2, 0), 0.0},
+                   Pose2{Vec2(2, 0), 0.0}},
         // Lateral drift with rotation.
-        MotionCase{Pose2{Vec2(1, 0.5), 0.05},
+        MotionCase{"lateral_yaw", Pose2{Vec2(1, 0.5), 0.05},
                    Pose2{Vec2(1.2, 0.56), 0.065}}));
 
 TEST(VisualOdometry, FailsGracefullyOnTexturelessScene)
