@@ -21,6 +21,9 @@
  *    tier silently degrades to the Fast scalar loops — safe, because
  *    every Simd loop is gated bit-identical (or documented-epsilon
  *    where vectorization reassociates a reduction) against Reference.
+ *    A kernel keeps vector bodies only while they pay (at least 1.2×
+ *    over Fast in paired runs): stereo SAD, convolution, FFT and KCF
+ *    do; ICP did not, so its Simd tier runs the Fast code exactly.
  *
  * Determinism contract (Fast and Simd backends): outputs depend only
  * on the inputs and the kernel configuration — never on the thread

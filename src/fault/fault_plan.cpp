@@ -11,14 +11,10 @@ toString(FaultTarget target)
 {
     switch (target) {
     case FaultTarget::Camera: return "camera";
-    case FaultTarget::Imu: return "imu";
-    case FaultTarget::Gps: return "gps";
     case FaultTarget::Radar: return "radar";
-    case FaultTarget::Sonar: return "sonar";
     case FaultTarget::Perception: return "perception";
     case FaultTarget::PipelineStage: return "stage";
     case FaultTarget::CanBus: return "can";
-    case FaultTarget::Rpr: return "rpr";
     }
     return "?";
 }

@@ -4,11 +4,12 @@
  *
  * The paper's safety argument rests on the vehicle staying safe when
  * components misbehave: sensors go silent or lie, pipeline stages
- * crash, hang or blow their latency budget, the CAN link drops frames,
- * the FPGA fails to reconfigure. A FaultPlan describes such scenarios
- * as a set of FaultSpecs — each an injection window, a per-event
- * probability, and mode-specific magnitudes — and materializes one
- * FaultChannel per spec.
+ * crash, hang or blow their latency budget, the CAN link drops frames.
+ * A FaultPlan describes such scenarios as a set of FaultSpecs — each
+ * an injection window, a per-event probability, and mode-specific
+ * magnitudes — and materializes one FaultChannel per spec. (The FPGA
+ * failing to reconfigure is not a channel: RprEngine's
+ * reconfigureWithFaults takes that probability directly.)
  *
  * Determinism rules:
  *  - every channel forks its own Rng stream from the plan seed keyed
@@ -37,19 +38,15 @@ namespace sov::fault {
 enum class FaultTarget
 {
     Camera,
-    Imu,
-    Gps,
     Radar,
-    Sonar,
     Perception,    //!< algorithm-level: the detector misses an object
     PipelineStage, //!< a StageExecutor of the dataflow graph
     CanBus,        //!< command frame loss on the CAN link
-    Rpr,           //!< FPGA partial-reconfiguration failure
 };
 
-/** Number of FaultTarget values (Rpr is the last). */
+/** Number of FaultTarget values (CanBus is the last). */
 inline constexpr std::size_t kFaultTargetCount =
-    static_cast<std::size_t>(FaultTarget::Rpr) + 1;
+    static_cast<std::size_t>(FaultTarget::CanBus) + 1;
 
 /** How the fault manifests. */
 enum class FaultMode

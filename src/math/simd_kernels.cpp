@@ -83,50 +83,6 @@ scaleScalar(Complex *data, double s, std::size_t n)
         data[i] *= s;
 }
 
-void
-nearestLeafScalar(const double *xs, const double *ys, const double *zs,
-                  std::size_t begin, std::size_t n, double qx, double qy,
-                  double qz, double &best_d2, std::size_t &best_off)
-{
-    for (std::size_t i = begin; i < n; ++i) {
-        const double dx = xs[i] - qx;
-        const double dy = ys[i] - qy;
-        const double dz = zs[i] - qz;
-        // Left-associated like Vec3::squaredNorm's running sum.
-        const double d2 = dx * dx + dy * dy + dz * dz;
-        if (d2 < best_d2) {
-            best_d2 = d2;
-            best_off = i;
-        }
-    }
-}
-
-void
-icpAccumScalar(const double *px, const double *py, const double *pz,
-               const double *rx, const double *ry, const double *rz,
-               std::size_t begin, std::size_t n, IcpStats &s)
-{
-    for (std::size_t i = begin; i < n; ++i) {
-        const double x = px[i], y = py[i], z = pz[i];
-        s.sxx += x * x;
-        s.syy += y * y;
-        s.szz += z * z;
-        s.sxy += x * y;
-        s.sxz += x * z;
-        s.syz += y * z;
-        s.spx += x;
-        s.spy += y;
-        s.spz += z;
-        const double ex = rx[i], ey = ry[i], ez = rz[i];
-        s.scx += y * ez - z * ey;
-        s.scy += z * ex - x * ez;
-        s.scz += x * ey - y * ex;
-        s.srx += ex;
-        s.sry += ey;
-        s.srz += ez;
-    }
-}
-
 #if SOV_SIMD_X86
 
 // ------------------------------------------------------ vector bodies
@@ -303,108 +259,6 @@ scaleAvx2(Complex *data, double s, std::size_t n)
     scaleScalar(data + i, s, n - i);
 }
 
-__attribute__((target("avx2"))) void
-nearestLeafAvx2(const double *xs, const double *ys, const double *zs,
-                std::size_t n, double qx, double qy, double qz,
-                double &best_d2, std::size_t &best_off)
-{
-    const __m256d vqx = _mm256_set1_pd(qx);
-    const __m256d vqy = _mm256_set1_pd(qy);
-    const __m256d vqz = _mm256_set1_pd(qz);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256d dx = _mm256_sub_pd(_mm256_loadu_pd(xs + i), vqx);
-        const __m256d dy = _mm256_sub_pd(_mm256_loadu_pd(ys + i), vqy);
-        const __m256d dz = _mm256_sub_pd(_mm256_loadu_pd(zs + i), vqz);
-        const __m256d d2 = _mm256_add_pd(
-            _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
-            _mm256_mul_pd(dz, dz));
-        const int mask = _mm256_movemask_pd(
-            _mm256_cmp_pd(d2, _mm256_set1_pd(best_d2), _CMP_LT_OQ));
-        if (mask) {
-            // Rare path: resolve lanes in order to keep the scalar
-            // first-strict-improvement tie semantics.
-            alignas(32) double lanes[4];
-            _mm256_store_pd(lanes, d2);
-            for (std::size_t lane = 0; lane < 4; ++lane) {
-                if (lanes[lane] < best_d2) {
-                    best_d2 = lanes[lane];
-                    best_off = i + lane;
-                }
-            }
-        }
-    }
-    nearestLeafScalar(xs, ys, zs, i, n, qx, qy, qz, best_d2, best_off);
-}
-
-/** Fixed-order lane fold; a named function because lambdas do not
- *  inherit the enclosing function's target attribute. */
-__attribute__((target("avx2"))) inline double
-foldAvx2(__m256d v)
-{
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, v);
-    return ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3];
-}
-
-__attribute__((target("avx2"))) void
-icpAccumAvx2(const double *px, const double *py, const double *pz,
-             const double *rx, const double *ry, const double *rz,
-             std::size_t n, IcpStats &s)
-{
-    __m256d sxx = _mm256_setzero_pd(), syy = sxx, szz = sxx;
-    __m256d sxy = sxx, sxz = sxx, syz = sxx;
-    __m256d spx = sxx, spy = sxx, spz = sxx;
-    __m256d scx = sxx, scy = sxx, scz = sxx;
-    __m256d srx = sxx, sry = sxx, srz = sxx;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256d x = _mm256_loadu_pd(px + i);
-        const __m256d y = _mm256_loadu_pd(py + i);
-        const __m256d z = _mm256_loadu_pd(pz + i);
-        sxx = _mm256_add_pd(sxx, _mm256_mul_pd(x, x));
-        syy = _mm256_add_pd(syy, _mm256_mul_pd(y, y));
-        szz = _mm256_add_pd(szz, _mm256_mul_pd(z, z));
-        sxy = _mm256_add_pd(sxy, _mm256_mul_pd(x, y));
-        sxz = _mm256_add_pd(sxz, _mm256_mul_pd(x, z));
-        syz = _mm256_add_pd(syz, _mm256_mul_pd(y, z));
-        spx = _mm256_add_pd(spx, x);
-        spy = _mm256_add_pd(spy, y);
-        spz = _mm256_add_pd(spz, z);
-        const __m256d ex = _mm256_loadu_pd(rx + i);
-        const __m256d ey = _mm256_loadu_pd(ry + i);
-        const __m256d ez = _mm256_loadu_pd(rz + i);
-        scx = _mm256_add_pd(
-            scx, _mm256_sub_pd(_mm256_mul_pd(y, ez),
-                               _mm256_mul_pd(z, ey)));
-        scy = _mm256_add_pd(
-            scy, _mm256_sub_pd(_mm256_mul_pd(z, ex),
-                               _mm256_mul_pd(x, ez)));
-        scz = _mm256_add_pd(
-            scz, _mm256_sub_pd(_mm256_mul_pd(x, ey),
-                               _mm256_mul_pd(y, ex)));
-        srx = _mm256_add_pd(srx, ex);
-        sry = _mm256_add_pd(sry, ey);
-        srz = _mm256_add_pd(srz, ez);
-    }
-    s.sxx += foldAvx2(sxx);
-    s.syy += foldAvx2(syy);
-    s.szz += foldAvx2(szz);
-    s.sxy += foldAvx2(sxy);
-    s.sxz += foldAvx2(sxz);
-    s.syz += foldAvx2(syz);
-    s.spx += foldAvx2(spx);
-    s.spy += foldAvx2(spy);
-    s.spz += foldAvx2(spz);
-    s.scx += foldAvx2(scx);
-    s.scy += foldAvx2(scy);
-    s.scz += foldAvx2(scz);
-    s.srx += foldAvx2(srx);
-    s.sry += foldAvx2(sry);
-    s.srz += foldAvx2(srz);
-    icpAccumScalar(px, py, pz, rx, ry, rz, i, n, s);
-}
-
 #endif // SOV_SIMD_X86
 
 } // namespace
@@ -501,34 +355,6 @@ scale(Complex *data, double s, std::size_t n,
         return scaleAvx2(data, s, n);
 #endif
     scaleScalar(data, s, n);
-}
-
-void
-nearestLeaf(const double *xs, const double *ys, const double *zs,
-            std::size_t n, double qx, double qy, double qz,
-            double &best_d2, std::size_t &best_off,
-            [[maybe_unused]] SimdLevel level)
-{
-    best_off = kNoImprovement;
-#if SOV_SIMD_X86
-    if (level == SimdLevel::Avx2)
-        return nearestLeafAvx2(xs, ys, zs, n, qx, qy, qz, best_d2,
-                               best_off);
-#endif
-    nearestLeafScalar(xs, ys, zs, 0, n, qx, qy, qz, best_d2, best_off);
-}
-
-void
-icpAccum(const double *px, const double *py, const double *pz,
-         const double *rx, const double *ry, const double *rz,
-         std::size_t n, IcpStats &stats,
-         [[maybe_unused]] SimdLevel level)
-{
-#if SOV_SIMD_X86
-    if (level == SimdLevel::Avx2)
-        return icpAccumAvx2(px, py, pz, rx, ry, rz, n, stats);
-#endif
-    icpAccumScalar(px, py, pz, rx, ry, rz, 0, n, stats);
 }
 
 } // namespace sov::simd

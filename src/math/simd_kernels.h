@@ -11,13 +11,17 @@
  *
  * Equivalence policy (gated in bench_kernels and the unit tests):
  *  - element-wise loops (absDiffAccum, axpy, butterfly, hadamardMul,
- *    scale, the leaf-scan distances) perform the same individually
- *    rounded operations per element in both bodies — mul and add are
- *    kept as separate instructions (target("avx2") does not enable
- *    FMA contraction) — so vector output is bit-identical to scalar;
- *  - reductions (dot, icpAccum) hold per-lane partial sums and fold
- *    them in fixed lane order, which reassociates the sum: results are
+ *    scale) perform the same individually rounded operations per
+ *    element in both bodies — mul and add are kept as separate
+ *    instructions (target("avx2") does not enable FMA contraction) —
+ *    so vector output is bit-identical to scalar;
+ *  - the reduction (dot) holds per-lane partial sums and folds them
+ *    in fixed lane order, which reassociates the sum: results are
  *    deterministic but differ from scalar by a documented epsilon.
+ *
+ * A kernel gets a primitive here only while its vector body pays (at
+ * least 1.2× over Fast in paired runs); ICP's does not, so its Simd
+ * tier runs the Fast code (pointcloud/icp.h).
  *
  * Coverage: the f32 kernels have SSE2 and AVX2 bodies; the f64 /
  * complex kernels are AVX2-only (SSE2 lacks addsub and 4-wide f64)
@@ -27,17 +31,12 @@
 
 #include <complex>
 #include <cstddef>
-#include <cstdint>
 
 #include "core/simd.h"
 
 namespace sov::simd {
 
 using Complex = std::complex<double>;
-
-/** No-improvement sentinel for nearestLeaf. */
-inline constexpr std::size_t kNoImprovement =
-    static_cast<std::size_t>(-1);
 
 /** dst[i] += |a[i] - b[i]| — the stereo SAD column-sum update. */
 void absDiffAdd(float *dst, const float *a, const float *b,
@@ -69,44 +68,5 @@ void hadamardMul(Complex *out, const Complex *a, const Complex *b,
 
 /** data[i] *= s — the inverse-FFT 1/N normalization. */
 void scale(Complex *data, double s, std::size_t n, SimdLevel level);
-
-/**
- * Kd-tree leaf scan over SoA coordinates: examine points [0, n) in
- * order and track the strictly closest one to (qx, qy, qz), exactly
- * like the scalar `d2 < best` loop (first strict improvement wins
- * ties). @p best_d2 carries the incoming bound in and the improved
- * bound out; @p best_off is the offset of the winning point, or
- * kNoImprovement when nothing beat the incoming bound. Distances are
- * rounded identically to Vec3::squaredNorm, so results are
- * bit-identical at every level.
- */
-void nearestLeaf(const double *xs, const double *ys, const double *zs,
-                 std::size_t n, double qx, double qy, double qz,
-                 double &best_d2, std::size_t &best_off,
-                 SimdLevel level);
-
-/**
- * Sufficient statistics of one ICP Gauss-Newton pass: with
- * J_i = [−skew(p_i) | I] the normal equations depend only on these
- * sums (see pointcloud/icp.cpp). Field names: s<a><b> = Σ p_a·p_b,
- * sp = Σ p, sc = Σ p×r, sr = Σ r.
- */
-struct IcpStats
-{
-    double sxx = 0.0, syy = 0.0, szz = 0.0;
-    double sxy = 0.0, sxz = 0.0, syz = 0.0;
-    double spx = 0.0, spy = 0.0, spz = 0.0;
-    double scx = 0.0, scy = 0.0, scz = 0.0;
-    double srx = 0.0, sry = 0.0, srz = 0.0;
-};
-
-/**
- * Accumulate @p n correspondences (transformed source point p,
- * residual r = p − q, SoA layout) into @p stats (lane-reassociated at
- * Avx2; scalar otherwise).
- */
-void icpAccum(const double *px, const double *py, const double *pz,
-              const double *rx, const double *ry, const double *rz,
-              std::size_t n, IcpStats &stats, SimdLevel level);
 
 } // namespace sov::simd

@@ -1,6 +1,7 @@
 /**
  * @file
- * Point-to-point ICP in three tiers (IcpConfig::backend).
+ * Point-to-point ICP: two code paths behind the three tiers of
+ * IcpConfig::backend.
  *
  * Reference replays the original Matrix-based accumulation rounding
  * for rounding — per correspondence it forms J = [−skew(p) | I] in a
@@ -13,12 +14,12 @@
  *   JᵀJ = [[ (pᵀp)I − ppᵀ , skew(p) ], [ skew(p)ᵀ, n·I ]],
  *   Jᵀr = [ p × r , r ],
  * so one pass of sufficient statistics (Σ p_a p_b, Σ p, Σ p×r, Σ r —
- * simd::IcpStats) replaces the 3×6 Jacobian products entirely, and
- * correspondences come from KdTree::nearestFast (iterative,
- * leaf-ordered SoA scans). Simd runs the same pass with the AVX2
- * bodies. Both are an epsilon away from Reference (reassociated
- * sums); tests/pointcloud/test_icp_fast.cpp gates the transforms
- * against each other.
+ * IcpStats) replaces the 3×6 Jacobian products entirely, and
+ * correspondences come from KdTree::nearestBatch (iterative,
+ * leaf-ordered SoA scans). Fast is an epsilon away from Reference
+ * (reassociated sums); tests/pointcloud/test_icp_fast.cpp gates the
+ * transforms against each other. Simd runs the Fast code, bit for
+ * bit (icp.h says why).
  */
 #include "pointcloud/icp.h"
 
@@ -26,13 +27,56 @@
 #include <vector>
 
 #include "core/logging.h"
-#include "core/simd.h"
 #include "math/matrix.h"
-#include "math/simd_kernels.h"
 
 namespace sov {
 
 namespace {
+
+/**
+ * Sufficient statistics of one ICP Gauss-Newton pass: with
+ * J_i = [−skew(p_i) | I] the normal equations depend only on these
+ * sums (see the file comment). Field names: s<a><b> = Σ p_a·p_b,
+ * sp = Σ p, sc = Σ p×r, sr = Σ r.
+ */
+struct IcpStats
+{
+    double sxx = 0.0, syy = 0.0, szz = 0.0;
+    double sxy = 0.0, sxz = 0.0, syz = 0.0;
+    double spx = 0.0, spy = 0.0, spz = 0.0;
+    double scx = 0.0, scy = 0.0, scz = 0.0;
+    double srx = 0.0, sry = 0.0, srz = 0.0;
+};
+
+/**
+ * Accumulate @p n correspondences (transformed source point p,
+ * residual r = p − q, SoA layout) into @p s, in index order.
+ */
+void
+icpAccum(const double *px, const double *py, const double *pz,
+         const double *rx, const double *ry, const double *rz,
+         std::size_t n, IcpStats &s)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        const double x = px[i], y = py[i], z = pz[i];
+        s.sxx += x * x;
+        s.syy += y * y;
+        s.szz += z * z;
+        s.sxy += x * y;
+        s.sxz += x * z;
+        s.syz += y * z;
+        s.spx += x;
+        s.spy += y;
+        s.spz += z;
+        const double ex = rx[i], ey = ry[i], ez = rz[i];
+        s.scx += y * ez - z * ey;
+        s.scy += z * ex - x * ez;
+        s.scz += x * ey - y * ex;
+        s.srx += ex;
+        s.sry += ey;
+        s.srz += ez;
+    }
+}
 
 /**
  * Solve the damped 6×6 normal equations and apply the pose update.
@@ -148,7 +192,7 @@ IcpResult
 icpAlignFast(const PointCloud &source, const PointCloud &target,
              const KdTree &target_tree,
              const RigidTransform &initial_guess,
-             const IcpConfig &config, SimdLevel level)
+             const IcpConfig &config)
 {
     IcpResult result;
     result.transform = initial_guess;
@@ -204,13 +248,11 @@ icpAlignFast(const PointCloud &source, const PointCloud &target,
                 R[2][2] * s0.z() + tr.z();
         }
 
-        // All correspondences in one interleaved-traversal call;
-        // results are bitwise what per-point nearestFast would return
-        // (kdtree.h).
+        // All correspondences in one batch call; results are bitwise
+        // what per-point nearestFast would return (kdtree.h).
         target_tree.nearestBatch(tx.data(), ty.data(), tz.data(), n,
                                  seeds.data(), nn_index.data(),
-                                 nn_d2.data(), level,
-                                 config.approx_nn_epsilon);
+                                 nn_d2.data());
 
         std::size_t m = 0;
         for (std::size_t i = 0; i < n; ++i) {
@@ -236,9 +278,9 @@ icpAlignFast(const PointCloud &source, const PointCloud &target,
         result.mean_error =
             error_sum / static_cast<double>(inliers);
 
-        simd::IcpStats s;
-        simd::icpAccum(px.data(), py.data(), pz.data(), rx.data(),
-                       ry.data(), rz.data(), inliers, s, level);
+        IcpStats s;
+        icpAccum(px.data(), py.data(), pz.data(), rx.data(), ry.data(),
+                 rz.data(), inliers, s);
 
         // Closed-form assembly (see file comment): top-left
         // (pᵀp)I − ppᵀ, top-right Σ skew(p), bottom-right n·I.
@@ -276,11 +318,9 @@ icpAlign(const PointCloud &source, const PointCloud &target,
     if (config.backend == KernelBackend::Reference || trace)
         return icpAlignReference(source, target, target_tree,
                                  initial_guess, config, trace);
-    const SimdLevel level = config.backend == KernelBackend::Simd
-        ? detectSimdLevel()
-        : SimdLevel::None;
+    // Fast and Simd both run the Fast path (see IcpConfig::backend).
     return icpAlignFast(source, target, target_tree, initial_guess,
-                        config, level);
+                        config);
 }
 
 } // namespace sov

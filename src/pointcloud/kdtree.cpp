@@ -2,41 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "core/logging.h"
-#include "math/simd_kernels.h"
 
 namespace sov {
-
-namespace {
-
-/**
- * Scalar leaf scan, inlined for the SimdLevel::None tier: rounds
- * exactly like simd::nearestLeaf's scalar body (left-associated sum,
- * strict improvement — which the vector paths replay bit-for-bit), so
- * the tiers stay bitwise interchangeable while the None path skips a
- * cross-TU call plus level dispatch per leaf — real money on
- * kLeafSize-point leaves visited once per query.
- */
-inline void
-scanLeafInline(const double *xs, const double *ys, const double *zs,
-               std::size_t n, const double qc[3], double &best_d2,
-               std::size_t &best_off)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const double dx = xs[i] - qc[0];
-        const double dy = ys[i] - qc[1];
-        const double dz = zs[i] - qc[2];
-        const double d2 = dx * dx + dy * dy + dz * dz;
-        if (d2 < best_d2) {
-            best_d2 = d2;
-            best_off = i;
-        }
-    }
-}
-
-} // namespace
 
 KdTree::KdTree(const PointCloud &cloud, std::uint32_t tree_id)
     : cloud_(cloud), tree_id_(tree_id)
@@ -190,10 +161,37 @@ KdTree::searchNearest(std::int32_t node_id, const Vec3 &query,
         searchNearest(far, query, best, trace);
 }
 
+inline void
+KdTree::scanLeaf(const Node &leaf, const double qc[3], Neighbor &best) const
+{
+    // Contiguous SoA doubles, left-associated like Vec3::squaredNorm,
+    // strict improvement: the same rounding and tie rule as the
+    // recursive oracle's leaf loop.
+    const double *xs = leaf_x_.data() + leaf.begin;
+    const double *ys = leaf_y_.data() + leaf.begin;
+    const double *zs = leaf_z_.data() + leaf.begin;
+    const std::size_t n = leaf.end - leaf.begin;
+    double best_d2 = best.squared_distance;
+    std::size_t best_off = n; // n: nothing beat the incoming bound
+    for (std::size_t i = 0; i < n; ++i) {
+        const double dx = xs[i] - qc[0];
+        const double dy = ys[i] - qc[1];
+        const double dz = zs[i] - qc[2];
+        const double d2 = dx * dx + dy * dy + dz * dz;
+        if (d2 < best_d2) {
+            best_d2 = d2;
+            best_off = i;
+        }
+    }
+    if (best_off != n)
+        best = Neighbor{
+            indices_[leaf.begin + static_cast<std::uint32_t>(best_off)],
+            best_d2};
+}
+
 void
 KdTree::descendNearest(std::int32_t node_id, const double qc[3],
-                       Neighbor &best, double prune_scale,
-                       SimdLevel level) const
+                       Neighbor &best) const
 {
     // Deferred far subtrees, deepest on top — popping them after the
     // near descent replays the recursive near/far visit order exactly,
@@ -220,7 +218,7 @@ KdTree::descendNearest(std::int32_t node_id, const double qc[3],
             // skipping the push changes nothing but the stack traffic
             // (the big win for warm-started queries, whose tight
             // initial best rejects nearly every far subtree here).
-            if (delta2 < best.squared_distance * prune_scale) {
+            if (delta2 < best.squared_distance) {
                 SOV_ASSERT(top < sizeof(stack) / sizeof(stack[0]));
                 stack[top++] = Deferred{far, delta2};
             }
@@ -228,30 +226,14 @@ KdTree::descendNearest(std::int32_t node_id, const double qc[3],
             continue;
         }
 
-        double best_d2 = best.squared_distance;
-        std::size_t off = simd::kNoImprovement;
-        if (level == SimdLevel::None)
-            scanLeafInline(leaf_x_.data() + node.begin,
-                           leaf_y_.data() + node.begin,
-                           leaf_z_.data() + node.begin,
-                           node.end - node.begin, qc, best_d2, off);
-        else
-            simd::nearestLeaf(leaf_x_.data() + node.begin,
-                              leaf_y_.data() + node.begin,
-                              leaf_z_.data() + node.begin,
-                              node.end - node.begin, qc[0], qc[1],
-                              qc[2], best_d2, off, level);
-        if (off != simd::kNoImprovement)
-            best = Neighbor{indices_[node.begin +
-                                     static_cast<std::uint32_t>(off)],
-                            best_d2};
+        scanLeaf(node, qc, best);
 
         // Unwind: first deferred subtree still worth visiting.
         for (;;) {
             if (top == 0)
                 return;
             const Deferred d = stack[--top];
-            if (d.delta2 < best.squared_distance * prune_scale) {
+            if (d.delta2 < best.squared_distance) {
                 node_id = d.node;
                 break;
             }
@@ -259,40 +241,28 @@ KdTree::descendNearest(std::int32_t node_id, const double qc[3],
     }
 }
 
-std::optional<Neighbor>
-KdTree::nearestFast(const Vec3 &query, SimdLevel level,
-                    double approx_epsilon,
-                    std::uint32_t seed_index) const
+inline Neighbor
+KdTree::nearestOne(const double qc[3], std::uint32_t seed_index) const
 {
-    if (root_ < 0)
-        return std::nullopt;
-
-    // With ε > 0 a far subtree is only visited when it could beat the
-    // best by more than (1+ε) in distance: delta² < best/(1+ε)².
-    const double prune_scale =
-        1.0 / ((1.0 + approx_epsilon) * (1.0 + approx_epsilon));
-
     Neighbor best{0, std::numeric_limits<double>::max()};
-    const double qc[3] = {query.x(), query.y(), query.z()};
-
     if (seed_index == kNoSeed || seed_index >= cloud_.size()) {
-        descendNearest(root_, qc, best, prune_scale, level);
+        descendNearest(root_, qc, best);
         return best;
     }
 
     // Warm start — bottom-up from the seed's leaf. Seeding best with
     // a known-good candidate can only tighten the pruning bound, so
-    // the returned distance is still the exact (or ε-approximate)
-    // nearest; scans replace only on strict improvement, so a tie
-    // keeps the seed. Only tie-breaking may differ from the unseeded
-    // query. Instead of chasing root→leaf pointers, jump straight to
-    // the seed's leaf, scan it, then replay its precomputed ancestor
-    // planes (deepest first): the far sibling is descended only when
-    // the query sits on its side of the plane (the pose moved the
-    // point across a split, so the subtree may hold arbitrarily close
-    // points) or the plane is nearer than the current best — exactly
-    // the subtrees a top-down traversal could not prune. For a tight
-    // seed this is a branch-free linear scan that prunes everything.
+    // the returned distance is still the exact nearest; scans replace
+    // only on strict improvement, so a tie keeps the seed. Only
+    // tie-breaking may differ from the unseeded query. Instead of
+    // chasing root→leaf pointers, jump straight to the seed's leaf,
+    // scan it, then replay its precomputed ancestor planes (deepest
+    // first): the far sibling is descended only when the query sits
+    // on its side of the plane (the pose moved the point across a
+    // split, so the subtree may hold arbitrarily close points) or the
+    // plane is nearer than the current best — exactly the subtrees a
+    // top-down traversal could not prune. For a tight seed this is a
+    // branch-free linear scan that prunes everything.
     {
         const Vec3 &s = cloud_[seed_index];
         const double dx = s.x() - qc[0];
@@ -302,24 +272,7 @@ KdTree::nearestFast(const Vec3 &query, SimdLevel level,
     }
 
     const std::int32_t leaf_id = leaf_of_point_[seed_index];
-    const Node &leaf = nodes_[leaf_id];
-    double best_d2 = best.squared_distance;
-    std::size_t off = simd::kNoImprovement;
-    if (level == SimdLevel::None)
-        scanLeafInline(leaf_x_.data() + leaf.begin,
-                       leaf_y_.data() + leaf.begin,
-                       leaf_z_.data() + leaf.begin,
-                       leaf.end - leaf.begin, qc, best_d2, off);
-    else
-        simd::nearestLeaf(leaf_x_.data() + leaf.begin,
-                          leaf_y_.data() + leaf.begin,
-                          leaf_z_.data() + leaf.begin,
-                          leaf.end - leaf.begin, qc[0], qc[1], qc[2],
-                          best_d2, off, level);
-    if (off != simd::kNoImprovement)
-        best = Neighbor{
-            indices_[leaf.begin + static_cast<std::uint32_t>(off)],
-            best_d2};
+    scanLeaf(nodes_[leaf_id], qc, best);
 
     const PathEntry *entry = path_entries_.data() + path_begin_[leaf_id];
     const PathEntry *end = entry + path_count_[leaf_id];
@@ -329,19 +282,26 @@ KdTree::nearestFast(const Vec3 &query, SimdLevel level,
         // right; ties lead left, like the recursion's near choice)?
         const bool wrong_side =
             entry->via_left ? delta > 0.0 : delta <= 0.0;
-        if (wrong_side ||
-            delta * delta < best.squared_distance * prune_scale)
-            descendNearest(entry->far, qc, best, prune_scale, level);
+        if (wrong_side || delta * delta < best.squared_distance)
+            descendNearest(entry->far, qc, best);
     }
     return best;
+}
+
+std::optional<Neighbor>
+KdTree::nearestFast(const Vec3 &query, std::uint32_t seed_index) const
+{
+    if (root_ < 0)
+        return std::nullopt;
+    const double qc[3] = {query.x(), query.y(), query.z()};
+    return nearestOne(qc, seed_index);
 }
 
 void
 KdTree::nearestBatch(const double *qx, const double *qy,
                      const double *qz, std::size_t n,
                      const std::uint32_t *seeds,
-                     std::uint32_t *out_index, double *out_d2,
-                     SimdLevel level, double approx_epsilon) const
+                     std::uint32_t *out_index, double *out_d2) const
 {
     if (root_ < 0) {
         for (std::size_t i = 0; i < n; ++i) {
@@ -355,63 +315,11 @@ KdTree::nearestBatch(const double *qx, const double *qy,
     // deferred stack — in registers; measured against that, software
     // round-robin interleaving of several traversals spills every
     // lane's state to the stack and runs ~2× slower per query. So the
-    // batch runs queries back to back, and its win over caller-side
-    // nearestFast calls is the inlined per-query setup (no Vec3 or
-    // optional round trips) on top of the SoA-friendly interface.
-    // The body below IS nearestFast's seeded/unseeded logic verbatim,
-    // so results are bitwise identical to sequential calls.
-    const double prune_scale =
-        1.0 / ((1.0 + approx_epsilon) * (1.0 + approx_epsilon));
-    const std::size_t cloud_size = cloud_.size();
+    // batch runs nearestFast's per-query body back to back, without
+    // its Vec3 and optional round trips.
     for (std::size_t i = 0; i < n; ++i) {
         const double qc[3] = {qx[i], qy[i], qz[i]};
-        Neighbor best{0, std::numeric_limits<double>::max()};
-        const std::uint32_t seed = seeds ? seeds[i] : kNoSeed;
-        if (seed == kNoSeed || seed >= cloud_size) {
-            descendNearest(root_, qc, best, prune_scale, level);
-            out_index[i] = best.index;
-            out_d2[i] = best.squared_distance;
-            continue;
-        }
-
-        const Vec3 &s = cloud_[seed];
-        const double dx = s.x() - qc[0];
-        const double dy = s.y() - qc[1];
-        const double dz = s.z() - qc[2];
-        best = Neighbor{seed, dx * dx + dy * dy + dz * dz};
-
-        const std::int32_t leaf_id = leaf_of_point_[seed];
-        const Node &leaf = nodes_[leaf_id];
-        double best_d2 = best.squared_distance;
-        std::size_t off = simd::kNoImprovement;
-        if (level == SimdLevel::None)
-            scanLeafInline(leaf_x_.data() + leaf.begin,
-                           leaf_y_.data() + leaf.begin,
-                           leaf_z_.data() + leaf.begin,
-                           leaf.end - leaf.begin, qc, best_d2, off);
-        else
-            simd::nearestLeaf(leaf_x_.data() + leaf.begin,
-                              leaf_y_.data() + leaf.begin,
-                              leaf_z_.data() + leaf.begin,
-                              leaf.end - leaf.begin, qc[0], qc[1],
-                              qc[2], best_d2, off, level);
-        if (off != simd::kNoImprovement)
-            best = Neighbor{
-                indices_[leaf.begin + static_cast<std::uint32_t>(off)],
-                best_d2};
-
-        const PathEntry *entry =
-            path_entries_.data() + path_begin_[leaf_id];
-        const PathEntry *end = entry + path_count_[leaf_id];
-        for (; entry != end; ++entry) {
-            const double delta = qc[entry->dim] - entry->split;
-            const bool wrong_side =
-                entry->via_left ? delta > 0.0 : delta <= 0.0;
-            if (wrong_side ||
-                delta * delta < best.squared_distance * prune_scale)
-                descendNearest(entry->far, qc, best, prune_scale,
-                               level);
-        }
+        const Neighbor best = nearestOne(qc, seeds ? seeds[i] : kNoSeed);
         out_index[i] = best.index;
         out_d2[i] = best.squared_distance;
     }

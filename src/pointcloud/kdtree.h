@@ -14,7 +14,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/simd.h"
 #include "memsim/mem_trace.h"
 #include "pointcloud/point_cloud.h"
 
@@ -42,20 +41,14 @@ class KdTree
                                     MemTrace *trace = nullptr) const;
 
     /**
-     * Cache-friendly nearest for the ICP Fast/Simd tiers: iterative
-     * traversal (explicit stack, no recursion or trace branches) over
+     * Cache-friendly nearest for ICP's Fast tier: iterative traversal
+     * (explicit stack, no recursion or trace branches) over
      * leaf-ordered SoA coordinates, so leaf scans run contiguously
      * instead of chasing indices into the cloud. The traversal visits
      * nodes in exactly the order the recursive oracle does and the
-     * distances round identically, so with @p approx_epsilon == 0 the
-     * result is bit-identical to nearest() — ties included.
+     * distances round identically, so the result is bit-identical to
+     * nearest() — ties included.
      *
-     * @param level Vector level of the leaf scan (bit-identical at
-     *        every level; see math/simd_kernels.h).
-     * @param approx_epsilon Approximate-NN bound: subtrees are pruned
-     *        unless they could beat the current best by more than a
-     *        (1+ε) factor in distance; the returned neighbor is within
-     *        (1+ε)·d(true nearest). 0 searches exactly.
      * @param seed_index Warm start: a point index whose distance seeds
      *        the best before the descent, letting the traversal prune
      *        far subtrees immediately. The result is still the exact
@@ -64,20 +57,18 @@ class KdTree
      *        ICP passes each point's previous-iteration correspondence.
      */
     std::optional<Neighbor>
-    nearestFast(const Vec3 &query, SimdLevel level = SimdLevel::None,
-                double approx_epsilon = 0.0,
-                std::uint32_t seed_index = kNoSeed) const;
+    nearestFast(const Vec3 &query, std::uint32_t seed_index = kNoSeed) const;
 
     /** Sentinel for nearestFast's seed_index: no warm start. */
     static constexpr std::uint32_t kNoSeed = 0xffffffffu;
 
     /**
      * Batch nearest for ICP-style callers: answers @p n queries in one
-     * call over SoA inputs. Results are bitwise identical to calling
-     * nearestFast per query — ties included. (Software-interleaving
-     * several traversals was tried here and measured ~2× slower than
-     * the sequential descent, whose whole state stays in registers;
-     * the batch form is kept for the SoA interface and hoisted setup.)
+     * call over SoA inputs, through nearestFast's own per-query body,
+     * so results are bitwise identical to calling nearestFast per
+     * query — ties included. (Software-interleaving several traversals
+     * was tried here and measured ~2× slower than the sequential
+     * descent, whose whole state stays in registers.)
      *
      * @param seeds Per-query warm-start indices (kNoSeed entries or
      *        nullptr disable seeding; see nearestFast).
@@ -87,9 +78,7 @@ class KdTree
     void nearestBatch(const double *qx, const double *qy,
                       const double *qz, std::size_t n,
                       const std::uint32_t *seeds,
-                      std::uint32_t *out_index, double *out_d2,
-                      SimdLevel level = SimdLevel::None,
-                      double approx_epsilon = 0.0) const;
+                      std::uint32_t *out_index, double *out_d2) const;
 
     /** All points within @p radius of @p query (unsorted). */
     std::vector<Neighbor> radiusSearch(const Vec3 &query, double radius,
@@ -141,11 +130,17 @@ class KdTree
 
     void searchNearest(std::int32_t node, const Vec3 &query,
                        Neighbor &best, MemTrace *trace) const;
+    /** Strictly closest point of @p leaf to @p qc, tightening @p best
+     *  in place — the one leaf scan of the nearestFast path. */
+    void scanLeaf(const Node &leaf, const double qc[3],
+                  Neighbor &best) const;
     /** Iterative top-down nearest over the subtree at @p node_id,
      *  tightening @p best in place (the nearestFast core loop). */
     void descendNearest(std::int32_t node_id, const double qc[3],
-                        Neighbor &best, double prune_scale,
-                        SimdLevel level) const;
+                        Neighbor &best) const;
+    /** nearestFast's per-query body on a non-empty tree (shared with
+     *  nearestBatch). */
+    Neighbor nearestOne(const double qc[3], std::uint32_t seed_index) const;
     void searchRadius(std::int32_t node, const Vec3 &query, double radius2,
                       std::vector<Neighbor> &out, MemTrace *trace) const;
     void searchKNearest(std::int32_t node, const Vec3 &query, std::size_t k,

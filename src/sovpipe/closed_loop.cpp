@@ -28,9 +28,8 @@ loopApplies(const fault::FaultSpec &spec)
         return spec.mode == FaultMode::Dropout;
     case fault::FaultTarget::PipelineStage:
         return true;
-    default:
-        return false; // no IMU, GPS, sonar or RPR in the loop
     }
+    return false;
 }
 
 } // namespace
@@ -197,7 +196,7 @@ ClosedLoopSim::planningCycle()
     ++cycles_;
     if (reactive_.active())
         ++reactive_cycles_;
-    if (recorder_ && !config_.fixed_compute_latency) {
+    if (recorder_) {
         recorder_->counter(
             trace_ids_.frames_in_flight, trace_ids_.track_loop, now,
             static_cast<double>(pipeline_exec_.framesInFlight()));
@@ -208,9 +207,7 @@ ClosedLoopSim::planningCycle()
     double speed_limit = config_.cruise_speed;
     bool proactive_allowed = config_.enable_proactive;
     if (health_) {
-        health_->evaluate(now, config_.fixed_compute_latency
-                                   ? 0
-                                   : pipeline_exec_.framesInFlight());
+        health_->evaluate(now, pipeline_exec_.framesInFlight());
         traceNewTransitions();
         const health::DegradationManager &mgr = health_->degradation();
         if (mgr.safeStopRequested()) {
@@ -259,8 +256,7 @@ ClosedLoopSim::planningCycle()
     // late; async mode still plans but parks the frame under
     // backpressure (admitted by the completion that frees a slot).
     bool defer = false;
-    if (!config_.fixed_compute_latency &&
-        pipeline_exec_.framesInFlight() >= config_.max_frames_in_flight) {
+    if (pipeline_exec_.framesInFlight() >= config_.max_frames_in_flight) {
         if (config_.pipeline_mode == PipelineMode::Sync) {
             ++result_.frames_dropped;
             if (recorder_) {
@@ -318,12 +314,6 @@ ClosedLoopSim::planningCycle()
 
     const MpcOutput plan = planner_.plan(input);
 
-    if (config_.fixed_compute_latency) {
-        // Latency-sweep experiments bypass the pipeline graph.
-        sim_.schedule(*config_.fixed_compute_latency + cam.extra_latency,
-                      [this, cmd = plan.command] { dispatchCommand(cmd); });
-        return;
-    }
     if (defer) {
         // Async backpressure: park this cycle's plan until a window
         // slot frees. Latest wins — a plan superseded before admission

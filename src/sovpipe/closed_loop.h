@@ -66,10 +66,6 @@ struct ClosedLoopConfig
     double perception_range = 40.0;  //!< oracle-perception radius
     bool enable_reactive = true;
     bool enable_proactive = true;
-    /** Override the pipeline model with a fixed compute latency
-     *  (for latency-sweep experiments); unset = run the Fig. 5
-     *  dataflow graph on the simulation clock. */
-    std::optional<Duration> fixed_compute_latency;
     /** Per-frame pipeline deadline (from release to planning done);
      *  unset = only count, never enforce. Misses are reported in
      *  ClosedLoopResult::deadline_misses. */

@@ -5,17 +5,16 @@
  * the proprietary-field-data substitute: everything the real vehicle
  * would sense, we generate from this world model.
  *
- * Two ways to read the world:
- *  - World keeps the legacy query surface (raycast / obstaclesNear /
- *    obstacles()) for compatibility; it delegates to a snapshot of
- *    the current epoch.
- *  - WorldSnapshot is the time-indexed view the sensing layers take:
- *    a cheap immutable facade over (lane map, published obstacle
- *    rows, landmarks) at one timeline epoch. It converts implicitly
- *    from `const World &`, which is what lets the seven consumer
- *    layers (radar, sonar, lidar, renderer, detector, reactive path,
- *    closed loop) migrate mechanically: their signatures take
- *    snapshots, their call sites keep passing worlds.
+ * Reading the world: every spatial query (raycast, obstaclesNear, …)
+ * lives on WorldSnapshot, the time-indexed view the sensing layers
+ * take — a cheap immutable facade over (lane map, published obstacle
+ * rows, landmarks) at one timeline epoch. World::snapshot() takes one
+ * explicitly; WorldSnapshot also converts implicitly from
+ * `const World &`, so the consumer layers (radar, sonar, lidar,
+ * renderer, detector, reactive path, closed loop) take snapshots
+ * while their call sites pass worlds. World itself only builds and
+ * steps the scene and hands out its parts (map(), obstacles(),
+ * landmarks()).
  *
  * Motion semantics: an un-stepped world (nobody calls advanceTo) is
  * bit-identical to the legacy analytic model — every addObstacle()
@@ -180,18 +179,6 @@ class World
     void scatterLandmarks(const Polyline2 &path, std::size_t count,
                           double corridor_half_width, double height_range,
                           Rng &rng);
-
-    /** Legacy query surface; delegates to snapshot(). */
-    std::optional<double> raycast(const Vec2 &origin, const Vec2 &direction,
-                                  double max_range, Timestamp t) const
-    {
-        return snapshot().raycast(origin, direction, max_range, t);
-    }
-    std::vector<Obstacle> obstaclesNear(const Vec2 &position, double range,
-                                        Timestamp t) const
-    {
-        return snapshot().obstaclesNear(position, range, t);
-    }
 
   private:
     LaneMap map_;

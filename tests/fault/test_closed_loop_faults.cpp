@@ -391,9 +391,9 @@ TEST(ClosedLoopFaultsDeathTest, RejectsChannelsTheLoopCannotApply)
     spec.mode = FaultMode::Corruption;
     EXPECT_DEATH(bindOnly(spec),
                  "'unsupported' \\(perception/corruption\\)");
-    spec.target = FaultTarget::Imu;
-    spec.mode = FaultMode::Dropout;
-    EXPECT_DEATH(bindOnly(spec), "'unsupported' \\(imu/dropout\\)");
+    spec.target = FaultTarget::CanBus;
+    spec.mode = FaultMode::LatencySpike;
+    EXPECT_DEATH(bindOnly(spec), "'unsupported' \\(can/latency-spike\\)");
 }
 
 } // namespace

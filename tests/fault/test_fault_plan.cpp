@@ -200,13 +200,13 @@ TEST(SensorFaultHub, FoldsChannelsIntoDisposition)
 {
     FaultPlan plan(Rng(5));
     FaultSpec drop;
-    drop.name = "imu-drop";
-    drop.target = FaultTarget::Imu;
+    drop.name = "radar-drop";
+    drop.target = FaultTarget::Radar;
     drop.mode = FaultMode::Dropout;
     plan.add(drop);
     FaultSpec spike;
-    spike.name = "imu-late";
-    spike.target = FaultTarget::Imu;
+    spike.name = "radar-late";
+    spike.target = FaultTarget::Radar;
     spike.mode = FaultMode::LatencySpike;
     spike.latency = Duration::millisF(40.0);
     plan.add(spike);
@@ -214,12 +214,12 @@ TEST(SensorFaultHub, FoldsChannelsIntoDisposition)
     SensorFaultHub hub(&plan);
     EXPECT_EQ(hub.size(), 2u);
     const SensorDisposition d =
-        hub.evaluate(FaultTarget::Imu, Timestamp::origin());
+        hub.evaluate(FaultTarget::Radar, Timestamp::origin());
     EXPECT_TRUE(d.drop);
     EXPECT_EQ(d.extra_latency, Duration::millisF(40.0));
     // Other sensors are untouched.
     EXPECT_FALSE(
-        hub.evaluate(FaultTarget::Gps, Timestamp::origin()).any());
+        hub.evaluate(FaultTarget::Camera, Timestamp::origin()).any());
 }
 
 TEST(SensorFaultHub, ResolvesChannelsPerTargetInPlanOrder)
@@ -239,7 +239,7 @@ TEST(SensorFaultHub, ResolvesChannelsPerTargetInPlanOrder)
     EXPECT_EQ(radar[0]->spec().name, "radar-a");
     EXPECT_EQ(radar[1]->spec().name, "radar-b");
     EXPECT_EQ(hub.channels(FaultTarget::Camera).size(), 1u);
-    EXPECT_TRUE(hub.channels(FaultTarget::Sonar).empty());
+    EXPECT_TRUE(hub.channels(FaultTarget::CanBus).empty());
 
     // Both radar channels decide on every evaluation.
     EXPECT_TRUE(hub.evaluate(FaultTarget::Radar, Timestamp::origin()).drop);

@@ -93,7 +93,7 @@ TEST(StageGraph, KernelExecutorMeasuresWallClock)
         [&runs](std::size_t) {
             volatile double acc = 0.0;
             for (int i = 0; i < 20000; ++i)
-                acc += static_cast<double>(i) * 1e-9;
+                acc = acc + static_cast<double>(i) * 1e-9;
             ++runs;
         },
         2.0);

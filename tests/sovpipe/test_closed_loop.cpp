@@ -88,14 +88,22 @@ TEST(ClosedLoop, TooCloseObstacleIsPhysicallyUnavoidable)
 
 TEST(ClosedLoop, LongerComputeLatencyNeedsMoreDistance)
 {
-    // Sweep the fixed compute latency: the minimum stopping gap
-    // shrinks as latency grows (Fig. 3a's closed-loop counterpart).
+    // Delay every camera frame for the whole run, on top of the Fig. 5
+    // pipeline latency: a short spike still stops short of the wall,
+    // a long one does not (Fig. 3a's closed-loop counterpart).
     auto run_with_latency = [](double ms) {
         World world;
         world.addObstacle(wallAt(30.0));
+        fault::FaultPlan plan(Rng(5).fork("fault"));
+        fault::FaultSpec spike;
+        spike.name = "camera-latency";
+        spike.target = fault::FaultTarget::Camera;
+        spike.mode = fault::FaultMode::LatencySpike;
+        spike.latency = Duration::millisF(ms);
+        plan.add(spike);
         ClosedLoopConfig cfg;
         cfg.enable_reactive = false;
-        cfg.fixed_compute_latency = Duration::millisF(ms);
+        cfg.faults = &plan;
         ClosedLoopSim sim(world, straightRoute(), cfg,
                           SovPipelineConfig{}, Rng(5));
         return sim.run(Duration::seconds(40.0));
@@ -103,8 +111,8 @@ TEST(ClosedLoop, LongerComputeLatencyNeedsMoreDistance)
     const auto fast = run_with_latency(100.0);
     const auto slow = run_with_latency(700.0);
     EXPECT_FALSE(fast.collided);
-    EXPECT_FALSE(slow.collided);
-    EXPECT_GT(fast.min_gap, slow.min_gap - 0.3);
+    EXPECT_NEAR(fast.min_gap, 1.66, 0.005);
+    EXPECT_TRUE(slow.collided);
 }
 
 TEST(ClosedLoop, MostTimeSpentProactive)

@@ -85,8 +85,8 @@ TEST(World, RaycastHitsNearestObstacle)
     World w;
     w.addObstacle(boxAt(10.0, 0.0)); // front face at x = 9
     w.addObstacle(boxAt(5.0, 0.0));  // front face at x = 4
-    const auto hit = w.raycast(Vec2(0, 0), Vec2(1, 0), 50.0,
-                               Timestamp::origin());
+    const auto hit = w.snapshot().raycast(Vec2(0, 0), Vec2(1, 0), 50.0,
+                                          Timestamp::origin());
     ASSERT_TRUE(hit.has_value());
     EXPECT_NEAR(*hit, 4.0, 1e-9);
 }
@@ -95,8 +95,8 @@ TEST(World, RaycastMissesOffAxisObstacles)
 {
     World w;
     w.addObstacle(boxAt(10.0, 5.0));
-    const auto hit = w.raycast(Vec2(0, 0), Vec2(1, 0), 50.0,
-                               Timestamp::origin());
+    const auto hit = w.snapshot().raycast(Vec2(0, 0), Vec2(1, 0), 50.0,
+                                          Timestamp::origin());
     EXPECT_FALSE(hit.has_value());
 }
 
@@ -104,10 +104,10 @@ TEST(World, RaycastRespectsMaxRange)
 {
     World w;
     w.addObstacle(boxAt(30.0, 0.0));
-    EXPECT_FALSE(w.raycast(Vec2(0, 0), Vec2(1, 0), 10.0,
-                           Timestamp::origin()).has_value());
-    EXPECT_TRUE(w.raycast(Vec2(0, 0), Vec2(1, 0), 40.0,
-                          Timestamp::origin()).has_value());
+    EXPECT_FALSE(w.snapshot().raycast(Vec2(0, 0), Vec2(1, 0), 10.0,
+                                      Timestamp::origin()).has_value());
+    EXPECT_TRUE(w.snapshot().raycast(Vec2(0, 0), Vec2(1, 0), 40.0,
+                                     Timestamp::origin()).has_value());
 }
 
 TEST(World, RaycastZeroDirectionSeesNothing)
@@ -116,16 +116,16 @@ TEST(World, RaycastZeroDirectionSeesNothing)
     w.addObstacle(boxAt(1.0, 0.0, 2.0, 2.0));
     // Inside an obstacle with a degenerate direction: nullopt, not a
     // normalized() panic.
-    EXPECT_FALSE(w.raycast(Vec2(0.5, 0.0), Vec2(0, 0), 10.0,
-                           Timestamp::origin()).has_value());
+    EXPECT_FALSE(w.snapshot().raycast(Vec2(0.5, 0.0), Vec2(0, 0), 10.0,
+                                      Timestamp::origin()).has_value());
 }
 
 TEST(World, RaycastObstacleExactlyAtMaxRangeHits)
 {
     World w;
     w.addObstacle(boxAt(11.0, 0.0)); // front face exactly at x = 10
-    const auto hit = w.raycast(Vec2(0, 0), Vec2(1, 0), 10.0,
-                               Timestamp::origin());
+    const auto hit = w.snapshot().raycast(Vec2(0, 0), Vec2(1, 0), 10.0,
+                                          Timestamp::origin());
     ASSERT_TRUE(hit.has_value()); // segment endpoints are inclusive
     EXPECT_NEAR(*hit, 10.0, 1e-9);
 }
@@ -140,22 +140,22 @@ TEST(World, QueryBeforeReferenceTimeExtrapolatesBackwards)
     // radar/sonar models may query slightly in the past (sensor
     // latency) and must see the same linear motion. Returned rows are
     // the raw published rows; positionAt does the extrapolation.
-    const auto near = w.obstaclesNear(Vec2(0, 0), 100.0,
-                                      Timestamp::seconds(-5.0));
+    const auto near = w.snapshot().obstaclesNear(Vec2(0, 0), 100.0,
+                                                 Timestamp::seconds(-5.0));
     ASSERT_EQ(near.size(), 1u);
     EXPECT_NEAR(near[0].positionAt(Timestamp::seconds(-5.0)).x(), 10.0,
                 1e-12);
     // And out of range backwards in time, the row is filtered out.
-    EXPECT_TRUE(w.obstaclesNear(Vec2(0, 0), 5.0,
-                                Timestamp::seconds(-5.0)).empty());
+    EXPECT_TRUE(w.snapshot().obstaclesNear(Vec2(0, 0), 5.0,
+                                           Timestamp::seconds(-5.0)).empty());
 }
 
 TEST(World, RaycastInsideObstacleIsZero)
 {
     World w;
     w.addObstacle(boxAt(0.0, 0.0, 2.0, 2.0));
-    const auto hit = w.raycast(Vec2(0.5, 0.0), Vec2(1, 0), 10.0,
-                               Timestamp::origin());
+    const auto hit = w.snapshot().raycast(Vec2(0.5, 0.0), Vec2(1, 0), 10.0,
+                                          Timestamp::origin());
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(*hit, 0.0);
 }
@@ -166,10 +166,10 @@ TEST(World, MovingObstacleAdvancesWithTime)
     Obstacle o = boxAt(20.0, 0.0);
     o.velocity = Vec2(-1.0, 0.0); // approaching at 1 m/s
     w.addObstacle(o);
-    const auto at0 = w.raycast(Vec2(0, 0), Vec2(1, 0), 50.0,
-                               Timestamp::origin());
-    const auto at5 = w.raycast(Vec2(0, 0), Vec2(1, 0), 50.0,
-                               Timestamp::seconds(5.0));
+    const auto at0 = w.snapshot().raycast(Vec2(0, 0), Vec2(1, 0), 50.0,
+                                          Timestamp::origin());
+    const auto at5 = w.snapshot().raycast(Vec2(0, 0), Vec2(1, 0), 50.0,
+                                          Timestamp::seconds(5.0));
     ASSERT_TRUE(at0 && at5);
     EXPECT_NEAR(*at0 - *at5, 5.0, 1e-9);
 }
@@ -179,7 +179,8 @@ TEST(World, ObstaclesNearFiltersByRange)
     World w;
     w.addObstacle(boxAt(3.0, 0.0));
     w.addObstacle(boxAt(50.0, 0.0));
-    const auto near = w.obstaclesNear(Vec2(0, 0), 10.0, Timestamp::origin());
+    const auto near =
+        w.snapshot().obstaclesNear(Vec2(0, 0), 10.0, Timestamp::origin());
     ASSERT_EQ(near.size(), 1u);
     EXPECT_NEAR(near[0].footprint.pose.position.x(), 3.0, 1e-12);
 }
