@@ -44,6 +44,8 @@
  *
  * Usage:
  *   bench_dataflow [smoke=1] [frames=N] [out=BENCH_dataflow.json]
+ *
+ * frames < 1 prints the usage line and exits 2.
  */
 #include <algorithm>
 #include <cstdio>
@@ -260,8 +262,14 @@ main(int argc, char **argv)
 {
     const Config config = Config::fromArgs(argc, argv);
     const bool smoke = config.getBool("smoke", false);
-    const auto frames = static_cast<std::size_t>(
-        config.getInt("frames", smoke ? 32 : 256));
+    const std::int64_t frames_arg =
+        config.getInt("frames", smoke ? 32 : 256);
+    if (frames_arg < 1) {
+        std::fprintf(stderr, "usage: bench_dataflow [smoke=1] [frames>=1] "
+                             "[out=BENCH_dataflow.json]\n");
+        return 2;
+    }
+    const auto frames = static_cast<std::size_t>(frames_arg);
     const std::string out_path =
         config.getString("out", "BENCH_dataflow.json");
 

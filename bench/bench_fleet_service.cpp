@@ -29,6 +29,9 @@
  * Usage:
  *   bench_fleet_service [smoke=1] [seed=1] [horizon_s=2] [workers=N]
  *                       [probes=N] [out=BENCH_fleet_service.json]
+ *
+ * workers outside [1, 1024], probes < 1, or a horizon_s that is not a
+ * positive finite number prints the usage line and exits 2.
  */
 #include <algorithm>
 #include <chrono>
@@ -125,10 +128,21 @@ main(int argc, char **argv)
     const auto seed = static_cast<std::uint64_t>(config.getInt("seed", 1));
     const double horizon_s = config.getDouble("horizon_s", 2.0);
     const std::size_t hw = ThreadPool::defaultThreads();
-    const auto workers = static_cast<std::size_t>(
-        config.getInt("workers", static_cast<std::int64_t>(hw)));
-    const auto probes = static_cast<std::size_t>(
-        config.getInt("probes", smoke ? 6 : 16));
+    const std::int64_t workers_arg = config.getInt(
+        "workers",
+        std::min(static_cast<std::int64_t>(hw), bench::kMaxBenchThreads));
+    const std::int64_t probes_arg = config.getInt("probes", smoke ? 6 : 16);
+    if (workers_arg < 1 || workers_arg > bench::kMaxBenchThreads ||
+        probes_arg < 1 || !std::isfinite(horizon_s) || horizon_s <= 0.0) {
+        std::fprintf(stderr,
+                     "usage: bench_fleet_service [smoke=1] [seed=1] "
+                     "[horizon_s>0] [workers=1..%lld] [probes>=1] "
+                     "[out=BENCH_fleet_service.json]\n",
+                     static_cast<long long>(bench::kMaxBenchThreads));
+        return 2;
+    }
+    const auto workers = static_cast<std::size_t>(workers_arg);
+    const auto probes = static_cast<std::size_t>(probes_arg);
     const std::string out_path =
         config.getString("out", "BENCH_fleet_service.json");
 

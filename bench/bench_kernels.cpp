@@ -17,18 +17,20 @@
  *  2. Determinism — the Fast AND Simd stereo outputs must be
  *     bit-identical across ThreadPool sizes 1 / 2 / 8.
  *  3. Speed — Fast must beat Reference by at least the per-kernel
- *     floor (3x stereo, 2x conv forward, 3x ICP align, 2x planned FFT;
- *     lowered in smoke mode where tiny inputs amortize less). The
+ *     floor (10x stereo, 2x conv forward, 3x ICP align, 2x planned
+ *     FFT; lowered in smoke mode where tiny inputs amortize less). The
  *     icp_align floor races Fast against the historical Matrix-churn
  *     accumulation the de-churn satellite replaced (replicated
  *     locally, asserted bit-identical to the in-tree Reference every
  *     run); the icp_align_dechurn row races the same Fast run against
  *     the in-tree Reference at its own floor (1.2x). The Simd-vs-Fast
- *     stereo floor (1.5x) is enforced only when the host actually
- *     runs AVX2 — on lesser hosts and SOV_SIMD=OFF builds the Simd
- *     tier degrades to the Fast loops and only the equivalence gates
- *     apply. A sanitized build (SOV_SANITIZE) sets every speed floor
- *     to 0 and keeps gates 1 and 2.
+ *     stereo floor (1.2x, the rule a vector body must clear to stay)
+ *     measures the AVX2 SAD alone, since both tiers share every other
+ *     loop; it is enforced only when the host actually runs AVX2 — on
+ *     lesser hosts and SOV_SIMD=OFF builds the Simd tier degrades to
+ *     the Fast loops and only the equivalence gates apply. A
+ *     sanitized build (SOV_SANITIZE) sets every speed floor to 0 and
+ *     keeps gates 1 and 2.
  *
  * Each row's variants are timed interleaved, best of N
  * (bench::interleavedBestNs). Results (ns per call, speedup,
@@ -229,7 +231,7 @@ main(int argc, char **argv)
     const auto speedFloor = [&](double smoke_floor, double full_floor) {
         return timed ? (smoke ? smoke_floor : full_floor) : 0.0;
     };
-    const double stereo_floor = speedFloor(1.3, 3.0);
+    const double stereo_floor = speedFloor(5.0, 10.0);
     const double conv_floor = speedFloor(1.2, 2.0);
     const double icp_floor = speedFloor(1.3, 3.0);
     // Fast vs the in-tree (de-churned) Reference: the allocation fix
@@ -242,7 +244,7 @@ main(int argc, char **argv)
     // actually run; everywhere else the tier IS the Fast code.
     const SimdLevel simd_level = detectSimdLevel();
     const double simd_floor =
-        simd_level == SimdLevel::Avx2 ? speedFloor(1.05, 1.5) : 0.0;
+        simd_level == SimdLevel::Avx2 ? speedFloor(1.05, 1.2) : 0.0;
     const std::string out_path =
         config.getString("out", "BENCH_kernels.json");
 
@@ -443,8 +445,8 @@ main(int argc, char **argv)
             },
             [&] {
                 planned = signal;
-                plan.forward(planned.data(), simd_level);
-                plan.inverse(planned.data(), simd_level);
+                plan.forward(planned.data());
+                plan.inverse(planned.data());
             });
         row.ref_ns = adhoc_ns;
         row.fast_ns = planned_ns;
@@ -452,8 +454,7 @@ main(int argc, char **argv)
             bench::fnv1a(adhoc.data(), adhoc.size() * sizeof(Complex));
         row.checksum_fast =
             bench::fnv1a(planned.data(), planned.size() * sizeof(Complex));
-        // The plan replays the ad-hoc twiddle rounding and the vector
-        // butterflies round like the scalar ones: bitwise gate.
+        // The plan replays the ad-hoc twiddle rounding: bitwise gate.
         row.equivalent = row.checksum_ref == row.checksum_fast;
         row.speedup = row.ref_ns / row.fast_ns;
         row.pass = row.equivalent && row.speedup >= row.floor;

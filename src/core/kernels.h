@@ -22,8 +22,9 @@
  *    every Simd loop is gated bit-identical (or documented-epsilon
  *    where vectorization reassociates a reduction) against Reference.
  *    A kernel keeps vector bodies only while they pay (at least 1.2×
- *    over Fast in paired runs): stereo SAD, convolution, FFT and KCF
- *    do; ICP did not, so its Simd tier runs the Fast code exactly.
+ *    over Fast in paired runs): stereo SAD and convolution do; ICP
+ *    and KCF's FFT butterflies did not, so their Simd tiers run the
+ *    Fast code exactly. No tier forks an algorithm.
  *
  * Determinism contract (Fast and Simd backends): outputs depend only
  * on the inputs and the kernel configuration — never on the thread

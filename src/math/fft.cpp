@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "core/logging.h"
-#include "math/simd_kernels.h"
 
 namespace sov {
 
@@ -113,43 +112,6 @@ fft2d(std::vector<Complex> &data, std::size_t rows, std::size_t cols,
         for (std::size_t r = 0; r < rows; ++r)
             data[r * cols + c] = col[r];
     }
-}
-
-void
-hadamardInto(const std::vector<Complex> &a,
-             const std::vector<Complex> &b, std::vector<Complex> &out)
-{
-    SOV_ASSERT(a.size() == b.size());
-    out.resize(a.size());
-    simd::hadamardMul(out.data(), a.data(), b.data(), a.size(), false,
-                      SimdLevel::None);
-}
-
-std::vector<Complex>
-hadamard(const std::vector<Complex> &a, const std::vector<Complex> &b)
-{
-    std::vector<Complex> out;
-    hadamardInto(a, b, out);
-    return out;
-}
-
-void
-hadamardConjInto(const std::vector<Complex> &a,
-                 const std::vector<Complex> &b,
-                 std::vector<Complex> &out)
-{
-    SOV_ASSERT(a.size() == b.size());
-    out.resize(a.size());
-    simd::hadamardMul(out.data(), a.data(), b.data(), a.size(), true,
-                      SimdLevel::None);
-}
-
-std::vector<Complex>
-hadamardConj(const std::vector<Complex> &a, const std::vector<Complex> &b)
-{
-    std::vector<Complex> out;
-    hadamardConjInto(a, b, out);
-    return out;
 }
 
 } // namespace sov

@@ -2,6 +2,9 @@
  * @file
  * Radix-2 FFT (1-D and 2-D) used by the KCF visual tracker (Table III),
  * which trains and evaluates correlation filters in the Fourier domain.
+ * These ad-hoc transforms are KCF's Reference tier and the oracle the
+ * planned transforms (math/fft_plan.h) are gated bit-identical
+ * against; KCF multiplies spectra element-wise inline.
  */
 #pragma once
 
@@ -51,23 +54,5 @@ void ifftToRealInto(std::vector<Complex> &spectrum,
  */
 void fft2d(std::vector<Complex> &data, std::size_t rows, std::size_t cols,
            bool inverse);
-
-/** Element-wise product of two spectra (must be equal length). */
-std::vector<Complex> hadamard(const std::vector<Complex> &a,
-                              const std::vector<Complex> &b);
-
-/** hadamard into a caller-owned buffer (may alias @p a or @p b). */
-void hadamardInto(const std::vector<Complex> &a,
-                  const std::vector<Complex> &b,
-                  std::vector<Complex> &out);
-
-/** Element-wise product with the conjugate of b. */
-std::vector<Complex> hadamardConj(const std::vector<Complex> &a,
-                                  const std::vector<Complex> &b);
-
-/** hadamardConj into a caller-owned buffer (may alias inputs). */
-void hadamardConjInto(const std::vector<Complex> &a,
-                      const std::vector<Complex> &b,
-                      std::vector<Complex> &out);
 
 } // namespace sov

@@ -28,6 +28,30 @@ appendStageTwiddles(std::vector<Complex> &table, std::size_t len,
     }
 }
 
+/**
+ * One radix-2 butterfly block: for k < half,
+ *   v = hi[k]·w[k]; hi[k] = lo[k] − v; lo[k] = lo[k] + v.
+ * @p w points at the precomputed twiddles for this stage.
+ */
+void
+butterfly(Complex *lo, Complex *hi, const Complex *w, std::size_t half)
+{
+    for (std::size_t k = 0; k < half; ++k) {
+        const Complex u = lo[k];
+        const Complex v = hi[k] * w[k];
+        lo[k] = u + v;
+        hi[k] = u - v;
+    }
+}
+
+/** data[i] *= s — the inverse-FFT 1/N normalization. */
+void
+scale(Complex *data, double s, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        data[i] *= s;
+}
+
 } // namespace
 
 FftPlan::FftPlan(std::size_t n) : n_(n)
@@ -55,7 +79,7 @@ FftPlan::FftPlan(std::size_t n) : n_(n)
 }
 
 void
-FftPlan::run(Complex *data, bool inverse, SimdLevel level) const
+FftPlan::run(Complex *data, bool inverse) const
 {
     for (const auto &[i, j] : swaps_)
         std::swap(data[i], data[j]);
@@ -66,24 +90,24 @@ FftPlan::run(Complex *data, bool inverse, SimdLevel level) const
     for (std::size_t len = 2; len <= n_; len <<= 1) {
         const std::size_t half = len / 2;
         for (std::size_t i = 0; i < n_; i += len)
-            simd::butterfly(data + i, data + i + half, w, half, level);
+            butterfly(data + i, data + i + half, w, half);
         w += half;
     }
 
     if (inverse)
-        simd::scale(data, 1.0 / static_cast<double>(n_), n_, level);
+        scale(data, 1.0 / static_cast<double>(n_), n_);
 }
 
 void
-FftPlan::forward(Complex *data, SimdLevel level) const
+FftPlan::forward(Complex *data) const
 {
-    run(data, false, level);
+    run(data, false);
 }
 
 void
-FftPlan::inverse(Complex *data, SimdLevel level) const
+FftPlan::inverse(Complex *data) const
 {
-    run(data, true, level);
+    run(data, true);
 }
 
 Fft2dPlan::Fft2dPlan(std::size_t rows, std::size_t cols)
@@ -92,7 +116,7 @@ Fft2dPlan::Fft2dPlan(std::size_t rows, std::size_t cols)
 }
 
 void
-Fft2dPlan::run(Complex *data, bool inverse, SimdLevel level)
+Fft2dPlan::run(Complex *data, bool inverse)
 {
     // Rows transform in place — the ad-hoc fft2d's copy through a row
     // buffer does not change the arithmetic, only the traffic. The
@@ -100,8 +124,7 @@ Fft2dPlan::run(Complex *data, bool inverse, SimdLevel level)
     // per-axis fft(..., inverse) calls.
     for (std::size_t r = 0; r < rows_; ++r) {
         Complex *row = data + r * cols_;
-        inverse ? row_plan_.inverse(row, level)
-                : row_plan_.forward(row, level);
+        inverse ? row_plan_.inverse(row) : row_plan_.forward(row);
     }
 
     arena_.reset();
@@ -109,23 +132,22 @@ Fft2dPlan::run(Complex *data, bool inverse, SimdLevel level)
     for (std::size_t c = 0; c < cols_; ++c) {
         for (std::size_t r = 0; r < rows_; ++r)
             col[r] = data[r * cols_ + c];
-        inverse ? col_plan_.inverse(col, level)
-                : col_plan_.forward(col, level);
+        inverse ? col_plan_.inverse(col) : col_plan_.forward(col);
         for (std::size_t r = 0; r < rows_; ++r)
             data[r * cols_ + c] = col[r];
     }
 }
 
 void
-Fft2dPlan::forward(Complex *data, SimdLevel level)
+Fft2dPlan::forward(Complex *data)
 {
-    run(data, false, level);
+    run(data, false);
 }
 
 void
-Fft2dPlan::inverse(Complex *data, SimdLevel level)
+Fft2dPlan::inverse(Complex *data)
 {
-    run(data, true, level);
+    run(data, true);
 }
 
 } // namespace sov

@@ -9,10 +9,9 @@
  * FftPlan precomputes exactly that iteratively-generated sequence per
  * stage and direction, so a planned transform is bit-identical to the
  * ad-hoc oracle — tests/math/test_fft_plan.cpp gates on it. The
- * butterfly and normalization loops dispatch through
- * math/simd_kernels.h: SimdLevel::None runs the Fast scalar bodies,
- * Avx2 the vectorized ones (also bit-identical; see that header's
- * equivalence policy).
+ * butterfly and normalization loops are scalar: an AVX2 butterfly
+ * tier measured below 1.2× over them on the KCF window and was
+ * deleted, so the KCF Fast and Simd tiers share this one plan.
  */
 #pragma once
 
@@ -23,7 +22,6 @@
 
 #include "core/arena.h"
 #include "math/fft.h"
-#include "math/simd_kernels.h"
 
 namespace sov {
 
@@ -37,15 +35,13 @@ class FftPlan
     std::size_t size() const { return n_; }
 
     /** In-place forward transform of @p data (length size()). */
-    void forward(Complex *data,
-                 SimdLevel level = SimdLevel::None) const;
+    void forward(Complex *data) const;
 
     /** In-place inverse transform including the 1/N normalization. */
-    void inverse(Complex *data,
-                 SimdLevel level = SimdLevel::None) const;
+    void inverse(Complex *data) const;
 
   private:
-    void run(Complex *data, bool inverse, SimdLevel level) const;
+    void run(Complex *data, bool inverse) const;
 
     std::size_t n_;
     /** Bit-reversal permutation as (i, j) swap pairs, i < j. */
@@ -70,10 +66,10 @@ class Fft2dPlan
     std::size_t cols() const { return cols_; }
 
     /** In-place forward transform of rows()*cols() values. */
-    void forward(Complex *data, SimdLevel level = SimdLevel::None);
+    void forward(Complex *data);
 
     /** In-place inverse transform (per-axis 1/N like fft2d). */
-    void inverse(Complex *data, SimdLevel level = SimdLevel::None);
+    void inverse(Complex *data);
 
     /** Scratch-arena allocation count, for zero-growth tests. */
     std::size_t scratchSystemAllocations() const
@@ -82,7 +78,7 @@ class Fft2dPlan
     }
 
   private:
-    void run(Complex *data, bool inverse, SimdLevel level);
+    void run(Complex *data, bool inverse);
 
     std::size_t rows_;
     std::size_t cols_;

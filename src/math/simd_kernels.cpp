@@ -55,34 +55,6 @@ dotScalar(const float *a, const float *b, std::size_t n)
     return acc;
 }
 
-void
-butterflyScalar(Complex *lo, Complex *hi, const Complex *w,
-                std::size_t half)
-{
-    for (std::size_t k = 0; k < half; ++k) {
-        const Complex u = lo[k];
-        const Complex v = hi[k] * w[k];
-        lo[k] = u + v;
-        hi[k] = u - v;
-    }
-}
-
-template <bool ConjB>
-void
-hadamardScalar(Complex *out, const Complex *a, const Complex *b,
-               std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = ConjB ? a[i] * std::conj(b[i]) : a[i] * b[i];
-}
-
-void
-scaleScalar(Complex *data, double s, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        data[i] *= s;
-}
-
 #if SOV_SIMD_X86
 
 // ------------------------------------------------------ vector bodies
@@ -190,75 +162,6 @@ dotSse2(const float *a, const float *b, std::size_t n)
     return sum;
 }
 
-/**
- * Two packed complex products per vector: with w split into
- * duplicated real and imaginary lanes, addsub realizes
- * (hr·wr − hi·wi, hi·wr + hr·wi) with the same per-op rounding as the
- * scalar naive formula.
- */
-__attribute__((target("avx2"))) inline __m256d
-complexMulAvx2(__m256d u, __m256d w)
-{
-    const __m256d wr = _mm256_movedup_pd(w);
-    const __m256d wi = _mm256_permute_pd(w, 0xF);
-    const __m256d us = _mm256_permute_pd(u, 0x5);
-    return _mm256_addsub_pd(_mm256_mul_pd(u, wr),
-                            _mm256_mul_pd(us, wi));
-}
-
-__attribute__((target("avx2"))) void
-butterflyAvx2(Complex *lo, Complex *hi, const Complex *w,
-              std::size_t half)
-{
-    auto *lod = reinterpret_cast<double *>(lo);
-    auto *hid = reinterpret_cast<double *>(hi);
-    const auto *wd = reinterpret_cast<const double *>(w);
-    std::size_t k = 0;
-    for (; k + 2 <= half; k += 2) {
-        const __m256d u = _mm256_loadu_pd(lod + 2 * k);
-        const __m256d h = _mm256_loadu_pd(hid + 2 * k);
-        const __m256d v =
-            complexMulAvx2(h, _mm256_loadu_pd(wd + 2 * k));
-        _mm256_storeu_pd(lod + 2 * k, _mm256_add_pd(u, v));
-        _mm256_storeu_pd(hid + 2 * k, _mm256_sub_pd(u, v));
-    }
-    butterflyScalar(lo + k, hi + k, w + k, half - k);
-}
-
-template <bool ConjB>
-__attribute__((target("avx2"))) void
-hadamardAvx2(Complex *out, const Complex *a, const Complex *b,
-             std::size_t n)
-{
-    auto *od = reinterpret_cast<double *>(out);
-    const auto *ad = reinterpret_cast<const double *>(a);
-    const auto *bd = reinterpret_cast<const double *>(b);
-    // Conjugation = exact sign flip of the imaginary lanes.
-    const __m256d conj_mask = _mm256_set_pd(-0.0, 0.0, -0.0, 0.0);
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        __m256d vb = _mm256_loadu_pd(bd + 2 * i);
-        if (ConjB)
-            vb = _mm256_xor_pd(vb, conj_mask);
-        _mm256_storeu_pd(
-            od + 2 * i,
-            complexMulAvx2(_mm256_loadu_pd(ad + 2 * i), vb));
-    }
-    hadamardScalar<ConjB>(out + i, a + i, b + i, n - i);
-}
-
-__attribute__((target("avx2"))) void
-scaleAvx2(Complex *data, double s, std::size_t n)
-{
-    auto *d = reinterpret_cast<double *>(data);
-    const __m256d vs = _mm256_set1_pd(s);
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2)
-        _mm256_storeu_pd(d + 2 * i,
-                         _mm256_mul_pd(_mm256_loadu_pd(d + 2 * i), vs));
-    scaleScalar(data + i, s, n - i);
-}
-
 #endif // SOV_SIMD_X86
 
 } // namespace
@@ -315,46 +218,6 @@ dot(const float *a, const float *b, std::size_t n,
         return dotSse2(a, b, n);
 #endif
     return dotScalar(a, b, n);
-}
-
-void
-butterfly(Complex *lo, Complex *hi, const Complex *w, std::size_t half,
-          [[maybe_unused]] SimdLevel level)
-{
-#if SOV_SIMD_X86
-    if (level == SimdLevel::Avx2)
-        return butterflyAvx2(lo, hi, w, half);
-#endif
-    butterflyScalar(lo, hi, w, half);
-}
-
-void
-hadamardMul(Complex *out, const Complex *a, const Complex *b,
-            std::size_t n, bool conj_b,
-            [[maybe_unused]] SimdLevel level)
-{
-#if SOV_SIMD_X86
-    if (level == SimdLevel::Avx2) {
-        if (conj_b)
-            return hadamardAvx2<true>(out, a, b, n);
-        return hadamardAvx2<false>(out, a, b, n);
-    }
-#endif
-    if (conj_b)
-        hadamardScalar<true>(out, a, b, n);
-    else
-        hadamardScalar<false>(out, a, b, n);
-}
-
-void
-scale(Complex *data, double s, std::size_t n,
-      [[maybe_unused]] SimdLevel level)
-{
-#if SOV_SIMD_X86
-    if (level == SimdLevel::Avx2)
-        return scaleAvx2(data, s, n);
-#endif
-    scaleScalar(data, s, n);
 }
 
 } // namespace sov::simd

@@ -8,10 +8,7 @@
 namespace sov {
 
 KcfTracker::KcfTracker(const KcfConfig &config)
-    : config_(config),
-      level_(config.backend == KernelBackend::Simd ? detectSimdLevel()
-                                                   : SimdLevel::None),
-      plan_(config.window, config.window)
+    : config_(config), plan_(config.window, config.window)
 {
     SOV_ASSERT(isPowerOfTwo(config.window));
     const std::size_t n = config_.window;
@@ -58,9 +55,9 @@ KcfTracker::transform(std::vector<Complex> &data, bool inverse)
         return;
     }
     if (inverse)
-        plan_.inverse(data.data(), level_);
+        plan_.inverse(data.data());
     else
-        plan_.forward(data.data(), level_);
+        plan_.forward(data.data());
 }
 
 void

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/kernels.h"
-#include "core/simd.h"
 #include "math/fft.h"
 #include "math/fft_plan.h"
 #include "vision/image.h"
@@ -32,10 +31,10 @@ struct KcfConfig
      * Implementation tier (core/kernels.h). Reference runs every
      * transform through the ad-hoc fft2d(); Fast routes them through a
      * precomputed Fft2dPlan with reused patch/response buffers, so
-     * steady-state frames perform no heap allocation; Simd additionally
-     * runs the butterfly loops vectorized. All three tiers are
-     * bit-identical (the plan replays the ad-hoc twiddle rounding and
-     * the vector butterflies round like the scalar ones).
+     * steady-state frames perform no heap allocation. Simd runs the
+     * Fast code: vectorized butterflies measured below 1.2× over it
+     * and were deleted. All three tiers are bit-identical (the plan
+     * replays the ad-hoc twiddle rounding).
      */
     KernelBackend backend = KernelBackend::Reference;
 };
@@ -78,7 +77,6 @@ class KcfTracker
     void transform(std::vector<Complex> &data, bool inverse);
 
     KcfConfig config_;
-    SimdLevel level_ = SimdLevel::None; //!< resolved once from backend
     Fft2dPlan plan_;                 //!< planned FFT for Fast/Simd
     std::vector<double> hann_;       //!< 2-D Hann window (w*w)
     std::vector<Complex> target_fft_; //!< Gaussian label spectrum

@@ -17,7 +17,9 @@
  *    dense search, the left-right check AND the subpixel parabola,
  *    and rows are processed in fixed-size blocks fanned out over a
  *    core::ThreadPool. Scratch comes from a FrameArena, so
- *    steady-state frames perform no system allocation.
+ *    steady-state frames perform no system allocation. The Simd
+ *    backend runs the Fast code with the SAD column-sum update
+ *    vectorized (math/simd_kernels.h).
  *
  * Determinism: Fast output is bit-identical for any thread count
  * (fixed row-block partitioning, block-ordered reduction), and for

@@ -360,11 +360,11 @@ invDist2Table()
 }
 
 /**
- * One support row of the Simd tier's windowed prior scan: the
- * supports with a fixed dy, plus the sliding [b, e) range of those
- * inside this pixel's x-window. |dx| <= reach ⇔ dx² + dy² + 1 <= 1600,
- * exactly — integer arithmetic on both sides — so the window admits
- * precisely the candidates the Fast tier's distance test keeps.
+ * One support row of the windowed prior scan: the supports with a
+ * fixed dy, plus the sliding [b, e) range of those inside this
+ * pixel's x-window. |dx| <= reach ⇔ dx² + dy² + 1 <= 1600, exactly —
+ * integer arithmetic on both sides — so the window admits precisely
+ * the candidates the reference's distance test keeps.
  */
 struct PriorRow
 {
@@ -420,86 +420,59 @@ StereoMatcher::matchFast(const Image &left, const Image &right) const
                 supports.begin(), supports.end(), y + 39,
                 [](int yy, const SupportPoint &sp) { return yy < sp.y; });
 
-            // Simd tier: the same weighted sums in the same order,
-            // but each support row keeps a two-pointer x-window (the
+            // Each support row keeps a two-pointer x-window (the
             // circle test degenerates to |dx| <= reach per row) so
             // rejected candidates are never visited, and the integer
-            // -valued 1/dist² weight comes from a table. Both
-            // restructurings are bit-exact, so the tiers still share
-            // one checksum; the Fast tier deliberately keeps the
-            // original scan as the gated baseline in bench_kernels.
-            const bool windowed =
-                config_.backend == KernelBackend::Simd;
+            // -valued 1/dist² weight comes from a table. The weighted
+            // sums run over the reference's candidates in its order,
+            // so they round identically.
             PriorRow prior_rows[80];
             std::size_t nrows = 0;
-            if (windowed) {
-                const SupportPoint *base = supports.data();
-                const SupportPoint *it =
-                    base + (lo - supports.begin());
-                const SupportPoint *row_hi =
-                    base + (hi - supports.begin());
-                while (it != row_hi) {
-                    const int sy = it->y;
-                    const SupportPoint *run = it;
-                    while (run != row_hi && run->y == sy)
-                        ++run;
-                    const int dy = sy - y;
-                    const int rem = 1599 - dy * dy;
-                    int reach = static_cast<int>(
-                        std::sqrt(static_cast<double>(rem)));
-                    while ((reach + 1) * (reach + 1) <= rem)
-                        ++reach;
-                    while (reach > 0 && reach * reach > rem)
-                        --reach;
-                    prior_rows[nrows++] =
-                        PriorRow{run, it, it, dy * dy, reach};
-                    it = run;
-                }
+            const SupportPoint *base = supports.data();
+            const SupportPoint *it = base + (lo - supports.begin());
+            const SupportPoint *row_hi = base + (hi - supports.begin());
+            while (it != row_hi) {
+                const int sy = it->y;
+                const SupportPoint *run = it;
+                while (run != row_hi && run->y == sy)
+                    ++run;
+                const int dy = sy - y;
+                const int rem = 1599 - dy * dy;
+                int reach =
+                    static_cast<int>(std::sqrt(static_cast<double>(rem)));
+                while ((reach + 1) * (reach + 1) <= rem)
+                    ++reach;
+                while (reach > 0 && reach * reach > rem)
+                    --reach;
+                prior_rows[nrows++] = PriorRow{run, it, it, dy * dy, reach};
+                it = run;
             }
             const double *inv_dist2 = invDist2Table();
 
             for (int x = 0; x < p.w; ++x) {
                 double prior = -1.0;
-                if (windowed) {
-                    double wsum = 0.0, dsum = 0.0;
-                    for (std::size_t s = 0; s < nrows; ++s) {
-                        PriorRow &row = prior_rows[s];
-                        const int xlo = x - row.reach;
-                        const int xhi = x + row.reach;
-                        while (row.b != row.end && row.b->x < xlo)
-                            ++row.b;
-                        if (row.e < row.b)
-                            row.e = row.b;
-                        while (row.e != row.end && row.e->x <= xhi)
-                            ++row.e;
-                        for (const SupportPoint *sp = row.b;
-                             sp != row.e; ++sp) {
-                            const int dxi = sp->x - x;
-                            const double wgt =
-                                inv_dist2[dxi * dxi + row.dy_sq + 1];
-                            wsum += wgt;
-                            dsum += wgt * sp->disparity;
-                        }
-                    }
-                    if (wsum > 0.0)
-                        prior = dsum / wsum;
-                } else if (!supports.empty()) {
-                    double wsum = 0.0, dsum = 0.0;
-                    for (auto it = lo; it != hi; ++it) {
-                        const double dx =
-                            it->x - static_cast<double>(x);
-                        const double dy =
-                            it->y - static_cast<double>(y);
-                        const double dist2 = dx * dx + dy * dy + 1.0;
-                        if (dist2 > 40.0 * 40.0)
-                            continue;
-                        const double wgt = 1.0 / dist2;
+                double wsum = 0.0, dsum = 0.0;
+                for (std::size_t k = 0; k < nrows; ++k) {
+                    PriorRow &row = prior_rows[k];
+                    const int xlo = x - row.reach;
+                    const int xhi = x + row.reach;
+                    while (row.b != row.end && row.b->x < xlo)
+                        ++row.b;
+                    if (row.e < row.b)
+                        row.e = row.b;
+                    while (row.e != row.end && row.e->x <= xhi)
+                        ++row.e;
+                    for (const SupportPoint *sp = row.b; sp != row.e;
+                         ++sp) {
+                        const int dxi = sp->x - x;
+                        const double wgt =
+                            inv_dist2[dxi * dxi + row.dy_sq + 1];
                         wsum += wgt;
-                        dsum += wgt * it->disparity;
+                        dsum += wgt * sp->disparity;
                     }
-                    if (wsum > 0.0)
-                        prior = dsum / wsum;
                 }
+                if (wsum > 0.0)
+                    prior = dsum / wsum;
 
                 int d_lo = 0, d_hi = config_.max_disparity;
                 if (prior >= 0.0) {

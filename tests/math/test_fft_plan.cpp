@@ -2,9 +2,8 @@
  * @file
  * FftPlan / Fft2dPlan gates: a planned transform must be bit-identical
  * to the ad-hoc fft()/fft2d() oracle (the plan precomputes exactly the
- * iteratively-generated twiddle sequence), the 2-D scratch arena must
- * stop allocating after warm-up, and the Simd butterfly path must
- * match the scalar one bit-for-bit.
+ * iteratively-generated twiddle sequence), and the 2-D scratch arena
+ * must stop allocating after warm-up.
  */
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include <vector>
 
 #include "core/rng.h"
-#include "core/simd.h"
 #include "math/fft.h"
 #include "math/fft_plan.h"
 
@@ -129,40 +127,6 @@ TEST(Fft2dPlan, ScratchArenaStopsGrowingAfterWarmup)
         plan.inverse(data.data());
     }
     EXPECT_EQ(warm, plan.scratchSystemAllocations());
-}
-
-TEST(FftPlan, SimdMatchesScalarBitwise)
-{
-    const SimdLevel level = detectSimdLevel();
-    if (level == SimdLevel::None)
-        GTEST_SKIP() << "no SIMD support on this host/build";
-    for (std::size_t n : {2u, 8u, 64u, 256u}) {
-        const auto signal = randomSignal(n, n + 17);
-        FftPlan plan(n);
-        auto scalar = signal;
-        plan.forward(scalar.data(), SimdLevel::None);
-        auto vector = signal;
-        plan.forward(vector.data(), level);
-        expectBitEqual(scalar, vector);
-
-        plan.inverse(scalar.data(), SimdLevel::None);
-        plan.inverse(vector.data(), level);
-        expectBitEqual(scalar, vector);
-    }
-}
-
-TEST(Fft2dPlan, SimdMatchesScalarBitwise)
-{
-    const SimdLevel level = detectSimdLevel();
-    if (level == SimdLevel::None)
-        GTEST_SKIP() << "no SIMD support on this host/build";
-    Fft2dPlan plan(32, 32);
-    const auto signal = randomSignal(32 * 32, 21);
-    auto scalar = signal;
-    plan.forward(scalar.data(), SimdLevel::None);
-    auto vector = signal;
-    plan.forward(vector.data(), level);
-    expectBitEqual(scalar, vector);
 }
 
 } // namespace

@@ -4,9 +4,9 @@
  * match its scalar twin across unaligned sizes and ragged tails —
  * bit-identically for the element-wise kernels, and to reassociation
  * epsilon for the reduction (dot), per the equivalence
- * policy in math/simd_kernels.h. On hosts/builds without SIMD the
- * dispatchers must degrade to the scalar bodies, so the suite still
- * runs (and trivially passes) there.
+ * policy in math/simd_kernels.h. Each test runs every level up to the
+ * detected one (SSE2, then AVX2), so an AVX2 host still checks the
+ * SSE2 bodies. On hosts/builds without SIMD the suite skips.
  */
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 
 #include "core/rng.h"
 #include "core/simd.h"
-#include "math/fft.h"
 #include "math/simd_kernels.h"
 
 namespace sov {
@@ -36,128 +35,89 @@ randomFloats(std::size_t n, std::uint64_t seed)
     return v;
 }
 
-std::vector<Complex>
-randomComplex(std::size_t n, std::uint64_t seed)
-{
-    Rng rng(seed);
-    std::vector<Complex> v(n);
-    for (auto &c : v)
-        c = Complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0));
-    return v;
-}
-
 class SimdKernels : public ::testing::Test
 {
   protected:
     void SetUp() override
     {
-        level_ = detectSimdLevel();
-        if (level_ == SimdLevel::None)
+        const SimdLevel detected = detectSimdLevel();
+        if (detected == SimdLevel::None)
             GTEST_SKIP() << "no SIMD support on this host/build";
+        levels_.push_back(SimdLevel::Sse2);
+        if (detected == SimdLevel::Avx2)
+            levels_.push_back(SimdLevel::Avx2);
     }
 
-    SimdLevel level_ = SimdLevel::None;
+    /** Every vector level the host runs, narrowest first. */
+    std::vector<SimdLevel> levels_;
 };
 
 TEST_F(SimdKernels, AbsDiffAddMatchesScalarBitwise)
 {
-    for (const std::size_t n : kSizes) {
-        const auto a = randomFloats(n, 2 * n + 1);
-        const auto b = randomFloats(n, 2 * n + 2);
-        auto scalar = randomFloats(n, 2 * n + 3);
-        auto vector = scalar;
-        simd::absDiffAdd(scalar.data(), a.data(), b.data(), n,
-                         SimdLevel::None);
-        simd::absDiffAdd(vector.data(), a.data(), b.data(), n, level_);
-        EXPECT_EQ(scalar, vector) << "n=" << n;
+    for (const SimdLevel level : levels_) {
+        for (const std::size_t n : kSizes) {
+            const auto a = randomFloats(n, 2 * n + 1);
+            const auto b = randomFloats(n, 2 * n + 2);
+            auto scalar = randomFloats(n, 2 * n + 3);
+            auto vector = scalar;
+            simd::absDiffAdd(scalar.data(), a.data(), b.data(), n,
+                             SimdLevel::None);
+            simd::absDiffAdd(vector.data(), a.data(), b.data(), n, level);
+            EXPECT_EQ(scalar, vector)
+                << simdLevelName(level) << " n=" << n;
+        }
     }
 }
 
 TEST_F(SimdKernels, AbsDiffSubMatchesScalarBitwise)
 {
-    for (const std::size_t n : kSizes) {
-        const auto a = randomFloats(n, 3 * n + 1);
-        const auto b = randomFloats(n, 3 * n + 2);
-        auto scalar = randomFloats(n, 3 * n + 3);
-        auto vector = scalar;
-        simd::absDiffSub(scalar.data(), a.data(), b.data(), n,
-                         SimdLevel::None);
-        simd::absDiffSub(vector.data(), a.data(), b.data(), n, level_);
-        EXPECT_EQ(scalar, vector) << "n=" << n;
+    for (const SimdLevel level : levels_) {
+        for (const std::size_t n : kSizes) {
+            const auto a = randomFloats(n, 3 * n + 1);
+            const auto b = randomFloats(n, 3 * n + 2);
+            auto scalar = randomFloats(n, 3 * n + 3);
+            auto vector = scalar;
+            simd::absDiffSub(scalar.data(), a.data(), b.data(), n,
+                             SimdLevel::None);
+            simd::absDiffSub(vector.data(), a.data(), b.data(), n, level);
+            EXPECT_EQ(scalar, vector)
+                << simdLevelName(level) << " n=" << n;
+        }
     }
 }
 
 TEST_F(SimdKernels, AxpyMatchesScalarBitwise)
 {
-    for (const std::size_t n : kSizes) {
-        const auto src = randomFloats(n, 5 * n + 1);
-        auto scalar = randomFloats(n, 5 * n + 2);
-        auto vector = scalar;
-        simd::axpy(scalar.data(), src.data(), 1.7f, n, SimdLevel::None);
-        simd::axpy(vector.data(), src.data(), 1.7f, n, level_);
-        EXPECT_EQ(scalar, vector) << "n=" << n;
+    for (const SimdLevel level : levels_) {
+        for (const std::size_t n : kSizes) {
+            const auto src = randomFloats(n, 5 * n + 1);
+            auto scalar = randomFloats(n, 5 * n + 2);
+            auto vector = scalar;
+            simd::axpy(scalar.data(), src.data(), 1.7f, n,
+                       SimdLevel::None);
+            simd::axpy(vector.data(), src.data(), 1.7f, n, level);
+            EXPECT_EQ(scalar, vector)
+                << simdLevelName(level) << " n=" << n;
+        }
     }
 }
 
 TEST_F(SimdKernels, DotMatchesScalarToReassociationEpsilon)
 {
-    for (const std::size_t n : kSizes) {
-        const auto a = randomFloats(n, 7 * n + 1);
-        const auto b = randomFloats(n, 7 * n + 2);
-        const float scalar =
-            simd::dot(a.data(), b.data(), n, SimdLevel::None);
-        const float vector = simd::dot(a.data(), b.data(), n, level_);
-        // Reassociated sum: tolerance scales with n, stays tiny.
-        const float tol =
-            1e-5f * static_cast<float>(n + 1) +
-            1e-6f * std::fabs(scalar);
-        EXPECT_NEAR(scalar, vector, tol) << "n=" << n;
-    }
-}
-
-TEST_F(SimdKernels, ButterflyMatchesScalarBitwise)
-{
-    for (const std::size_t n : kSizes) {
-        auto scalar_lo = randomComplex(n, 11 * n + 1);
-        auto scalar_hi = randomComplex(n, 11 * n + 2);
-        const auto w = randomComplex(n, 11 * n + 3);
-        auto vector_lo = scalar_lo;
-        auto vector_hi = scalar_hi;
-        simd::butterfly(scalar_lo.data(), scalar_hi.data(), w.data(), n,
-                        SimdLevel::None);
-        simd::butterfly(vector_lo.data(), vector_hi.data(), w.data(), n,
-                        level_);
-        EXPECT_EQ(scalar_lo, vector_lo) << "n=" << n;
-        EXPECT_EQ(scalar_hi, vector_hi) << "n=" << n;
-    }
-}
-
-TEST_F(SimdKernels, HadamardMatchesScalarBitwise)
-{
-    for (const std::size_t n : kSizes) {
-        const auto a = randomComplex(n, 13 * n + 1);
-        const auto b = randomComplex(n, 13 * n + 2);
-        for (const bool conj_b : {false, true}) {
-            std::vector<Complex> scalar(n);
-            std::vector<Complex> vectorized(n);
-            simd::hadamardMul(scalar.data(), a.data(), b.data(), n,
-                              conj_b, SimdLevel::None);
-            simd::hadamardMul(vectorized.data(), a.data(), b.data(), n,
-                              conj_b, level_);
-            EXPECT_EQ(scalar, vectorized) << "n=" << n
-                                          << " conj=" << conj_b;
+    for (const SimdLevel level : levels_) {
+        for (const std::size_t n : kSizes) {
+            const auto a = randomFloats(n, 7 * n + 1);
+            const auto b = randomFloats(n, 7 * n + 2);
+            const float scalar =
+                simd::dot(a.data(), b.data(), n, SimdLevel::None);
+            const float vector = simd::dot(a.data(), b.data(), n, level);
+            // Reassociated sum: tolerance scales with n, stays tiny.
+            const float tol =
+                1e-5f * static_cast<float>(n + 1) +
+                1e-6f * std::fabs(scalar);
+            EXPECT_NEAR(scalar, vector, tol)
+                << simdLevelName(level) << " n=" << n;
         }
-    }
-}
-
-TEST_F(SimdKernels, ScaleMatchesScalarBitwise)
-{
-    for (const std::size_t n : kSizes) {
-        auto scalar = randomComplex(n, 17 * n + 1);
-        auto vector = scalar;
-        simd::scale(scalar.data(), 1.0 / 3.0, n, SimdLevel::None);
-        simd::scale(vector.data(), 1.0 / 3.0, n, level_);
-        EXPECT_EQ(scalar, vector) << "n=" << n;
     }
 }
 

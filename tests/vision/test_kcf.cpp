@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "core/rng.h"
 #include "vision/kcf.h"
@@ -87,6 +89,46 @@ TEST(Kcf, ReinitRestartsTracking)
     EXPECT_TRUE(s.confident);
     EXPECT_NEAR(s.x, 102.0, 2.0);
     EXPECT_NEAR(s.y, 81.0, 2.0);
+}
+
+bool
+bitEqual(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(Kcf, TiersTrackBitIdentical)
+{
+    // The plan replays fft2d's twiddle rounding and the Simd tier runs
+    // the Fast code, so every tier follows the target bit for bit.
+    const KernelBackend tiers[] = {KernelBackend::Reference,
+                                   KernelBackend::Fast,
+                                   KernelBackend::Simd};
+    std::vector<KcfTracker> trackers;
+    for (const KernelBackend backend : tiers) {
+        KcfConfig cfg;
+        cfg.backend = backend;
+        trackers.emplace_back(cfg);
+    }
+    double cx = 50, cy = 45;
+    for (auto &t : trackers)
+        t.init(targetFrame(160, 120, cx, cy), cx, cy);
+    for (int step = 0; step < 24; ++step) {
+        cx += 2.5;
+        cy += 0.75;
+        const Image frame = targetFrame(160, 120, cx, cy);
+        const KcfStatus want = trackers[0].update(frame);
+        ASSERT_TRUE(want.confident) << "step " << step;
+        for (std::size_t i = 1; i < trackers.size(); ++i) {
+            const KcfStatus got = trackers[i].update(frame);
+            const char *tier = kernelBackendName(tiers[i]);
+            EXPECT_TRUE(bitEqual(want.x, got.x)) << tier << " step " << step;
+            EXPECT_TRUE(bitEqual(want.y, got.y)) << tier << " step " << step;
+            EXPECT_TRUE(bitEqual(want.psr, got.psr))
+                << tier << " step " << step;
+            EXPECT_TRUE(got.confident) << tier << " step " << step;
+        }
+    }
 }
 
 TEST(Kcf, InitializedFlag)

@@ -1,11 +1,13 @@
 /**
  * Fast-vs-reference equivalence for the perception kernel backends
- * (vision/kernels.h), plus the determinism and allocation contracts:
+ * (vision/kernels.h), plus the determinism and allocation contracts.
+ * Each check runs the Fast tier and the Simd tier that ships
+ * (defaultKernelBackend()):
  *
- *  - quantized stereo inputs (multiples of 1/256): Fast == Reference
- *    bit-for-bit — every SAD partial sum is exactly representable in
- *    float, so the two summation orders agree;
- *  - arbitrary float inputs: Fast output is bit-identical across
+ *  - quantized stereo inputs (multiples of 1/256): Fast and Simd ==
+ *    Reference bit-for-bit — every SAD partial sum is exactly
+ *    representable in float, so the summation orders agree;
+ *  - arbitrary float inputs: the output is bit-identical across
  *    thread counts (fixed row-block partitioning);
  *  - im2col GEMM convolution: epsilon equivalence forward/backward;
  *  - FrameArena scratch: steady-state frames stop allocating.
@@ -75,6 +77,10 @@ expectBitIdentical(const DisparityMap &a, const DisparityMap &b)
     EXPECT_EQ(a.density, b.density);
 }
 
+/** The optimized tiers every equivalence check below runs. */
+const KernelBackend kOptimizedTiers[] = {KernelBackend::Fast,
+                                         KernelBackend::Simd};
+
 TEST(KernelBackendEnum, NamesRoundTrip)
 {
     EXPECT_STREQ(kernelBackendName(KernelBackend::Reference), "reference");
@@ -90,9 +96,13 @@ TEST(StereoKernels, FastMatchesReferenceBitwiseOnQuantizedInput)
     StereoConfig cfg;
     cfg.max_disparity = 16;
     const StereoMatcher ref(cfg);
-    cfg.backend = KernelBackend::Fast;
-    const StereoMatcher fast(cfg);
-    expectBitIdentical(ref.match(left, right), fast.match(left, right));
+    const DisparityMap want = ref.match(left, right);
+    for (const KernelBackend tier : kOptimizedTiers) {
+        SCOPED_TRACE(kernelBackendName(tier));
+        cfg.backend = tier;
+        const StereoMatcher fast(cfg);
+        expectBitIdentical(want, fast.match(left, right));
+    }
 }
 
 TEST(StereoKernels, FastMatchesReferenceAcrossConfigs)
@@ -106,10 +116,13 @@ TEST(StereoKernels, FastMatchesReferenceAcrossConfigs)
             cfg.left_right_check = lr;
             cfg.row_block = 5; // not a divisor of the image height
             const StereoMatcher ref(cfg);
-            cfg.backend = KernelBackend::Fast;
-            const StereoMatcher fast(cfg);
-            expectBitIdentical(ref.match(left, right),
-                               fast.match(left, right));
+            const DisparityMap want = ref.match(left, right);
+            for (const KernelBackend tier : kOptimizedTiers) {
+                SCOPED_TRACE(kernelBackendName(tier));
+                cfg.backend = tier;
+                const StereoMatcher fast(cfg);
+                expectBitIdentical(want, fast.match(left, right));
+            }
         }
     }
 }
@@ -120,52 +133,62 @@ TEST(StereoKernels, SupportPointsIdenticalOnQuantizedInput)
     StereoConfig cfg;
     cfg.max_disparity = 16;
     const StereoMatcher ref(cfg);
-    cfg.backend = KernelBackend::Fast;
-    const StereoMatcher fast(cfg);
     const auto a = ref.supportPoints(left, right);
-    const auto b = fast.supportPoints(left, right);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].x, b[i].x);
-        EXPECT_EQ(a[i].y, b[i].y);
-        EXPECT_EQ(a[i].disparity, b[i].disparity) << "support " << i;
+    for (const KernelBackend tier : kOptimizedTiers) {
+        SCOPED_TRACE(kernelBackendName(tier));
+        cfg.backend = tier;
+        const StereoMatcher fast(cfg);
+        const auto b = fast.supportPoints(left, right);
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].x, b[i].x);
+            EXPECT_EQ(a[i].y, b[i].y);
+            EXPECT_EQ(a[i].disparity, b[i].disparity) << "support " << i;
+        }
     }
 }
 
 TEST(StereoKernels, FastOutputIndependentOfThreadCount)
 {
     // Unquantized floats: the *cross-backend* bitwise guarantee does
-    // not apply, but the Fast backend must still be bit-identical for
-    // any thread count — including no pool at all.
+    // not apply, but each optimized backend must still be bit-identical
+    // for any thread count — including no pool at all.
     const auto [left, right] = makeShiftedPair(96, 72, 6.0, 24, false);
-    StereoConfig cfg;
-    cfg.max_disparity = 16;
-    cfg.backend = KernelBackend::Fast;
+    for (const KernelBackend tier : kOptimizedTiers) {
+        StereoConfig cfg;
+        cfg.max_disparity = 16;
+        cfg.backend = tier;
 
-    StereoMatcher serial(cfg);
-    const std::uint64_t want = fingerprint(serial.match(left, right));
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-        ThreadPool pool(threads);
-        StereoMatcher matcher(cfg);
-        matcher.setThreadPool(&pool);
-        EXPECT_EQ(fingerprint(matcher.match(left, right)), want)
-            << threads << " threads";
+        StereoMatcher serial(cfg);
+        const std::uint64_t want = fingerprint(serial.match(left, right));
+        for (const std::size_t threads : {1u, 2u, 8u}) {
+            ThreadPool pool(threads);
+            StereoMatcher matcher(cfg);
+            matcher.setThreadPool(&pool);
+            EXPECT_EQ(fingerprint(matcher.match(left, right)), want)
+                << kernelBackendName(tier) << ", " << threads
+                << " threads";
+        }
     }
 }
 
 TEST(StereoKernels, ScratchArenaStopsAllocatingAfterWarmup)
 {
     const auto [left, right] = makeShiftedPair(96, 72, 6.0, 25, false);
-    StereoConfig cfg;
-    cfg.max_disparity = 16;
-    cfg.backend = KernelBackend::Fast;
-    StereoMatcher matcher(cfg);
-    matcher.match(left, right);
-    matcher.match(left, right);
-    const std::size_t warm = matcher.scratchArena().systemAllocations();
-    for (int frame = 0; frame < 4; ++frame)
+    for (const KernelBackend tier : kOptimizedTiers) {
+        StereoConfig cfg;
+        cfg.max_disparity = 16;
+        cfg.backend = tier;
+        StereoMatcher matcher(cfg);
         matcher.match(left, right);
-    EXPECT_EQ(matcher.scratchArena().systemAllocations(), warm);
+        matcher.match(left, right);
+        const std::size_t warm =
+            matcher.scratchArena().systemAllocations();
+        for (int frame = 0; frame < 4; ++frame)
+            matcher.match(left, right);
+        EXPECT_EQ(matcher.scratchArena().systemAllocations(), warm)
+            << kernelBackendName(tier);
+    }
 }
 
 // ----------------------------------------------------------------- CNN
@@ -183,80 +206,93 @@ randomTensor(std::size_t c, std::size_t h, std::size_t w,
 
 TEST(ConvKernels, ForwardFastMatchesReference)
 {
-    Rng r1(7), r2(7);
+    Rng r1(7);
     Conv2d ref(3, 5, 3, r1);
-    Conv2d fast(3, 5, 3, r2);
-    fast.setBackend(KernelBackend::Fast);
-
     const Tensor input = randomTensor(3, 17, 19, 31);
     const Tensor a = ref.forward(input);
-    const Tensor b = fast.forward(input);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        ASSERT_NEAR(a.data()[i], b.data()[i], 1e-4) << "element " << i;
+    for (const KernelBackend tier : kOptimizedTiers) {
+        SCOPED_TRACE(kernelBackendName(tier));
+        Rng r2(7);
+        Conv2d fast(3, 5, 3, r2);
+        fast.setBackend(tier);
+        const Tensor b = fast.forward(input);
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i)
+            ASSERT_NEAR(a.data()[i], b.data()[i], 1e-4)
+                << "element " << i;
+    }
 }
 
 TEST(ConvKernels, BackwardFastMatchesReference)
 {
-    Rng r1(8), r2(8);
-    Conv2d ref(2, 4, 3, r1);
-    Conv2d fast(2, 4, 3, r2);
-    fast.setBackend(KernelBackend::Fast);
+    for (const KernelBackend tier : kOptimizedTiers) {
+        SCOPED_TRACE(kernelBackendName(tier));
+        Rng r1(8), r2(8);
+        Conv2d ref(2, 4, 3, r1);
+        Conv2d fast(2, 4, 3, r2);
+        fast.setBackend(tier);
 
-    const Tensor input = randomTensor(2, 11, 13, 32);
-    ref.forward(input);
-    fast.forward(input);
+        const Tensor input = randomTensor(2, 11, 13, 32);
+        ref.forward(input);
+        fast.forward(input);
 
-    const Tensor grad_out = randomTensor(4, 11, 13, 33);
-    const Tensor ga = ref.backward(grad_out);
-    const Tensor gb = fast.backward(grad_out);
-    ASSERT_EQ(ga.size(), gb.size());
-    for (std::size_t i = 0; i < ga.size(); ++i)
-        ASSERT_NEAR(ga.data()[i], gb.data()[i], 1e-3) << "dInput " << i;
+        const Tensor grad_out = randomTensor(4, 11, 13, 33);
+        const Tensor ga = ref.backward(grad_out);
+        const Tensor gb = fast.backward(grad_out);
+        ASSERT_EQ(ga.size(), gb.size());
+        for (std::size_t i = 0; i < ga.size(); ++i)
+            ASSERT_NEAR(ga.data()[i], gb.data()[i], 1e-3) << "dInput " << i;
 
-    // The accumulated parameter gradients must agree too: step both
-    // layers and compare the resulting weights.
-    ref.applyGradients(0.1f, 1);
-    fast.applyGradients(0.1f, 1);
-    for (std::size_t o = 0; o < 4; ++o) {
-        EXPECT_NEAR(ref.bias(o), fast.bias(o), 1e-3);
-        for (std::size_t i = 0; i < 2; ++i)
-            for (std::size_t ky = 0; ky < 3; ++ky)
-                for (std::size_t kx = 0; kx < 3; ++kx)
-                    ASSERT_NEAR(ref.weight(o, i, ky, kx),
-                                fast.weight(o, i, ky, kx), 1e-3);
+        // The accumulated parameter gradients must agree too: step both
+        // layers and compare the resulting weights.
+        ref.applyGradients(0.1f, 1);
+        fast.applyGradients(0.1f, 1);
+        for (std::size_t o = 0; o < 4; ++o) {
+            EXPECT_NEAR(ref.bias(o), fast.bias(o), 1e-3);
+            for (std::size_t i = 0; i < 2; ++i)
+                for (std::size_t ky = 0; ky < 3; ++ky)
+                    for (std::size_t kx = 0; kx < 3; ++kx)
+                        ASSERT_NEAR(ref.weight(o, i, ky, kx),
+                                    fast.weight(o, i, ky, kx), 1e-3);
+        }
     }
 }
 
 TEST(ConvKernels, ScratchArenaStopsAllocatingAfterWarmup)
 {
-    Rng rng(9);
-    Conv2d conv(1, 8, 3, rng);
-    conv.setBackend(KernelBackend::Fast);
-    const Tensor input = randomTensor(1, 16, 16, 34);
-    conv.forward(Tensor(input), false);
-    const std::size_t warm = conv.scratchArena().systemAllocations();
-    EXPECT_GT(warm, 0u);
-    for (int frame = 0; frame < 8; ++frame)
+    for (const KernelBackend tier : kOptimizedTiers) {
+        SCOPED_TRACE(kernelBackendName(tier));
+        Rng rng(9);
+        Conv2d conv(1, 8, 3, rng);
+        conv.setBackend(tier);
+        const Tensor input = randomTensor(1, 16, 16, 34);
         conv.forward(Tensor(input), false);
-    EXPECT_EQ(conv.scratchArena().systemAllocations(), warm);
+        const std::size_t warm = conv.scratchArena().systemAllocations();
+        EXPECT_GT(warm, 0u);
+        for (int frame = 0; frame < 8; ++frame)
+            conv.forward(Tensor(input), false);
+        EXPECT_EQ(conv.scratchArena().systemAllocations(), warm);
+    }
 }
 
 TEST(NetworkKernels, InferenceBackendsAgree)
 {
-    Rng r1(42), r2(42);
-    Network ref = makePatchClassifier(16, 5, r1);
-    Network fast = makePatchClassifier(16, 5, r2);
-    fast.setBackend(KernelBackend::Fast);
+    for (const KernelBackend tier : kOptimizedTiers) {
+        SCOPED_TRACE(kernelBackendName(tier));
+        Rng r1(42), r2(42);
+        Network ref = makePatchClassifier(16, 5, r1);
+        Network fast = makePatchClassifier(16, 5, r2);
+        fast.setBackend(tier);
 
-    for (std::uint64_t seed = 50; seed < 56; ++seed) {
-        const Tensor patch = randomTensor(1, 16, 16, seed);
-        const Tensor la = ref.forward(patch);
-        const Tensor lb = fast.forward(patch);
-        ASSERT_EQ(la.size(), lb.size());
-        for (std::size_t i = 0; i < la.size(); ++i)
-            EXPECT_NEAR(la.data()[i], lb.data()[i], 1e-3) << "logit " << i;
-        EXPECT_EQ(ref.predict(patch), fast.predict(patch));
+        for (std::uint64_t seed = 50; seed < 56; ++seed) {
+            const Tensor patch = randomTensor(1, 16, 16, seed);
+            const Tensor la = ref.forward(patch);
+            const Tensor lb = fast.forward(patch);
+            ASSERT_EQ(la.size(), lb.size());
+            for (std::size_t i = 0; i < la.size(); ++i)
+                EXPECT_NEAR(la.data()[i], lb.data()[i], 1e-3) << "logit " << i;
+            EXPECT_EQ(ref.predict(patch), fast.predict(patch));
+        }
     }
 }
 
