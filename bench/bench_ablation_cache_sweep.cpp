@@ -6,7 +6,14 @@
  * cloud stays traffic-bound until the cache swallows the whole
  * working set, and that associativity barely helps (the access
  * pattern is irregular, not conflict-limited).
+ *
+ * Usage:
+ *   bench_ablation_cache_sweep [map_points=N]
+ *                              [out=BENCH_ablation_cache_sweep.json]
+ *
+ * map_points outside [1, 10000000] prints the usage line and exits 2.
  */
+#include <cstdint>
 #include <cstdio>
 
 #include "core/config.h"
@@ -38,8 +45,14 @@ int
 main(int argc, char **argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
-    const auto map_points = static_cast<std::size_t>(
-        cfg.getInt("map_points", 400000));
+    const std::int64_t map_points_arg = cfg.getInt("map_points", 400000);
+    if (map_points_arg < 1 || map_points_arg > 10'000'000) {
+        std::fprintf(stderr, "usage: bench_ablation_cache_sweep "
+                             "[map_points in 1..10000000] "
+                             "[out=BENCH_ablation_cache_sweep.json]\n");
+        return 2;
+    }
+    const auto map_points = static_cast<std::size_t>(map_points_arg);
 
     const PointCloud map = makeMapCloud(map_points, 1);
     const KdTree map_tree(map, 0);

@@ -99,10 +99,10 @@ main(int argc, char **argv)
         pipelined_frames,
         Duration::seconds(1.0 / SovPipelineConfig{}.frame_rate_hz));
     opts.deadline = Duration::millisF(deadline_ms);
+    obs::MetricRegistry spans;
+    opts.metrics = &spans;
     const runtime::RunResult run =
         runtime::DataflowExecutor::runAsync(pipeline.graph(), opts);
-    obs::MetricRegistry spans;
-    run.emit(pipeline.graph(), spans);
     std::printf("%-14s %10s %10s\n", "stage", "queue mean", "queue p99");
     for (const auto &stage : pipeline.graph().stageNames()) {
         const std::string key = "queue:" + stage;

@@ -7,7 +7,16 @@
  * Expected shape (paper): the budget tightens as the object gets
  * closer; 164 ms mean T_comp covers objects >= ~5 m; 740 ms worst case
  * needs >= 8.3 m; the braking distance (~4 m) is the hard floor.
+ *
+ * Usage:
+ *   bench_fig3a_latency_requirement [speed=5.6] [decel=4.0]
+ *                                   [out=BENCH_fig3a_latency_requirement.json]
+ *
+ * A speed (m/s) or decel (m/s^2) that is not a finite number in
+ * [0.1, 100] prints the usage line and exits 2: the model divides by
+ * both, and the budgets must stay representable as durations.
  */
+#include <cmath>
 #include <cstdio>
 
 #include "analysis/latency_model.h"
@@ -20,10 +29,21 @@ int
 main(int argc, char **argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
+    const double speed = cfg.getDouble("speed", 5.6);
+    const double decel = cfg.getDouble("decel", 4.0);
+    const auto in_range = [](double x) {
+        return std::isfinite(x) && x >= 0.1 && x <= 100.0;
+    };
+    if (!in_range(speed) || !in_range(decel)) {
+        std::fprintf(stderr,
+                     "usage: bench_fig3a_latency_requirement "
+                     "[speed in 0.1..100] [decel in 0.1..100] "
+                     "[out=BENCH_fig3a_latency_requirement.json]\n");
+        return 2;
+    }
     LatencyModelParams params;
-    params.speed = Speed::metersPerSecond(
-        cfg.getDouble("speed", 5.6));
-    params.brake_decel = cfg.getDouble("decel", 4.0);
+    params.speed = Speed::metersPerSecond(speed);
+    params.brake_decel = decel;
 
     bench::BenchReport report("fig3a_latency_requirement");
     report.meta("speed_mps", params.speed.toMetersPerSecond());

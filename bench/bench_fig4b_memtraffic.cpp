@@ -10,7 +10,13 @@
  * Expected shape (paper): every workload needs orders of magnitude
  * more off-chip traffic than optimal, because neighbor-search kernels
  * access map-scale clouds irregularly.
+ *
+ * Usage:
+ *   bench_fig4b_memtraffic [map_points=N] [out=BENCH_fig4b_memtraffic.json]
+ *
+ * map_points outside [1, 10000000] prints the usage line and exits 2.
  */
+#include <cstdint>
 #include <cstdio>
 
 #include "core/config.h"
@@ -101,8 +107,14 @@ int
 main(int argc, char **argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
-    const auto map_points = static_cast<std::size_t>(
-        cfg.getInt("map_points", 500000));
+    const std::int64_t map_points_arg = cfg.getInt("map_points", 500000);
+    if (map_points_arg < 1 || map_points_arg > 10'000'000) {
+        std::fprintf(stderr, "usage: bench_fig4b_memtraffic "
+                             "[map_points in 1..10000000] "
+                             "[out=BENCH_fig4b_memtraffic.json]\n");
+        return 2;
+    }
+    const auto map_points = static_cast<std::size_t>(map_points_arg);
 
     std::printf("=== Fig. 4b: off-chip traffic vs optimal, "
                 "9 MB 16-way LLC ===\n");

@@ -331,8 +331,10 @@ supervisedStack()
     StackPreset s;
     s.name = "supervised";
     s.loop.enable_health = true;
-    s.loop.stage_watchdog = Duration::millisF(400.0);
-    s.loop.stage_max_retries = 1;
+    runtime::StagePolicy watchdog;
+    watchdog.timeout = Duration::millisF(400.0);
+    watchdog.max_retries = 1;
+    s.loop.stage_policy = watchdog;
     return s;
 }
 

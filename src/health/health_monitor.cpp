@@ -48,20 +48,15 @@ HealthMonitor::onStageAttempt(runtime::StageId stage, std::size_t frame,
 {
     (void)stage;
     (void)frame;
-    if (outcome == runtime::StageOutcome::Crash) {
-        ++stage_crashes_;
+    if (outcome == runtime::StageOutcome::Crash)
         ++pending_faults_;
-    }
-    if (timed_out) {
-        ++stage_timeouts_;
+    if (timed_out)
         ++pending_faults_;
-    }
 }
 
 void
 HealthMonitor::onFrameFailed(const runtime::FrameTrace &trace)
 {
-    ++frames_failed_;
     ++pending_faults_;
     last_frame_activity_ = std::max(last_frame_activity_, trace.finish);
 }
@@ -69,7 +64,6 @@ HealthMonitor::onFrameFailed(const runtime::FrameTrace &trace)
 void
 HealthMonitor::onFrameCompleted(const runtime::FrameTrace &trace)
 {
-    ++frames_completed_;
     last_frame_activity_ = std::max(last_frame_activity_, trace.finish);
 }
 

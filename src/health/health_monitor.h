@@ -6,8 +6,10 @@
  * the DegradationManager:
  *
  *  - it implements runtime::DataflowHealthListener, so every stage
- *    crash, watchdog timeout, retry and abandoned frame of the
- *    DataflowExecutor lands here;
+ *    crash, watchdog timeout and abandoned frame of the
+ *    DataflowExecutor counts toward the fault window, and every
+ *    resolved frame toward stall detection (the executor keeps the
+ *    totals: DataflowExecutor::stageCrashes() and friends);
  *  - it tracks per-sensor heartbeats (a sensor that stops producing
  *    samples goes stale after its configured silence budget);
  *  - once per planning cycle, evaluate() folds the events since the
@@ -29,9 +31,6 @@ namespace sov::health {
 /** Liveness expectations for one sensor stream. */
 struct HeartbeatSpec
 {
-    /** Nominal sample period (documentation; staleness only uses the
-     *  budget below). */
-    Duration expected_period = Duration::millisF(100.0);
     /** Silence longer than this marks the sensor stale. */
     Duration stale_after = Duration::millisF(500.0);
     /** Guards the reactive path (radar/sonar): staleness escalates to
@@ -88,11 +87,6 @@ class HealthMonitor final : public runtime::DataflowHealthListener
      *  pipeline stalled (default 1 s). */
     void setPipelineStallAfter(Duration d) { stall_after_ = d; }
 
-    std::uint64_t stageCrashes() const { return stage_crashes_; }
-    std::uint64_t stageTimeouts() const { return stage_timeouts_; }
-    std::uint64_t framesFailed() const { return frames_failed_; }
-    std::uint64_t framesCompleted() const { return frames_completed_; }
-
   private:
     struct Sensor
     {
@@ -113,10 +107,6 @@ class HealthMonitor final : public runtime::DataflowHealthListener
     std::uint32_t pending_faults_ = 0;
     Duration stall_after_ = Duration::seconds(1.0);
     Timestamp last_frame_activity_ = Timestamp::origin();
-    std::uint64_t stage_crashes_ = 0;
-    std::uint64_t stage_timeouts_ = 0;
-    std::uint64_t frames_failed_ = 0;
-    std::uint64_t frames_completed_ = 0;
 };
 
 } // namespace sov::health

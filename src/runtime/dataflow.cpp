@@ -47,21 +47,6 @@ RunResult::fingerprint() const
     return h;
 }
 
-void
-RunResult::emit(const StageGraph &graph, obs::MetricRegistry &metrics) const
-{
-    for (const auto &frame : frames) {
-        if (frame.failed)
-            continue; // partial spans carry no meaningful timings
-        for (const auto &span : frame.spans) {
-            const std::string &name = graph.stage(span.stage).name;
-            metrics.record(name, span.duration());
-            metrics.record("queue:" + name, span.queueing());
-        }
-        metrics.recordTotal(frame.latency());
-    }
-}
-
 DataflowExecutor::DataflowExecutor(Simulator &sim, StageGraph &graph)
     : sim_(sim), graph_(graph), core_(graph), in_flight_(core_.laneCount())
 {
@@ -144,27 +129,6 @@ DataflowExecutor::traceInFlight()
                        static_cast<double>(framesInFlight()));
 }
 
-void
-DataflowExecutor::setStagePolicy(StageId stage, const StagePolicy &policy)
-{
-    SOV_ASSERT(stage < graph_.size());
-    policies_[stage] = policy;
-}
-
-void
-DataflowExecutor::setAllStagePolicies(const StagePolicy &policy)
-{
-    for (StageId s = 0; s < graph_.size(); ++s)
-        policies_[s] = policy;
-}
-
-const StagePolicy *
-DataflowExecutor::policyFor(StageId stage) const
-{
-    const auto it = policies_.find(stage);
-    return it == policies_.end() ? nullptr : &it->second;
-}
-
 std::size_t
 DataflowExecutor::releaseFrame(FrameCallback on_complete)
 {
@@ -199,7 +163,7 @@ DataflowExecutor::tryDispatch(std::uint32_t lane)
     // Supervised execution: attempts run back to back in model time
     // (the watchdog kills a hung/overrunning attempt at the timeout
     // and restarts the stage) until one succeeds or retries run out.
-    const StagePolicy *policy = policyFor(s);
+    const StagePolicy *policy = policy_ ? &*policy_ : nullptr;
     StageExecutor &executor = graph_.executor(s);
     Duration elapsed = Duration::zero();
     bool attempt_failed = false;
@@ -404,11 +368,9 @@ DataflowExecutor::runAsync(Simulator &sim, StageGraph &graph,
                            const AsyncOptions &opts)
 {
     DataflowExecutor exec(sim, graph);
-    exec.setDeadline(opts.deadline);
+    exec.deadline_ = opts.deadline;
+    exec.policy_ = opts.stage_policy;
     exec.setKeepTraces(opts.keep_traces);
-    if (opts.stage_policy)
-        exec.setAllStagePolicies(*opts.stage_policy);
-    exec.setHealthListener(opts.health);
     exec.attachMetrics(opts.metrics);
     if (opts.trace)
         exec.attachTrace(opts.trace, /*emit_in_flight=*/true);

@@ -13,8 +13,9 @@
  *
  * The arbitration state (resource lanes, recycled frame slots, payload
  * double-buffers) lives in runtime/sched_core.h; this front end adds
- * supervision (watchdog timeouts, retries, frame abandonment) and
- * observability (metric streams, trace spans).
+ * supervision (one StagePolicy for every stage: watchdog timeouts,
+ * retries, frame abandonment) and observability (one metric stream,
+ * trace spans).
  *
  * Frames enter through one primitive, releaseFrame(). The batch driver
  * runAsync() releases them on a period under an admission window (at
@@ -35,14 +36,14 @@
  *
  * Per stage instance the executor records a StageSpan (release / ready
  * / start / finish, hence queueing delay = start - ready), and per
- * frame a deadline verdict. The closed-loop simulation drives
- * releaseFrame() from its own event loop (Sec. IV/V-C timing).
+ * frame a deadline verdict (runAsync only: AsyncOptions::deadline).
+ * The closed-loop simulation drives releaseFrame() from its own event
+ * loop (Sec. IV/V-C timing) and sets no deadline.
  */
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -127,10 +128,9 @@ struct AsyncOptions
      *  (no fault plan installed, timeout above every stage duration)
      *  leaves the schedule bit-identical to an unsupervised run. */
     std::optional<StagePolicy> stage_policy;
-    /** Supervision observer (not owned; optional) — the async
-     *  front-end's hook for HealthMonitor + DegradationManager. */
-    DataflowHealthListener *health = nullptr;
-    /** Stream span samples + supervision counters (not owned). */
+    /** Stream the span samples and counters of
+     *  DataflowExecutor::attachMetrics into this registry (not owned;
+     *  optional). */
     obs::MetricRegistry *metrics = nullptr;
 
     /** Single-shot: window 1, zero period. Frame f+1 releases when
@@ -192,10 +192,6 @@ struct RunResult
     /** FNV-1a over every span timestamp/flag of every kept frame —
      *  the bit-identity fingerprint of a schedule. */
     std::uint64_t fingerprint() const;
-
-    /** Record per-stage durations, per-stage "queue:<name>" delays and
-     *  end-to-end totals into @p metrics. */
-    void emit(const StageGraph &graph, obs::MetricRegistry &metrics) const;
 };
 
 /**
@@ -220,18 +216,9 @@ class DataflowExecutor final : private EventTarget
     DataflowExecutor(const DataflowExecutor &) = delete;
     DataflowExecutor &operator=(const DataflowExecutor &) = delete;
 
-    /** Per-frame deadline measured from release; unset = none. */
-    void setDeadline(std::optional<Duration> deadline)
-    {
-        deadline_ = deadline;
-    }
-
-    /** Supervise @p stage with @p policy (watchdog timeout + retries).
-     *  Call before releasing frames. */
-    void setStagePolicy(StageId stage, const StagePolicy &policy);
-
-    /** Apply @p policy to every stage of the graph. */
-    void setAllStagePolicies(const StagePolicy &policy);
+    /** Supervise every stage with @p policy (watchdog timeout +
+     *  retries). Call before releasing frames. */
+    void setStagePolicy(const StagePolicy &policy) { policy_ = policy; }
 
     /** Attach the health observer (nullptr detaches). */
     void setHealthListener(DataflowHealthListener *listener)
@@ -243,9 +230,10 @@ class DataflowExecutor final : private EventTarget
      *  closed-loop runs turn this off and attach metrics instead. */
     void setKeepTraces(bool keep) { keep_traces_ = keep; }
 
-    /** Stream span/queue/total samples of every completed frame into
-     *  @p metrics (nullptr detaches), and count supervision events
-     *  (deadline misses, timeouts, crashes, retries, failed frames). */
+    /** Stream the "<stage>", "queue:<stage>" and "total" samples of
+     *  every completed frame into @p metrics (nullptr detaches), and
+     *  count the deadline_misses, stage_cancellations and frames_failed
+     *  events. */
     void attachMetrics(obs::MetricRegistry *metrics) { metrics_ = metrics; }
 
     /**
@@ -270,7 +258,6 @@ class DataflowExecutor final : private EventTarget
      */
     std::size_t releaseFrame(FrameCallback on_complete = {});
 
-    std::uint64_t framesReleased() const { return next_frame_; }
     std::uint64_t framesCompleted() const { return completed_count_; }
     /** Frames released but not yet completed. Callers implementing
      *  load shedding check this before releaseFrame(). */
@@ -348,7 +335,6 @@ class DataflowExecutor final : private EventTarget
     void onEvent(std::uint64_t arg) override;
     void completeFrame(std::uint32_t slot_idx);
     void failFrame(std::uint32_t slot_idx, StageId stage);
-    const StagePolicy *policyFor(StageId stage) const;
     /** Emit the spans of a resolved frame into the recorder. */
     void traceFrame(const FrameTrace &trace);
     void traceInFlight();
@@ -365,7 +351,7 @@ class DataflowExecutor final : private EventTarget
     bool trace_in_flight_ = false;
     TraceIds trace_ids_;
     DataflowHealthListener *health_ = nullptr;
-    std::map<StageId, StagePolicy> policies_;
+    std::optional<StagePolicy> policy_;
     std::optional<Duration> deadline_;
     bool keep_traces_ = true;
     std::uint64_t next_frame_ = 0;

@@ -1,5 +1,7 @@
 #include "runtime/sched_core.h"
 
+#include <string>
+
 #include "core/logging.h"
 
 namespace sov::runtime {
@@ -8,15 +10,16 @@ SchedulerCore::SchedulerCore(const StageGraph &graph) : graph_(graph)
 {
     SOV_ASSERT(graph.size() > 0);
     stage_lane_.reserve(graph.size());
+    std::vector<std::string> lane_names; // lane index -> resource
     for (StageId s = 0; s < graph.size(); ++s) {
         const std::string &resource = graph.stage(s).resource;
         std::uint32_t lane = 0;
-        for (; lane < lane_names_.size(); ++lane) {
-            if (lane_names_[lane] == resource)
+        for (; lane < lane_names.size(); ++lane) {
+            if (lane_names[lane] == resource)
                 break;
         }
-        if (lane == lane_names_.size()) {
-            lane_names_.push_back(resource);
+        if (lane == lane_names.size()) {
+            lane_names.push_back(resource);
             lanes_.emplace_back();
         }
         stage_lane_.push_back(lane);

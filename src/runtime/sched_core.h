@@ -24,7 +24,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/arena.h"
@@ -122,16 +121,7 @@ class SchedulerCore
     {
         return stage_lane_[stage];
     }
-    const std::string &laneName(std::uint32_t lane) const
-    {
-        return lane_names_[lane];
-    }
     bool laneBusy(std::uint32_t lane) const { return lanes_[lane].busy; }
-    /** Slot of the in-flight (dispatched) instance; valid when busy. */
-    std::uint32_t busySlot(std::uint32_t lane) const
-    {
-        return lanes_[lane].busy_slot;
-    }
     InstanceRing &laneQueue(std::uint32_t lane)
     {
         return lanes_[lane].queue;
@@ -182,9 +172,6 @@ class SchedulerCore
      *  lane (a busy lane's head keeps its dispatch). */
     void cancelQueued(std::uint32_t idx);
 
-    /** Slots currently bound to an in-flight frame. */
-    std::size_t slotsInUse() const { return slots_.size() - free_.size(); }
-
     /**
      * Container growths since construction: new slot constructions plus
      * lane-ring doublings. Constant across steady-state frames once the
@@ -205,7 +192,6 @@ class SchedulerCore
 
     const StageGraph &graph_;
     std::vector<Lane> lanes_;
-    std::vector<std::string> lane_names_;
     std::vector<std::uint32_t> stage_lane_; //!< per StageId
     std::vector<std::unique_ptr<FrameSlot>> slots_;
     std::vector<std::uint32_t> free_;

@@ -1,7 +1,9 @@
 #include "serve/line_protocol.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -19,9 +21,72 @@ std::vector<std::string> tokenize(const std::string &line)
     return tokens;
 }
 
-/** Fold "key=value" trailing tokens into request.params. */
-bool parseParams(const std::vector<std::string> &tokens, std::size_t first,
-                 Request &request)
+/** @p value as a whole unsigned decimal in [@p lo, @p hi]. */
+std::optional<std::uint64_t> wholeU64(const std::string &value,
+                                      std::uint64_t lo, std::uint64_t hi)
+{
+    std::uint64_t out = 0;
+    const char *last = value.data() + value.size();
+    const auto [end, ec] = std::from_chars(value.data(), last, out);
+    if (ec != std::errc{} || end != last || out < lo || out > hi)
+        return std::nullopt;
+    return out;
+}
+
+/** @p value as a whole finite decimal in (@p above, @p hi]. */
+std::optional<double> wholeSeconds(const std::string &value, double above,
+                                   double hi)
+{
+    double out = 0.0;
+    const char *last = value.data() + value.size();
+    const auto [end, ec] = std::from_chars(value.data(), last, out);
+    if (ec != std::errc{} || end != last || !std::isfinite(out) ||
+        !(out > above) || out > hi)
+        return std::nullopt;
+    return out;
+}
+
+/** Store option @p key=@p value of @p verb in @p request; returns the
+ *  rejection reason, empty when the option is accepted. */
+std::string setOption(Verb verb, const std::string &key,
+                      const std::string &value, Request &request)
+{
+    const auto set = [&](auto &slot, auto parsed) -> std::string {
+        if (slot)
+            return "duplicate option '" + key + "'";
+        if (!parsed)
+            return "bad value " + key + "=" + value;
+        slot = std::move(parsed);
+        return {};
+    };
+    constexpr std::uint64_t kAnyU64 =
+        std::numeric_limits<std::uint64_t>::max();
+    constexpr double kAnyNegative = -std::numeric_limits<double>::infinity();
+    if (verb == Verb::Submit) {
+        if (key == "seed")
+            return set(request.seed, wholeU64(value, 0, kAnyU64));
+        if (key == "seeds")
+            return set(request.seeds, wholeU64(value, 1, kMaxSeeds));
+        if (key == "horizon_s")
+            return set(request.horizon_s,
+                       wholeSeconds(value, 0.0, kMaxHorizonS));
+        if (key == "deadline_s")
+            return set(request.deadline_s,
+                       wholeSeconds(value, 0.0, kMaxWaitS));
+        if (key == "label")
+            return set(request.label, std::optional<std::string>(value));
+    }
+    if (verb == Verb::Wait && key == "timeout_s")
+        return set(request.timeout_s,
+                   wholeSeconds(value, kAnyNegative, kMaxWaitS));
+    if (verb == Verb::Rows && key == "from")
+        return set(request.from, wholeU64(value, 0, kAnyU64));
+    return "unknown option '" + key + "'";
+}
+
+/** Fold "key=value" trailing tokens into @p request's options. */
+bool parseParams(Verb verb, const std::vector<std::string> &tokens,
+                 std::size_t first, Request &request)
 {
     for (std::size_t i = first; i < tokens.size(); ++i) {
         const std::size_t eq = tokens[i].find('=');
@@ -29,19 +94,20 @@ bool parseParams(const std::vector<std::string> &tokens, std::size_t first,
             request.error = "malformed option '" + tokens[i] + "'";
             return false;
         }
-        request.params[tokens[i].substr(0, eq)] = tokens[i].substr(eq + 1);
+        request.error = setOption(verb, tokens[i].substr(0, eq),
+                                  tokens[i].substr(eq + 1), request);
+        if (!request.error.empty())
+            return false;
     }
     return true;
 }
 
 bool parseJobId(const std::string &token, JobId &out)
 {
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0' || value == 0)
-        return false;
-    out = static_cast<JobId>(value);
-    return true;
+    const auto id = wholeU64(token, 1, std::numeric_limits<JobId>::max());
+    if (id)
+        out = *id;
+    return id.has_value();
 }
 
 /** Verbs of the form "<VERB> <job> [k=v ...]". */
@@ -56,7 +122,7 @@ Request parseJobVerb(Verb verb, const std::vector<std::string> &tokens)
         request.error = "bad job id '" + tokens[1] + "'";
         return request;
     }
-    if (!parseParams(tokens, 2, request))
+    if (!parseParams(verb, tokens, 2, request))
         return request;
     request.verb = verb;
     return request;
@@ -95,7 +161,7 @@ Request parseRequest(const std::string &line)
         }
         request.tenant = tokens[1];
         request.set = tokens[2];
-        if (!parseParams(tokens, 3, request))
+        if (!parseParams(Verb::Submit, tokens, 3, request))
             return request;
         request.verb = Verb::Submit;
         return request;
@@ -122,33 +188,6 @@ Request parseRequest(const std::string &line)
     }
     request.error = "unknown verb '" + verb + "'";
     return request;
-}
-
-double paramDouble(const Request &request, const std::string &key,
-                   double fallback)
-{
-    const auto it = request.params.find(key);
-    if (it == request.params.end())
-        return fallback;
-    char *end = nullptr;
-    const double value = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
-        return fallback;
-    return value;
-}
-
-std::uint64_t paramU64(const Request &request, const std::string &key,
-                       std::uint64_t fallback)
-{
-    const auto it = request.params.find(key);
-    if (it == request.params.end())
-        return fallback;
-    char *end = nullptr;
-    const unsigned long long value =
-        std::strtoull(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0')
-        return fallback;
-    return static_cast<std::uint64_t>(value);
 }
 
 std::string formatSnapshot(const JobSnapshot &snapshot)

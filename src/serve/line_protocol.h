@@ -18,18 +18,34 @@
  *             | ROW <job> <seq> <k=v ...>     (ROWS stream lines)
  *             | SET <name> <description>      (CATALOG stream lines)
  *
+ * Each verb takes only its own options, each at most once. Integers
+ * are unsigned decimals (no sign), seconds are finite decimals, and
+ * every value is parsed whole and range-checked (the kMax* caps
+ * below); any other option makes the request Invalid, so a bad value
+ * is refused before a job is built instead of falling back to a
+ * default.
+ *
  * Parsing and formatting are pure functions so tests cover the
  * protocol without a socket in sight.
  */
 #pragma once
 
-#include <map>
+#include <cstdint>
+#include <optional>
 #include <string>
 
 #include "fleet/fleet_report.h"
 #include "serve/job.h"
 
 namespace sov::serve {
+
+/** SUBMIT seeds=N accepts N in [1, kMaxSeeds]. */
+inline constexpr std::uint64_t kMaxSeeds = 1024;
+/** SUBMIT horizon_s=X accepts X in (0, kMaxHorizonS]. */
+inline constexpr double kMaxHorizonS = 3600.0;
+/** SUBMIT deadline_s=X accepts X in (0, kMaxWaitS]; WAIT timeout_s=X
+ *  accepts X <= kMaxWaitS (negative = wait forever). One week. */
+inline constexpr double kMaxWaitS = 7.0 * 86400.0;
 
 enum class Verb
 {
@@ -52,18 +68,19 @@ struct Request
     std::string tenant;  //!< SUBMIT
     std::string set;     //!< SUBMIT (catalog entry)
     JobId job = 0;       //!< STATUS / CANCEL / WAIT / ROWS
-    std::map<std::string, std::string> params; //!< key=value options
+    // Options, validated by parseRequest; unset = not on the line.
+    std::optional<std::uint64_t> seed;  //!< SUBMIT seed=
+    std::optional<std::uint64_t> seeds; //!< SUBMIT seeds=
+    std::optional<double> horizon_s;    //!< SUBMIT horizon_s=
+    std::optional<double> deadline_s;   //!< SUBMIT deadline_s=
+    std::optional<std::string> label;   //!< SUBMIT label=
+    std::optional<double> timeout_s;    //!< WAIT timeout_s=
+    std::optional<std::uint64_t> from;  //!< ROWS from=
     std::string error;   //!< parse failure reason (verb == Invalid)
 };
 
 /** Parse one request line (no trailing newline). */
 Request parseRequest(const std::string &line);
-
-/** Typed option access with fallbacks (malformed -> fallback). */
-double paramDouble(const Request &request, const std::string &key,
-                   double fallback);
-std::uint64_t paramU64(const Request &request, const std::string &key,
-                       std::uint64_t fallback);
 
 /** "job=<id> state=<s> total=... fingerprint=<hex16>" fields. */
 std::string formatSnapshot(const JobSnapshot &snapshot);

@@ -250,11 +250,10 @@ bool SocketServer::handleLine(const std::string &line,
     }
     case Verb::Submit: {
         CatalogParams params;
-        params.seed = paramU64(request, "seed", params.seed);
-        params.seeds = static_cast<std::size_t>(
-            paramU64(request, "seeds", params.seeds));
-        params.horizon_s =
-            paramDouble(request, "horizon_s", params.horizon_s);
+        params.seed = request.seed.value_or(params.seed);
+        params.seeds =
+            static_cast<std::size_t>(request.seeds.value_or(params.seeds));
+        params.horizon_s = request.horizon_s.value_or(params.horizon_s);
         auto scenarios = catalog_.build(request.set, params);
         if (!scenarios) {
             out.push_back("ERR unknown_set " + request.set);
@@ -264,12 +263,8 @@ bool SocketServer::handleLine(const std::string &line,
         JobRequest job;
         job.tenant = request.tenant;
         job.scenarios = std::move(*scenarios);
-        const auto label = request.params.find("label");
-        if (label != request.params.end())
-            job.label = label->second;
-        const double deadline = paramDouble(request, "deadline_s", -1.0);
-        if (deadline > 0.0)
-            job.deadline_s = deadline;
+        job.label = request.label.value_or("");
+        job.deadline_s = request.deadline_s;
         const SubmitResult result = service_.submit(std::move(job));
         if (!result.admitted) {
             out.push_back("ERR " + result.reason + " tenant=" +
@@ -300,8 +295,8 @@ bool SocketServer::handleLine(const std::string &line,
         return true;
     }
     case Verb::Wait: {
-        const double timeout = paramDouble(request, "timeout_s", -1.0);
-        const auto snapshot = service_.wait(request.job, timeout);
+        const auto snapshot =
+            service_.wait(request.job, request.timeout_s.value_or(-1.0));
         if (!snapshot) {
             out.push_back("ERR unknown_job " + std::to_string(request.job));
             return true;
@@ -315,8 +310,8 @@ bool SocketServer::handleLine(const std::string &line,
             out.push_back("ERR unknown_job " + std::to_string(request.job));
             return true;
         }
-        const std::size_t from =
-            static_cast<std::size_t>(paramU64(request, "from", 0));
+        const auto from =
+            static_cast<std::size_t>(request.from.value_or(0));
         const auto rows = service_.fetchRows(request.job, from);
         for (std::size_t i = 0; i < rows.size(); ++i)
             out.push_back(formatRow(request.job, from + i, rows[i]));

@@ -52,7 +52,6 @@ ClosedLoopSim::ClosedLoopSim(World &world, Polyline2 route,
     // metric registry instead of keeping every trace.
     pipeline_exec_.setKeepTraces(false);
     pipeline_exec_.attachMetrics(&pipeline_metrics_);
-    pipeline_exec_.setDeadline(config_.pipeline_deadline);
     can_.connect([this](const ControlCommand &cmd) { ecu_.onCommand(cmd); });
     // Each command frame, camera frame, perceived object and radar
     // sweep asks the hub.
@@ -78,13 +77,8 @@ ClosedLoopSim::ClosedLoopSim(World &world, Polyline2 route,
                                   [this] { return sim_.now(); });
     }
 
-    if (config_.stage_watchdog) {
-        runtime::StagePolicy policy;
-        policy.timeout = config_.stage_watchdog;
-        policy.max_retries = config_.stage_max_retries;
-        policy.retry_backoff = config_.stage_retry_backoff;
-        pipeline_exec_.setAllStagePolicies(policy);
-    }
+    if (config_.stage_policy)
+        pipeline_exec_.setStagePolicy(*config_.stage_policy);
 
     if (config_.enable_health) {
         health_ =
@@ -93,8 +87,6 @@ ClosedLoopSim::ClosedLoopSim(World &world, Polyline2 route,
         // Camera frames arrive once per planning cycle; five silent
         // cycles mark the proactive front-end stale.
         health::HeartbeatSpec camera;
-        camera.expected_period =
-            Duration::seconds(1.0 / config_.planner_rate_hz);
         camera.stale_after =
             Duration::seconds(5.0 / config_.planner_rate_hz);
         camera_sensor_ =
@@ -102,8 +94,6 @@ ClosedLoopSim::ClosedLoopSim(World &world, Polyline2 route,
         // The radar guards the reactive path: silence beyond 200 ms
         // means the last line of defense is blind -> SAFE_STOP.
         health::HeartbeatSpec radar;
-        radar.expected_period =
-            Duration::seconds(1.0 / config_.physics_rate_hz);
         radar.stale_after = Duration::millisF(200.0);
         radar.reactive_critical = true;
         radar_sensor_ = health_->watchSensor("radar", radar, sim_.now());
@@ -480,7 +470,6 @@ ClosedLoopSim::run(Duration horizon)
     result_.nearest_obstacle = gaps.nearest_obstacle;
     result_.distance_travelled = vehicle_.odometer();
     result_.reactive_triggers = reactive_.triggerCount();
-    result_.deadline_misses = pipeline_exec_.deadlineMisses();
     result_.pipeline_frames_failed = pipeline_exec_.framesFailed();
     result_.can_frames_lost = can_.framesLost();
     result_.reactive_fraction = cycles_

@@ -9,7 +9,9 @@
  * runtime::DataflowExecutor bound to the simulation clock, and the
  * actuation command transmits from the frame-completion event — so the
  * closed-loop experiments execute exactly the pipeline that Fig. 10
- * characterizes, stage spans, resource contention and all.
+ * characterizes, stage spans, resource contention and all. Stage
+ * supervision is the batch driver's one runtime::StagePolicy
+ * (ClosedLoopConfig::stage_policy); the loop sets no frame deadline.
  *
  * Used for the end-to-end safety experiments: obstacle-avoidance
  * distance vs computing latency (Fig. 3a validated in closed loop),
@@ -66,10 +68,6 @@ struct ClosedLoopConfig
     double perception_range = 40.0;  //!< oracle-perception radius
     bool enable_reactive = true;
     bool enable_proactive = true;
-    /** Per-frame pipeline deadline (from release to planning done);
-     *  unset = only count, never enforce. Misses are reported in
-     *  ClosedLoopResult::deadline_misses. */
-    std::optional<Duration> pipeline_deadline;
     /** Load shedding: a planning cycle drops its frame instead of
      *  releasing it when this many frames are already in flight.
      *  Detection latency tails would otherwise build a backlog and
@@ -88,14 +86,10 @@ struct ClosedLoopConfig
      *  nothing degrades gracefully — the "no supervision" baseline. */
     bool enable_health = false;
     health::DegradationPolicy degradation;
-    /** Watchdog timeout applied to every pipeline stage (truncates
-     *  hangs and latency tails); unset = unsupervised stages. */
-    std::optional<Duration> stage_watchdog;
-    /** Retries per stage attempt before the frame is abandoned. */
-    std::uint32_t stage_max_retries = 1;
-    /** Pause between a failed stage attempt and its retry (restart
-     *  cost); zero keeps the pre-backoff supervised schedule. */
-    Duration stage_retry_backoff = Duration::zero();
+    /** Watchdog policy applied to every pipeline stage (timeout,
+     *  bounded retry with backoff; the batch driver's
+     *  AsyncOptions::stage_policy); unset = unsupervised stages. */
+    std::optional<runtime::StagePolicy> stage_policy;
     /** Congestion behavior of the proactive pipeline (see
      *  PipelineMode): shed the frame (Sync) or defer it under
      *  backpressure (Async). */
@@ -113,7 +107,8 @@ struct ClosedLoopResult
     std::uint64_t reactive_triggers = 0;
     /** Fraction of cycles in which the reactive path was latched. */
     double reactive_fraction = 0.0;
-    /** Pipeline frames that blew config.pipeline_deadline. */
+    /** Always 0: the closed loop sets no frame deadline. Kept because
+     *  ScenarioOutcome copies it into the hashed fleet row. */
     std::uint64_t deadline_misses = 0;
     /** Planning cycles shed because the pipeline was congested. In
      *  async mode a frame is only counted here when a newer cycle
@@ -204,12 +199,6 @@ class ClosedLoopSim
      * bit-identical to an untraced one.
      */
     void setTraceRecorder(obs::TraceRecorder *recorder);
-
-    /** The health monitor, when config.enable_health is set. */
-    const health::HealthMonitor *healthMonitor() const
-    {
-        return health_.get();
-    }
 
   private:
     /** Last camera frame delivered to the planner (Freeze replays it). */

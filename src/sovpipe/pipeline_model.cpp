@@ -69,16 +69,13 @@ SovPipelineModel::characterize(std::size_t frames)
 
     // Asynchronous pipeline parallelism: self-paced admission (period
     // zero) with a double-buffer window saturates the bottleneck lane
-    // instead of the frame-rate cap. Runs on a fresh mean graph after
-    // the sampled runs, so the sampled statistics above are untouched.
-    runtime::StageGraph async_graph;
-    buildFig5Graph(async_graph, model_, config_, nullptr,
-                   Fig5Latency::Mean);
+    // instead of the frame-rate cap. The mean graph's executors are
+    // stateless, so it serves both runs.
     runtime::AsyncOptions async;
     async.frames = 64;
     async.max_in_flight = 3;
     stats.async_throughput_hz =
-        runtime::DataflowExecutor::runAsync(async_graph, async)
+        runtime::DataflowExecutor::runAsync(mean_graph, async)
             .steadyStateThroughputHz();
     return stats;
 }

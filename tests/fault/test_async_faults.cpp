@@ -112,9 +112,11 @@ TEST(AsyncClosedLoop, SupervisedStageCrashesSurviveInAsyncMode)
     cfg.pipeline_mode = PipelineMode::Async;
     cfg.faults = &plan;
     cfg.enable_health = true;
-    cfg.stage_watchdog = Duration::millisF(400.0);
-    cfg.stage_max_retries = 1;
-    cfg.stage_retry_backoff = Duration::millisF(10.0);
+    runtime::StagePolicy watchdog;
+    watchdog.timeout = Duration::millisF(400.0);
+    watchdog.max_retries = 1;
+    watchdog.retry_backoff = Duration::millisF(10.0);
+    cfg.stage_policy = watchdog;
     const auto result = runScenario(cfg, 24);
 
     EXPECT_FALSE(result.collided);

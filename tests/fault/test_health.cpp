@@ -196,7 +196,6 @@ TEST(HealthMonitor, ListenerEventsFeedTheFaultWindow)
     failed.failed = true;
     mon.onFrameFailed(failed);
     mon.onFrameFailed(failed);
-    EXPECT_EQ(mon.framesFailed(), 2u);
     EXPECT_EQ(mon.evaluate(Timestamp::millisF(100.0)),
               DegradationLevel::Degraded);
 }

@@ -96,7 +96,7 @@ TEST(StageFaults, WatchdogRetriesCrashUntilExhausted)
     DataflowExecutor exec(sim, g);
     StagePolicy policy;
     policy.max_retries = 2;
-    exec.setAllStagePolicies(policy);
+    exec.setStagePolicy(policy);
     exec.releaseFrame();
     sim.run();
 
@@ -118,7 +118,7 @@ TEST(StageFaults, WatchdogTruncatesHang)
     DataflowExecutor exec(sim, g);
     StagePolicy policy;
     policy.timeout = Duration::millisF(50.0);
-    exec.setAllStagePolicies(policy);
+    exec.setStagePolicy(policy);
     exec.releaseFrame();
     sim.run();
 
@@ -200,7 +200,7 @@ TEST(StageFaults, WindowedCrashHitsOnlyFramesInsideWindow)
     DataflowExecutor exec(sim, g);
     StagePolicy policy;
     policy.max_retries = 0;
-    exec.setAllStagePolicies(policy);
+    exec.setStagePolicy(policy);
 
     bool first_failed = false;
     bool second_failed = true;

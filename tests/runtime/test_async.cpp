@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/thread_pool.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
+#include "platform/platform_model.h"
 #include "runtime/dataflow.h"
 #include "runtime/sched_core.h"
+#include "sovpipe/pipeline_model.h"
 
 namespace sov::runtime {
 namespace {
@@ -307,6 +313,54 @@ TEST(AsyncDataflow, SchedulerCoreRecyclesSlots)
     }
     EXPECT_EQ(exec.framesCompleted(), 55u);
     EXPECT_EQ(exec.coreGrowthEvents(), warm);
+}
+
+TEST(AsyncDataflow, MetricsStreamEqualsAFoldOfTheFrames)
+{
+    // AsyncOptions::metrics records each frame as it completes. The
+    // oracle folds the kept traces afterwards: per stage its duration
+    // and "queue:<stage>" delay, then the frame's "total", skipping
+    // abandoned frames. The run is bench_fig10_latency's pipelined
+    // section: the sampled Fig. 5 graph at 10 Hz, 300 ms deadline.
+    const PlatformModel model;
+    SovPipelineModel pipeline(model, SovPipelineConfig{}, Rng(42));
+    AsyncOptions opts = AsyncOptions::pipelined(
+        400, Duration::seconds(1.0 / SovPipelineConfig{}.frame_rate_hz));
+    opts.deadline = Duration::millisF(300.0);
+    obs::MetricRegistry streamed;
+    opts.metrics = &streamed;
+    const RunResult run = DataflowExecutor::runAsync(pipeline.graph(), opts);
+    ASSERT_GT(run.deadline_misses, 0u);
+    ASSERT_LT(run.deadline_misses, run.frames.size());
+
+    obs::MetricRegistry folded;
+    for (const FrameTrace &frame : run.frames) {
+        if (frame.failed)
+            continue;
+        for (const StageSpan &span : frame.spans) {
+            const std::string &name = pipeline.graph().stage(span.stage).name;
+            folded.record(name, span.duration());
+            folded.record("queue:" + name, span.queueing());
+        }
+        folded.recordTotal(frame.latency());
+    }
+
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    ASSERT_EQ(streamed.histogramNames(), folded.histogramNames());
+    EXPECT_EQ(folded.count("total"), run.frames.size());
+    for (const std::string &name : folded.histogramNames()) {
+        EXPECT_EQ(streamed.count(name), folded.count(name)) << name;
+        EXPECT_EQ(bits(streamed.mean(name)), bits(folded.mean(name)))
+            << name;
+        for (const double p : {0.0, 50.0, 90.0, 99.0, 100.0}) {
+            EXPECT_EQ(bits(streamed.percentile(name, p)),
+                      bits(folded.percentile(name, p)))
+                << name << " p" << p;
+        }
+    }
+    EXPECT_EQ(streamed.counterNames(),
+              std::vector<std::string>{"deadline_misses"});
+    EXPECT_EQ(streamed.counter("deadline_misses"), run.deadline_misses);
 }
 
 } // namespace

@@ -13,11 +13,12 @@ TEST(LineProtocol, ParsesSubmitWithOptions)
     ASSERT_EQ(r.verb, Verb::Submit);
     EXPECT_EQ(r.tenant, "acme");
     EXPECT_EQ(r.set, "sudden_wall");
-    EXPECT_EQ(paramU64(r, "seed", 1), 7u);
-    EXPECT_EQ(paramU64(r, "seeds", 1), 3u);
-    EXPECT_DOUBLE_EQ(paramDouble(r, "horizon_s", 0.0), 2.5);
-    EXPECT_DOUBLE_EQ(paramDouble(r, "deadline_s", -1.0), 10.0);
-    EXPECT_EQ(r.params.at("label"), "nightly");
+    EXPECT_EQ(r.seed, 7u);
+    EXPECT_EQ(r.seeds, 3u);
+    EXPECT_EQ(r.horizon_s, 2.5);
+    EXPECT_EQ(r.deadline_s, 10.0);
+    EXPECT_EQ(r.label, "nightly");
+    EXPECT_FALSE(r.timeout_s);
 }
 
 TEST(LineProtocol, SubmitWithoutSetIsInvalid)
@@ -36,7 +37,7 @@ TEST(LineProtocol, ParsesJobVerbs)
     const Request rows = parseRequest("ROWS 5 from=10");
     EXPECT_EQ(rows.verb, Verb::Rows);
     EXPECT_EQ(rows.job, 5u);
-    EXPECT_EQ(paramU64(rows, "from", 0), 10u);
+    EXPECT_EQ(rows.from, 10u);
 }
 
 TEST(LineProtocol, RejectsBadJobIds)
@@ -64,13 +65,31 @@ TEST(LineProtocol, UnknownVerbAndMalformedOptionsAreInvalid)
     EXPECT_EQ(parseRequest("SUBMIT acme set =5").verb, Verb::Invalid);
 }
 
-TEST(LineProtocol, ParamHelpersFallBackOnMissingOrMalformed)
+TEST(LineProtocol, AcceptsEveryOptionAtItsBounds)
 {
-    const Request r = parseRequest("SUBMIT t s seed=notanum x=1.5.2");
-    ASSERT_EQ(r.verb, Verb::Submit);
-    EXPECT_EQ(paramU64(r, "seed", 77), 77u);
-    EXPECT_DOUBLE_EQ(paramDouble(r, "x", 3.0), 3.0);
-    EXPECT_EQ(paramU64(r, "absent", 5), 5u);
+    // The line perfbench's serve generator sends, and the range ends.
+    const Request fuzz = parseRequest(
+        "SUBMIT t scenario_fuzz seed=18446744073709551615 seeds=16 "
+        "horizon_s=3.000000");
+    ASSERT_EQ(fuzz.verb, Verb::Submit) << fuzz.error;
+    EXPECT_EQ(fuzz.seed, 18446744073709551615u);
+    EXPECT_EQ(fuzz.horizon_s, 3.0);
+    const Request top = parseRequest(
+        "SUBMIT t s seeds=1024 horizon_s=3600 deadline_s=604800 label=");
+    ASSERT_EQ(top.verb, Verb::Submit) << top.error;
+    EXPECT_EQ(top.seeds, kMaxSeeds);
+    EXPECT_EQ(top.horizon_s, kMaxHorizonS);
+    EXPECT_EQ(top.deadline_s, kMaxWaitS);
+    EXPECT_EQ(top.label, "");
+    const Request tiny = parseRequest("SUBMIT t s horizon_s=1e-3");
+    ASSERT_EQ(tiny.verb, Verb::Submit) << tiny.error;
+    EXPECT_EQ(tiny.horizon_s, 1e-3);
+
+    // tools/serve_client.py waits a day; a negative timeout waits
+    // forever.
+    EXPECT_EQ(parseRequest("WAIT 3 timeout_s=86400").timeout_s, 86400.0);
+    EXPECT_EQ(parseRequest("WAIT 3 timeout_s=-1").timeout_s, -1.0);
+    EXPECT_EQ(parseRequest("ROWS 3 from=0").from, 0u);
 }
 
 TEST(LineProtocol, FormatSnapshotCarriesEveryField)

@@ -168,6 +168,70 @@ TEST(SocketServer, ProtocolErrorsAreErrLines)
               "OK bye");
 }
 
+TEST(SocketServer, RejectsMalformedOptionsBeforeAJobIsBuilt)
+{
+    ScenarioService service(serviceConfig());
+    SocketServer server(service, ScenarioCatalog::standard(),
+                        SocketServerConfig{});
+
+    // Each line would otherwise fall back to a default, or reach an
+    // unbounded loop or allocation (seeds=-1 is 2^64-1 to strtoull)
+    // or a double->int64 cast of nan/1e300.
+    const char *const bad[] = {
+        "SUBMIT acme open_road seeds=-1",
+        "SUBMIT acme scenario_fuzz seeds=-1",
+        "SUBMIT acme open_road seeds=0",
+        "SUBMIT acme open_road seeds=1025",
+        "SUBMIT acme open_road seeds=+3",
+        "SUBMIT acme open_road seeds=3.0",
+        "SUBMIT acme open_road seed=-5",
+        "SUBMIT acme open_road seed=7x",
+        "SUBMIT acme open_road seed=",
+        "SUBMIT acme open_road seed=99999999999999999999",
+        "SUBMIT acme open_road horizon_s=nan",
+        "SUBMIT acme open_road horizon_s=inf",
+        "SUBMIT acme open_road horizon_s=1e300",
+        "SUBMIT acme open_road horizon_s=1e400",
+        "SUBMIT acme open_road horizon_s=0",
+        "SUBMIT acme open_road horizon_s=-2",
+        "SUBMIT acme open_road horizon_s=3601",
+        "SUBMIT acme open_road horizon_s=+2",
+        "SUBMIT acme open_road horizon_s=2s",
+        "SUBMIT acme open_road deadline_s=nan",
+        "SUBMIT acme open_road deadline_s=0",
+        "SUBMIT acme open_road deadline_s=-1",
+        "SUBMIT acme open_road deadline_s=1e300",
+        "SUBMIT acme open_road seed=1 seed=1",
+        "SUBMIT acme open_road label=a label=b",
+        "SUBMIT acme open_road bogus=1",
+        "SUBMIT acme open_road timeout_s=5",
+        "SUBMIT acme open_road from=0",
+        "WAIT 1 timeout_s=nan",
+        "WAIT 1 timeout_s=-inf",
+        "WAIT 1 timeout_s=1e300",
+        "WAIT 1 timeout_s=604801",
+        "WAIT 1 timeout_s=1 timeout_s=1",
+        "WAIT 1 from=0",
+        "ROWS 1 from=-1",
+        "ROWS 1 from=1.5",
+        "ROWS 1 from=0 from=0",
+        "ROWS 1 timeout_s=1",
+        "STATUS 1 from=0",
+        "CANCEL 1 timeout_s=1",
+        "STATUS +1",
+        "STATUS -1",
+    };
+    for (const char *line : bad) {
+        const auto out = roundTrip(server, line);
+        ASSERT_EQ(out.size(), 1u) << line;
+        EXPECT_EQ(out[0].rfind("ERR bad_request ", 0), 0u)
+            << line << " -> " << out[0];
+    }
+    const auto stats = roundTrip(server, "STATS");
+    EXPECT_NE(stats[0].find("submitted=0"), std::string::npos)
+        << stats[0];
+}
+
 TEST(SocketServer, CatalogListsEveryStandardSet)
 {
     ScenarioService service(serviceConfig());
