@@ -46,10 +46,14 @@ main(int argc, char **argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
     const std::int64_t map_points_arg = cfg.getInt("map_points", 400000);
+    // "" writes BENCH_ablation_cache_sweep.json.
+    const std::string out_path = cfg.getString("out", "");
+    const char *const usage =
+        "usage: bench_ablation_cache_sweep [map_points in 1..10000000] "
+        "[out=BENCH_ablation_cache_sweep.json]";
+    cfg.rejectUnread(usage);
     if (map_points_arg < 1 || map_points_arg > 10'000'000) {
-        std::fprintf(stderr, "usage: bench_ablation_cache_sweep "
-                             "[map_points in 1..10000000] "
-                             "[out=BENCH_ablation_cache_sweep.json]\n");
+        std::fprintf(stderr, "%s\n", usage);
         return 2;
     }
     const auto map_points = static_cast<std::size_t>(map_points_arg);
@@ -107,5 +111,5 @@ main(int argc, char **argv)
     report.gate("traffic_collapses_with_capacity",
                 largest_16w < smallest_16w,
                 "a 36 MB LLC must cut traffic vs 1 MB at 16 ways");
-    return report.write();
+    return report.write(out_path);
 }

@@ -264,14 +264,16 @@ main(int argc, char **argv)
     const bool smoke = config.getBool("smoke", false);
     const std::int64_t frames_arg =
         config.getInt("frames", smoke ? 32 : 256);
+    const std::string out_path =
+        config.getString("out", "BENCH_dataflow.json");
+    const char *const usage =
+        "usage: bench_dataflow [smoke=1] [frames>=1] [out=BENCH_dataflow.json]";
+    config.rejectUnread(usage);
     if (frames_arg < 1) {
-        std::fprintf(stderr, "usage: bench_dataflow [smoke=1] [frames>=1] "
-                             "[out=BENCH_dataflow.json]\n");
+        std::fprintf(stderr, "%s\n", usage);
         return 2;
     }
     const auto frames = static_cast<std::size_t>(frames_arg);
-    const std::string out_path =
-        config.getString("out", "BENCH_dataflow.json");
 
     const PlatformModel model;
     const SovPipelineConfig pipe_config;

@@ -74,19 +74,21 @@ main(int argc, char **argv)
     const double wall_x = config.getDouble("wall_x", 40.0);
     const auto seed = static_cast<std::uint64_t>(config.getInt("seed", 1));
     const std::int64_t threads_arg = config.getInt("threads", 0);
+    const std::string out_path =
+        config.getString("out", "BENCH_fault_matrix.json");
+    const std::string usage =
+        "usage: bench_fault_matrix [smoke=1] [horizon_s>0] [wall_x=40] "
+        "[seed=1] [threads=0.." +
+        std::to_string(bench::kMaxBenchThreads) +
+        "] [out=BENCH_fault_matrix.json]";
+    config.rejectUnread(usage);
     if (threads_arg < 0 || threads_arg > bench::kMaxBenchThreads ||
         !std::isfinite(horizon_s) || horizon_s <= 0.0 ||
         !std::isfinite(wall_x)) {
-        std::fprintf(stderr,
-                     "usage: bench_fault_matrix [smoke=1] [horizon_s>0] "
-                     "[wall_x=40] [seed=1] [threads=0..%lld] "
-                     "[out=BENCH_fault_matrix.json]\n",
-                     static_cast<long long>(bench::kMaxBenchThreads));
+        std::fprintf(stderr, "%s\n", usage.c_str());
         return 2;
     }
     const auto threads = static_cast<std::size_t>(threads_arg);
-    const std::string out_path =
-        config.getString("out", "BENCH_fault_matrix.json");
 
     std::vector<FaultPreset> presets = faultMatrixPresets();
     if (smoke) {

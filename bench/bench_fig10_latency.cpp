@@ -26,9 +26,15 @@ main(int argc, char **argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
     const std::int64_t frame_count = cfg.getInt("frames", 50000);
+    const double deadline_ms = cfg.getDouble("deadline_ms", 300.0);
+    // "" writes BENCH_fig10_latency.json.
+    const std::string out_path = cfg.getString("out", "");
+    const char *const usage =
+        "usage: bench_fig10_latency [frames>=1] [deadline_ms=300] "
+        "[out=BENCH_fig10_latency.json]";
+    cfg.rejectUnread(usage);
     if (frame_count < 1) {
-        std::fprintf(stderr, "usage: bench_fig10_latency [frames>=1] "
-                             "[deadline_ms=300] [out=BENCH_fig10_latency.json]\n");
+        std::fprintf(stderr, "%s\n", usage);
         return 2;
     }
     const auto frames = static_cast<std::size_t>(frame_count);
@@ -89,7 +95,6 @@ main(int argc, char **argv)
     // released at the sensor rate contend for the Fig. 5 resource
     // lanes, so latency tails become queueing delay downstream and
     // deadline misses at the planner.
-    const double deadline_ms = cfg.getDouble("deadline_ms", 300.0);
     const auto pipelined_frames = std::min<std::size_t>(frames, 5000);
     std::printf("\n=== Runtime: pipelined at %.0f Hz, %.0f ms frame "
                 "deadline (%zu frames) ===\n\n",
@@ -139,5 +144,5 @@ main(int argc, char **argv)
                 stats.metrics.mean("sensing") >
                     0.3 * stats.metrics.mean("total"),
                 "paper: sensing is ~half the mean end-to-end latency");
-    return report.write(cfg.getString("out", report.defaultPath()));
+    return report.write(out_path);
 }

@@ -108,7 +108,8 @@ depthErrorForOffset(Duration offset, const World &world,
 int
 main(int argc, char **argv)
 {
-    (void)Config::fromArgs(argc, argv);
+    Config::fromArgs(argc, argv).rejectUnread(
+        "usage: bench_fig11a_sync_depth (takes no flags)");
     const World world = sceneWithObstacles();
     const Trajectory traj = turningTrajectory();
 

@@ -107,7 +107,8 @@ run(Duration camera_offset, std::uint64_t seed)
 int
 main(int argc, char **argv)
 {
-    (void)Config::fromArgs(argc, argv);
+    Config::fromArgs(argc, argv).rejectUnread(
+        "usage: bench_fig11b_sync_vio (takes no flags)");
     std::printf("=== Fig. 11b: VIO trajectory vs camera-IMU sync "
                 "===\n");
     std::printf("(two-lap 770 m loop at 5.6 m/s)\n\n");

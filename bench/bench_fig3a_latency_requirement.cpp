@@ -31,14 +31,17 @@ main(int argc, char **argv)
     const Config cfg = Config::fromArgs(argc, argv);
     const double speed = cfg.getDouble("speed", 5.6);
     const double decel = cfg.getDouble("decel", 4.0);
+    // "" writes BENCH_fig3a_latency_requirement.json.
+    const std::string out_path = cfg.getString("out", "");
+    const char *const usage =
+        "usage: bench_fig3a_latency_requirement [speed in 0.1..100] "
+        "[decel in 0.1..100] [out=BENCH_fig3a_latency_requirement.json]";
+    cfg.rejectUnread(usage);
     const auto in_range = [](double x) {
         return std::isfinite(x) && x >= 0.1 && x <= 100.0;
     };
     if (!in_range(speed) || !in_range(decel)) {
-        std::fprintf(stderr,
-                     "usage: bench_fig3a_latency_requirement "
-                     "[speed in 0.1..100] [decel in 0.1..100] "
-                     "[out=BENCH_fig3a_latency_requirement.json]\n");
+        std::fprintf(stderr, "%s\n", usage);
         return 2;
     }
     LatencyModelParams params;
@@ -100,5 +103,5 @@ main(int argc, char **argv)
                 minimumAvoidableDistance(params, Duration::millisF(740)));
     report.gate("budget_monotone_in_distance", budget_monotone,
                 "farther objects must leave a larger compute budget");
-    return report.write(cfg.getString("out", report.defaultPath()));
+    return report.write(out_path);
 }

@@ -110,7 +110,8 @@ report(const char *name, MemTrace &trace, std::uint32_t cloud_id,
 int
 main(int argc, char **argv)
 {
-    (void)Config::fromArgs(argc, argv);
+    Config::fromArgs(argc, argv).rejectUnread(
+        "usage: bench_fig4a_reuse (takes no flags)");
     std::printf("=== Fig. 4a: point reuse frequency, ICP "
                 "localization, two scenes ===\n\n");
 

@@ -108,10 +108,14 @@ main(int argc, char **argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
     const std::int64_t map_points_arg = cfg.getInt("map_points", 500000);
+    // "" writes BENCH_fig4b_memtraffic.json.
+    const std::string out_path = cfg.getString("out", "");
+    const char *const usage =
+        "usage: bench_fig4b_memtraffic [map_points in 1..10000000] "
+        "[out=BENCH_fig4b_memtraffic.json]";
+    cfg.rejectUnread(usage);
     if (map_points_arg < 1 || map_points_arg > 10'000'000) {
-        std::fprintf(stderr, "usage: bench_fig4b_memtraffic "
-                             "[map_points in 1..10000000] "
-                             "[out=BENCH_fig4b_memtraffic.json]\n");
+        std::fprintf(stderr, "%s\n", usage);
         return 2;
     }
     const auto map_points = static_cast<std::size_t>(map_points_arg);
@@ -207,5 +211,5 @@ main(int argc, char **argv)
                  recon.normalizedToOptimal() > 1.0 &&
                  seg.normalizedToOptimal() > 1.0,
              "every workload needs more off-chip traffic than optimal");
-    return out.write(cfg.getString("out", out.defaultPath()));
+    return out.write(out_path);
 }

@@ -132,19 +132,21 @@ main(int argc, char **argv)
         "workers",
         std::min(static_cast<std::int64_t>(hw), bench::kMaxBenchThreads));
     const std::int64_t probes_arg = config.getInt("probes", smoke ? 6 : 16);
+    const std::string out_path =
+        config.getString("out", "BENCH_fleet_service.json");
+    const std::string usage =
+        "usage: bench_fleet_service [smoke=1] [seed=1] [horizon_s>0] "
+        "[workers=1.." +
+        std::to_string(bench::kMaxBenchThreads) +
+        "] [probes>=1] [out=BENCH_fleet_service.json]";
+    config.rejectUnread(usage);
     if (workers_arg < 1 || workers_arg > bench::kMaxBenchThreads ||
         probes_arg < 1 || !std::isfinite(horizon_s) || horizon_s <= 0.0) {
-        std::fprintf(stderr,
-                     "usage: bench_fleet_service [smoke=1] [seed=1] "
-                     "[horizon_s>0] [workers=1..%lld] [probes>=1] "
-                     "[out=BENCH_fleet_service.json]\n",
-                     static_cast<long long>(bench::kMaxBenchThreads));
+        std::fprintf(stderr, "%s\n", usage.c_str());
         return 2;
     }
     const auto workers = static_cast<std::size_t>(workers_arg);
     const auto probes = static_cast<std::size_t>(probes_arg);
-    const std::string out_path =
-        config.getString("out", "BENCH_fleet_service.json");
 
     bench::BenchReport report("fleet_service");
     report.setSmoke(smoke);

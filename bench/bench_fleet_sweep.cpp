@@ -128,17 +128,18 @@ main(int argc, char **argv)
         config.getInt("max_threads",
                       std::min(static_cast<std::int64_t>(hw),
                                bench::kMaxBenchThreads)));
+    const std::string out_path =
+        config.getString("out", "BENCH_fleet.json");
+    const std::string usage =
+        "usage: bench_fleet_sweep [smoke=1] [seed=1] [seeds>=1] "
+        "[horizon_s=40] [max_threads=1.." +
+        std::to_string(bench::kMaxBenchThreads) + "] [out=BENCH_fleet.json]";
+    config.rejectUnread(usage);
     if (thread_counts.empty() || seeds < 1) {
-        std::fprintf(stderr,
-                     "usage: bench_fleet_sweep [smoke=1] [seed=1] [seeds>=1] "
-                     "[horizon_s=40] [max_threads=1..%lld] "
-                     "[out=BENCH_fleet.json]\n",
-                     static_cast<long long>(bench::kMaxBenchThreads));
+        std::fprintf(stderr, "%s\n", usage.c_str());
         return 2;
     }
     const std::size_t max_threads = thread_counts.back();
-    const std::string out_path =
-        config.getString("out", "BENCH_fleet.json");
 
     const ScenarioMatrix matrix = buildMatrix(
         smoke, seed, static_cast<std::size_t>(seeds), horizon_s);

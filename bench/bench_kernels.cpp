@@ -218,9 +218,13 @@ main(int argc, char **argv)
     const Config config = Config::fromArgs(argc, argv);
     const bool smoke = config.getBool("smoke", false);
     const std::int64_t reps = config.getInt("reps", smoke ? 3 : 5);
+    const std::string out_path =
+        config.getString("out", "BENCH_kernels.json");
+    const char *const usage =
+        "usage: bench_kernels [smoke=1] [reps>=1] [out=BENCH_kernels.json]";
+    config.rejectUnread(usage);
     if (reps < 1) {
-        std::fprintf(stderr, "usage: bench_kernels [smoke=1] [reps>=1] "
-                             "[out=BENCH_kernels.json]\n");
+        std::fprintf(stderr, "%s\n", usage);
         return 2;
     }
     // Smoke inputs are small, so fixed per-frame costs amortize less.
@@ -245,8 +249,6 @@ main(int argc, char **argv)
     const SimdLevel simd_level = detectSimdLevel();
     const double simd_floor =
         simd_level == SimdLevel::Avx2 ? speedFloor(1.05, 1.2) : 0.0;
-    const std::string out_path =
-        config.getString("out", "BENCH_kernels.json");
 
     std::printf("simd level: %s\n", simdLevelName(simd_level));
 

@@ -185,16 +185,17 @@ main(int argc, char **argv)
     const std::int64_t worlds_arg = config.getInt("worlds", smoke ? 12 : 200);
     const auto seed = static_cast<std::uint64_t>(config.getInt("seed", 1));
     const double horizon_s = config.getDouble("horizon_s", 20.0);
+    const std::string out_path =
+        config.getString("out", "BENCH_scenario_fuzz.json");
+    const char *const usage =
+        "usage: bench_scenario_fuzz [smoke=1] [worlds>=1] [seed=1] "
+        "[horizon_s>0] [out=BENCH_scenario_fuzz.json]";
+    config.rejectUnread(usage);
     if (worlds_arg < 1 || !std::isfinite(horizon_s) || horizon_s <= 0.0) {
-        std::fprintf(stderr,
-                     "usage: bench_scenario_fuzz [smoke=1] [worlds>=1] "
-                     "[seed=1] [horizon_s>0] "
-                     "[out=BENCH_scenario_fuzz.json]\n");
+        std::fprintf(stderr, "%s\n", usage);
         return 2;
     }
     const auto worlds = static_cast<std::size_t>(worlds_arg);
-    const std::string out_path =
-        config.getString("out", "BENCH_scenario_fuzz.json");
 
     const bool cv_ok = cvBitIdentity();
     std::printf("cv bit-identity (stepped vs analytic): %s\n",

@@ -204,9 +204,11 @@ main(int argc, char **argv)
     const Config config = Config::fromArgs(argc, argv);
     const bool smoke = config.getBool("smoke", false);
     const std::int64_t reps = config.getInt("reps", smoke ? 3 : 15);
+    const char *const usage =
+        "usage: bench_sec6b_radar_tracking [smoke=1] [reps>=1]";
+    config.rejectUnread(usage);
     if (reps < 1) {
-        std::fprintf(stderr, "usage: bench_sec6b_radar_tracking "
-                             "[smoke=1] [reps>=1]\n");
+        std::fprintf(stderr, "%s\n", usage);
         return 2;
     }
 

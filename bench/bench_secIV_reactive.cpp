@@ -74,7 +74,8 @@ runRow(const Row &row, std::uint64_t seed, bench::BenchReport &report)
 int
 main(int argc, char **argv)
 {
-    (void)Config::fromArgs(argc, argv);
+    Config::fromArgs(argc, argv).rejectUnread(
+        "usage: bench_secIV_reactive (takes no flags)");
     std::printf("=== Sec. IV: proactive + reactive safety, closed "
                 "loop ===\n");
     std::printf("vehicle at 5.6 m/s; braking distance 3.9 m; obstacle "

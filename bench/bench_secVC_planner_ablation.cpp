@@ -72,9 +72,11 @@ main(int argc, char **argv)
     const Config config = Config::fromArgs(argc, argv);
     const bool smoke = config.getBool("smoke", false);
     const std::int64_t reps = config.getInt("reps", smoke ? 3 : 20);
+    const char *const usage =
+        "usage: bench_secVC_planner_ablation [smoke=1] [reps>=1]";
+    config.rejectUnread(usage);
     if (reps < 1) {
-        std::fprintf(stderr, "usage: bench_secVC_planner_ablation "
-                             "[smoke=1] [reps>=1]\n");
+        std::fprintf(stderr, "%s\n", usage);
         return 2;
     }
 

@@ -81,6 +81,8 @@ main(int argc, char **argv)
     params.horizon_s = cfg.getDouble("horizon", 3.0);
     params.seeds = static_cast<std::size_t>(cfg.getInt("seeds", 4));
     const double linger = cfg.getDouble("linger", 0.0);
+    cfg.rejectUnread(
+        "usage: fleet_service_demo [horizon=3] [seeds=4] [linger=0]");
 
     ServiceConfig provisioning;
     provisioning.master_seed = 2026;

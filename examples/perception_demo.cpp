@@ -26,6 +26,7 @@ main(int argc, char **argv)
     const Config cfg = Config::fromArgs(argc, argv);
     const auto views = static_cast<std::size_t>(cfg.getInt("views", 20));
     const auto epochs = static_cast<std::size_t>(cfg.getInt("epochs", 6));
+    cfg.rejectUnread("usage: perception_demo [views=20] [epochs=6]");
 
     // ------------------------------------------------- the scene
     World world;

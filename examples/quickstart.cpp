@@ -25,6 +25,7 @@ main(int argc, char **argv)
     const Config cfg = Config::fromArgs(argc, argv);
     const double seconds = cfg.getDouble("seconds", 60.0);
     const double speed = cfg.getDouble("speed", 5.6);
+    cfg.rejectUnread("usage: quickstart [seconds=60] [speed=5.6]");
 
     // 1. The deployment site: a 120 x 80 m loop (think of the
     //    industrial-park route of Sec. II-A).

@@ -45,16 +45,17 @@ using namespace sov;
 
 namespace {
 
+const char *const kUsage =
+    "usage: runtime_substitution [scale=4] [frames=2] "
+    "[backend=reference|fast|simd] [mode=sync|async] [faults=none|<preset>]";
+
 int
 usage(const char *arg, const std::string &value)
 {
     std::fprintf(stderr,
-                 "runtime_substitution: unknown %s '%s'\n"
-                 "usage: runtime_substitution [scale=4] [frames=2] "
-                 "[backend=reference|fast|simd] [mode=sync|async] "
-                 "[faults=none|<preset>]\n"
+                 "runtime_substitution: unknown %s '%s'\n%s\n"
                  "fault presets:",
-                 arg, value.c_str());
+                 arg, value.c_str(), kUsage);
     for (const fleet::FaultPreset &p : fleet::faultMatrixPresets())
         std::fprintf(stderr, " %s", p.name.c_str());
     std::fprintf(stderr, "\n");
@@ -116,19 +117,20 @@ main(int argc, char **argv)
     const Config cfg = Config::fromArgs(argc, argv);
     const double scale = cfg.getDouble("scale", 4.0);
     const auto frames = static_cast<std::size_t>(cfg.getInt("frames", 2));
+    const std::string backend_name =
+        cfg.getString("backend", kernelBackendName(defaultKernelBackend()));
+    const std::string mode = cfg.getString("mode", "sync");
+    const std::string faults_name = cfg.getString("faults", "none");
+    cfg.rejectUnread(kUsage);
     // Validate enum-valued arguments up front: a typo must print the
     // usage line, not silently fall back (or abort inside the kernel
     // layer's fatal parser).
-    const std::string backend_name =
-        cfg.getString("backend", kernelBackendName(defaultKernelBackend()));
     if (backend_name != "reference" && backend_name != "fast" &&
         backend_name != "simd")
         return usage("backend", backend_name);
     const KernelBackend backend = kernelBackendFromName(backend_name);
-    const std::string mode = cfg.getString("mode", "sync");
     if (mode != "sync" && mode != "async")
         return usage("mode", mode);
-    const std::string faults_name = cfg.getString("faults", "none");
     const fleet::FaultPreset *fault_preset = nullptr;
     const std::vector<fleet::FaultPreset> presets =
         fleet::faultMatrixPresets();

@@ -24,6 +24,8 @@ main(int argc, char **argv)
     const Config cfg = Config::fromArgs(argc, argv);
     const double shift = cfg.getDouble("shift_hours", 10.0);
     const double trips = cfg.getDouble("trips_per_day", 100.0);
+    cfg.rejectUnread(
+        "usage: tourist_shuttle [shift_hours=10] [trips_per_day=100]");
 
     std::printf("=== Tourist-site shuttle: one deployment, all "
                 "constraints ===\n\n");

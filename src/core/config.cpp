@@ -1,5 +1,6 @@
 #include "core/config.h"
 
+#include <cstdio>
 #include <cstdlib>
 
 #include "core/logging.h"
@@ -13,8 +14,10 @@ Config::fromArgs(int argc, const char *const *argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto eq = arg.find('=');
-        if (eq == std::string::npos || eq == 0)
+        if (eq == std::string::npos || eq == 0) {
+            cfg.stray_.push_back(arg);
             continue;
+        }
         cfg.set(arg.substr(0, eq), arg.substr(eq + 1));
     }
     return cfg;
@@ -29,12 +32,14 @@ Config::set(const std::string &key, const std::string &value)
 bool
 Config::has(const std::string &key) const
 {
+    markRead(key);
     return values_.count(key) != 0;
 }
 
 double
 Config::getDouble(const std::string &key, double fallback) const
 {
+    markRead(key);
     auto it = values_.find(key);
     if (it == values_.end())
         return fallback;
@@ -48,6 +53,7 @@ Config::getDouble(const std::string &key, double fallback) const
 std::int64_t
 Config::getInt(const std::string &key, std::int64_t fallback) const
 {
+    markRead(key);
     auto it = values_.find(key);
     if (it == values_.end())
         return fallback;
@@ -61,6 +67,7 @@ Config::getInt(const std::string &key, std::int64_t fallback) const
 bool
 Config::getBool(const std::string &key, bool fallback) const
 {
+    markRead(key);
     auto it = values_.find(key);
     if (it == values_.end())
         return fallback;
@@ -75,6 +82,7 @@ Config::getBool(const std::string &key, bool fallback) const
 std::string
 Config::getString(const std::string &key, const std::string &fallback) const
 {
+    markRead(key);
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
 }
@@ -87,6 +95,26 @@ Config::keys() const
     for (const auto &kv : values_)
         out.push_back(kv.first);
     return out;
+}
+
+void
+Config::rejectUnread(const std::string &usage) const
+{
+    bool rejected = false;
+    for (const std::string &token : stray_) {
+        std::fprintf(stderr, "not a key=value flag: '%s'\n", token.c_str());
+        rejected = true;
+    }
+    for (const auto &kv : values_) {
+        if (read_.count(kv.first) == 0) {
+            std::fprintf(stderr, "unknown key: '%s'\n", kv.first.c_str());
+            rejected = true;
+        }
+    }
+    if (!rejected)
+        return;
+    std::fprintf(stderr, "%s\n", usage.c_str());
+    std::exit(2);
 }
 
 } // namespace sov

@@ -20,6 +20,7 @@ ScenarioOutcome
 FleetRunner::runScenario(const ScenarioSpec &spec,
                          obs::MetricRegistry *metrics) const
 {
+    checkWorldPreset(spec.world);
     // The scenario's whole random universe forks from its
     // *environment* identity — world, fault preset and seed, but not
     // the stack: outcome = f(master_seed, environment, stack

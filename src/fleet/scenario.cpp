@@ -1,14 +1,34 @@
 #include "fleet/scenario.h"
 
+#include <cmath>
+#include <string>
 #include <utility>
 
 #include "core/logging.h"
 
 namespace sov::fleet {
 
+void
+checkWorldPreset(const WorldPreset &world)
+{
+    if (!std::isfinite(world.horizon_s) || world.horizon_s <= 0.0) {
+        SOV_FATAL("world '" + world.name + "': horizon_s " +
+                  std::to_string(world.horizon_s) +
+                  " is not a positive finite number of seconds");
+    }
+    const double length = world.route.length();
+    if (world.route.size() < 2 || !std::isfinite(length) || length <= 0.0) {
+        SOV_FATAL("world '" + world.name + "': route of " +
+                  std::to_string(world.route.size()) + " points and length " +
+                  std::to_string(length) +
+                  " (needs two or more points and a positive finite length)");
+    }
+}
+
 ScenarioMatrix &
 ScenarioMatrix::addWorld(WorldPreset world)
 {
+    checkWorldPreset(world);
     worlds_.push_back(std::move(world));
     return *this;
 }

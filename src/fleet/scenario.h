@@ -78,6 +78,16 @@ struct ScenarioSpec
 };
 
 /**
+ * Refuse, fatally and naming the world, a preset no closed loop can
+ * run: a horizon that is NaN, infinite or not positive, or a route
+ * with fewer than two points or a length that is not positive and
+ * finite (the loop's route-end test and the reactive path's corridor
+ * certificate assume a finite route). ScenarioMatrix::addWorld and
+ * FleetRunner::runScenario both check.
+ */
+void checkWorldPreset(const WorldPreset &world);
+
+/**
  * Axes of presets composing into an enumerable scenario space.
  * enumerate() iterates worlds (outermost) x faults x stacks x seeds
  * (innermost); the order of addition fixes the order of enumeration,
@@ -86,6 +96,7 @@ struct ScenarioSpec
 class ScenarioMatrix
 {
   public:
+    /** Add a world (checkWorldPreset() refuses a bad one). */
     ScenarioMatrix &addWorld(WorldPreset world);
     ScenarioMatrix &addFault(FaultPreset preset);
     ScenarioMatrix &addFaults(const std::vector<FaultPreset> &presets);

@@ -545,4 +545,21 @@ Polyline2::project(const Vec2 &p) const
     return {best_s, best_side};
 }
 
+double
+Polyline2::distanceToTail(const Vec2 &p, double s0) const
+{
+    double best = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 1; i < points_.size(); ++i) {
+        if (!(cumlen_[i] >= s0))
+            continue;
+        Vec2 from = points_[i - 1];
+        if (cumlen_[i - 1] < s0) {
+            from += (points_[i] - points_[i - 1]) *
+                    ((s0 - cumlen_[i - 1]) / (cumlen_[i] - cumlen_[i - 1]));
+        }
+        best = std::min(best, Segment2{from, points_[i]}.distanceTo(p));
+    }
+    return best;
+}
+
 } // namespace sov

@@ -267,6 +267,13 @@ class Polyline2
      */
     std::pair<double, double> project(const Vec2 &p) const;
 
+    /**
+     * Distance from @p p to the part of the polyline at arc length
+     * >= @p s0 (each segment cut where its cumulative length reaches
+     * @p s0); +inf when no segment reaches it.
+     */
+    double distanceToTail(const Vec2 &p, double s0) const;
+
     /** Append a point, extending the cumulative length table. */
     void append(const Vec2 &p);
 

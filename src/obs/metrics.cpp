@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "core/hash.h"
 #include "core/logging.h"
@@ -23,6 +24,43 @@ keysOf(const Map &map)
 }
 
 } // namespace
+
+MetricRegistry::MetricRegistry(const MetricRegistry &other)
+    : counters_(other.counters_), gauges_(other.gauges_), hists_(other.hists_)
+{
+}
+
+MetricRegistry::MetricRegistry(MetricRegistry &&other) noexcept
+    : counters_(std::move(other.counters_)), gauges_(std::move(other.gauges_)),
+      hists_(std::move(other.hists_))
+{
+    other.clear();
+}
+
+MetricRegistry &
+MetricRegistry::operator=(const MetricRegistry &other)
+{
+    if (this != &other) {
+        counters_ = other.counters_;
+        gauges_ = other.gauges_;
+        hists_ = other.hists_;
+        forgetInterned();
+    }
+    return *this;
+}
+
+MetricRegistry &
+MetricRegistry::operator=(MetricRegistry &&other) noexcept
+{
+    if (this != &other) {
+        counters_ = std::move(other.counters_);
+        gauges_ = std::move(other.gauges_);
+        hists_ = std::move(other.hists_);
+        forgetInterned();
+        other.clear();
+    }
+    return *this;
+}
 
 void
 MetricRegistry::incr(const std::string &name, std::uint64_t delta)
@@ -66,6 +104,41 @@ void
 MetricRegistry::record(const std::string &name, Duration latency)
 {
     hists_[name].add(latency.toMillis());
+}
+
+void
+MetricRegistry::recordTotal(Duration latency)
+{
+    static const std::string total = "total";
+    record(total, latency);
+}
+
+HistogramId
+MetricRegistry::histogramId(const std::string &name)
+{
+    for (std::size_t i = 0; i < interned_.size(); ++i) {
+        if (interned_[i].name == name)
+            return static_cast<HistogramId>(i);
+    }
+    interned_.push_back(Interned{name, nullptr});
+    return static_cast<HistogramId>(interned_.size() - 1);
+}
+
+void
+MetricRegistry::record(HistogramId id, Duration latency)
+{
+    SOV_ASSERT(id < interned_.size());
+    Interned &entry = interned_[id];
+    if (!entry.samples)
+        entry.samples = &hists_[entry.name];
+    entry.samples->add(latency.toMillis());
+}
+
+void
+MetricRegistry::forgetInterned()
+{
+    for (Interned &entry : interned_)
+        entry.samples = nullptr;
 }
 
 void
@@ -240,6 +313,7 @@ MetricRegistry::clear()
     counters_.clear();
     gauges_.clear();
     hists_.clear();
+    forgetInterned();
 }
 
 } // namespace sov::obs

@@ -25,6 +25,14 @@
  * derives from those samples so committed fingerprints hold), so even
  * differently-grouped merges of the same samples fingerprint
  * identically.
+ *
+ * Interned histograms: a per-frame producer (the dataflow executor)
+ * interns each name once, histogramId(), and records through the
+ * handle, so a sample costs no string lookup or construction. Interning
+ * creates nothing: the histogram appears at its first sample, exactly
+ * as with record(name), so contents and fingerprint do not depend on
+ * how a sample was recorded. A handle belongs to the registry object
+ * that issued it; copies and moves carry the contents, never handles.
  */
 #pragma once
 
@@ -40,10 +48,22 @@
 
 namespace sov::obs {
 
+/** An interned histogram name: MetricRegistry::histogramId(). */
+using HistogramId = std::uint32_t;
+
 /** Named counters, gauges and histograms; copyable and mergeable. */
 class MetricRegistry
 {
   public:
+    MetricRegistry() = default;
+    /** Copies and moves carry counters, gauges and histograms; the
+     *  handles a registry issued stay its own (a moved-from registry
+     *  is empty and keeps them). */
+    MetricRegistry(const MetricRegistry &other);
+    MetricRegistry(MetricRegistry &&other) noexcept;
+    MetricRegistry &operator=(const MetricRegistry &other);
+    MetricRegistry &operator=(MetricRegistry &&other) noexcept;
+
     // Counters.
     /** Add @p delta to counter @p name (creating it at zero). */
     void incr(const std::string &name, std::uint64_t delta = 1);
@@ -61,7 +81,13 @@ class MetricRegistry
     /** Record one latency sample in milliseconds of model time. */
     void record(const std::string &name, Duration latency);
     /** Record an end-to-end sample (histogram "total"). */
-    void recordTotal(Duration latency) { record("total", latency); }
+    void recordTotal(Duration latency);
+    /** Intern @p name for record(HistogramId, Duration). Creates no
+     *  histogram. Valid for this registry for its lifetime: through
+     *  merge(), clear(), and copies and moves into or out of it. */
+    HistogramId histogramId(const std::string &name);
+    /** record(name, latency) for the name @p id interns. */
+    void record(HistogramId id, Duration latency);
     /** Record a raw value (units are the caller's). */
     void recordValue(const std::string &name, double value);
 
@@ -97,12 +123,24 @@ class MetricRegistry
     void clear();
 
   private:
+    /** An interned name and, once it has a sample, its histogram (a
+     *  map node, stable until the map drops it). */
+    struct Interned
+    {
+        std::string name;
+        PercentileBuffer *samples = nullptr;
+    };
+
     PercentileBuffer *findHist(const std::string &name) const;
+    /** Drop every interned name's histogram pointer (the map changed
+     *  wholesale); names and handles stay. */
+    void forgetInterned();
 
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, double> gauges_;
     // mutable: percentile queries sort the sample buffers lazily.
     mutable std::map<std::string, PercentileBuffer> hists_;
+    std::vector<Interned> interned_;
 };
 
 } // namespace sov::obs

@@ -51,9 +51,22 @@ DataflowExecutor::DataflowExecutor(Simulator &sim, StageGraph &graph)
     : sim_(sim), graph_(graph), core_(graph), in_flight_(core_.laneCount())
 {
     SOV_ASSERT(core_.laneCount() <= (std::size_t{1} << kLaneBits));
-    queue_keys_.reserve(graph_.size());
-    for (StageId s = 0; s < graph_.size(); ++s)
-        queue_keys_.push_back("queue:" + graph_.stage(s).name);
+}
+
+void
+DataflowExecutor::attachMetrics(obs::MetricRegistry *metrics)
+{
+    metrics_ = metrics;
+    stage_hists_.clear();
+    queue_hists_.clear();
+    if (!metrics_)
+        return;
+    for (StageId s = 0; s < graph_.size(); ++s) {
+        const std::string &name = graph_.stage(s).name;
+        stage_hists_.push_back(metrics_->histogramId(name));
+        queue_hists_.push_back(metrics_->histogramId("queue:" + name));
+    }
+    total_hist_ = metrics_->histogramId("total");
 }
 
 void
@@ -277,11 +290,10 @@ DataflowExecutor::completeFrame(std::uint32_t slot_idx)
     ++completed_count_;
     if (metrics_) {
         for (const auto &span : trace.spans) {
-            metrics_->record(graph_.stage(span.stage).name,
-                             span.duration());
-            metrics_->record(queue_keys_[span.stage], span.queueing());
+            metrics_->record(stage_hists_[span.stage], span.duration());
+            metrics_->record(queue_hists_[span.stage], span.queueing());
         }
-        metrics_->recordTotal(trace.latency());
+        metrics_->record(total_hist_, trace.latency());
     }
     if (recorder_)
         traceFrame(trace);

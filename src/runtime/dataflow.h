@@ -233,8 +233,9 @@ class DataflowExecutor final : private EventTarget
     /** Stream the "<stage>", "queue:<stage>" and "total" samples of
      *  every completed frame into @p metrics (nullptr detaches), and
      *  count the deadline_misses, stage_cancellations and frames_failed
-     *  events. */
-    void attachMetrics(obs::MetricRegistry *metrics) { metrics_ = metrics; }
+     *  events. The histogram names are interned here, so a completed
+     *  frame records by handle. */
+    void attachMetrics(obs::MetricRegistry *metrics);
 
     /**
      * Emit every stage execution as an obs span (track = resource
@@ -343,8 +344,11 @@ class DataflowExecutor final : private EventTarget
     StageGraph &graph_;
     SchedulerCore core_;
     std::vector<InFlight> in_flight_; //!< per lane
-    /** "queue:<stage>" metric keys per StageId, built once. */
-    std::vector<std::string> queue_keys_;
+    /** The attached registry's handles for "<stage>" and
+     *  "queue:<stage>" per StageId, and for "total". */
+    std::vector<obs::HistogramId> stage_hists_;
+    std::vector<obs::HistogramId> queue_hists_;
+    obs::HistogramId total_hist_ = 0;
     std::vector<FrameTrace> traces_;
     obs::MetricRegistry *metrics_ = nullptr;
     obs::TraceRecorder *recorder_ = nullptr;

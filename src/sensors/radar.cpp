@@ -43,12 +43,12 @@ RadarModel::scan(const WorldSnapshot &world, const Pose2 &body,
 std::optional<double>
 RadarModel::nearestInPath(const WorldSnapshot &world, const Pose2 &body,
                           double corridor_half_width, Timestamp t,
-                          double range) const
+                          double range, CorridorClearance *clearance) const
 {
     // Three parallel rays across the corridor approximate the beam.
     return world.corridorcast(body.position, body.direction(),
                               corridor_half_width, config_.max_range, t,
-                              range);
+                              range, clearance);
 }
 
 } // namespace sov

@@ -10,6 +10,11 @@
  * The model itself is always healthy: injected radar faults act in
  * the closed loop (sovpipe/closed_loop.h), which asks its
  * fault::SensorFaultHub before each reactive-path poll.
+ *
+ * The corridor query is stateless: every call casts afresh. A caller
+ * that polls it every physics step may keep the CorridorClearance a
+ * call reports and skip later calls it covers (the reactive path's
+ * corridor certificate, vehicle/reactive.h).
  */
 #pragma once
 
@@ -73,11 +78,16 @@ class RadarModel
      *        exact hits <= range, else none (the rays stay
      *        config().max_range long, so a returned hit keeps its
      *        bits; boxes wholly beyond it are never cast).
+     * @param clearance When non-null, receives what this query proves
+     *        about later ones from other poses on rows of the same
+     *        revision (WorldSnapshot::corridorcast, CorridorClearance;
+     *        the direction is (cos, sin) of the body heading).
      */
     std::optional<double> nearestInPath(
         const WorldSnapshot &world, const Pose2 &body,
         double corridor_half_width, Timestamp t,
-        double range = std::numeric_limits<double>::infinity()) const;
+        double range = std::numeric_limits<double>::infinity(),
+        CorridorClearance *clearance = nullptr) const;
 
     Duration period() const
     {

@@ -34,6 +34,41 @@ loopApplies(const fault::FaultSpec &spec)
 
 } // namespace
 
+RouteEndWatch::RouteEndWatch(const Polyline2 &route) : route_(route)
+{
+    for (const Vec2 &p : route_.points())
+        scale_ = std::max(scale_, maxAbs(p));
+    scale_ += route_.length();
+}
+
+bool
+RouteEndWatch::reached(const Vec2 &position)
+{
+    // Each distance moves by at most |p - p0| <= |p - p0|_1; the
+    // widening covers the rounding of the sum and of both distances'
+    // growth with the coordinates.
+    if (2.0 * (std::fabs(position.x() - anchor_.x()) +
+               std::fabs(position.y() - anchor_.y())) * (1.0 + 1e-6) <
+        gap_) {
+        ++certified_skips_;
+        return false;
+    }
+    const double end = route_.length() - 1.0;
+    const auto [s, off] = route_.project(position);
+    const bool at_end = s >= end;
+    // The projection's rounding (closest points, distances and the arc
+    // length sum) is a few ulps of the coordinates; 1e-9 of them covers
+    // it, and a scale below 1e100 keeps every square finite.
+    const double scale = scale_ + maxAbs(position);
+    gap_ = 0.0;
+    if (!at_end && scale < 1e100) {
+        anchor_ = position;
+        gap_ = route_.distanceToTail(position, end) - std::fabs(off) -
+               (1e-9 * scale + 1e-150);
+    }
+    return at_end;
+}
+
 ClosedLoopSim::ClosedLoopSim(World &world, Polyline2 route,
                              const ClosedLoopConfig &config,
                              const SovPipelineConfig &pipeline_config,
@@ -114,6 +149,7 @@ ClosedLoopSim::reset()
     vehicle_.applyActuator(initial);
     result_ = ClosedLoopResult{};
     gaps_.reset();
+    route_end_.reset();
     cycles_ = 0;
     reactive_cycles_ = 0;
     proactive_cycles_ = 0;
@@ -439,10 +475,7 @@ ClosedLoopSim::physicsStep()
         sim_.stop();
         return;
     }
-    // Route end.
-    const auto [s, off] = route_.project(vehicle_.pose().position);
-    (void)off;
-    if (s >= route_.length() - 1.0)
+    if (route_end_.reached(vehicle_.pose().position))
         sim_.stop();
 }
 

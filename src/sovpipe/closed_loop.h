@@ -152,6 +152,43 @@ struct ClosedLoopResult
     std::uint64_t event_order_digest = 0;
 };
 
+/**
+ * The closed loop's route-end test, `route.project(p).first >=
+ * route.length() - 1`, asked every physics step, with a certificate
+ * that skips the projection while the test cannot pass. At a
+ * projection that fails the test, the gap G between p's distance to
+ * the route's last metre and its distance to the route, less a
+ * rounding margin, is kept: both distances are 1-Lipschitz in p, so
+ * while 2 |p - p0|_1, widened, stays below G the nearest route point
+ * lies outside the last metre and the projection fails again. This
+ * holds on any polyline, where the projection may jump between
+ * segments (DESIGN.md, Broadphase, route-end certificate).
+ */
+class RouteEndWatch
+{
+  public:
+    /** @param route Kept by reference; must outlive the watch. */
+    explicit RouteEndWatch(const Polyline2 &route);
+
+    /** The route-end test at @p position, bit for bit. */
+    bool reached(const Vec2 &position);
+
+    /** Forget the certificate. */
+    void reset() { gap_ = 0.0; }
+
+    /** reached() calls answered without a projection. */
+    std::uint64_t certifiedSkips() const { return certified_skips_; }
+
+  private:
+    const Polyline2 &route_;
+    /** Largest vertex coordinate magnitude plus the length. */
+    double scale_ = 0.0;
+    /** The certificate: its issue position and gap; gap <= 0 = none. */
+    Vec2 anchor_;
+    double gap_ = 0.0;
+    std::uint64_t certified_skips_ = 0;
+};
+
 /** The closed-loop simulator. */
 class ClosedLoopSim
 {
@@ -175,6 +212,8 @@ class ClosedLoopSim
 
     VehicleDynamics &vehicle() { return vehicle_; }
     World &world() { return world_; }
+    const ReactivePath &reactivePath() const { return reactive_; }
+    const RouteEndWatch &routeEnd() const { return route_end_; }
 
     /** Per-stage durations and queueing of the proactive pipeline
      *  frames executed so far (histograms named after the Fig. 5
@@ -221,6 +260,7 @@ class ClosedLoopSim
 
     World &world_;
     Polyline2 route_;
+    RouteEndWatch route_end_{route_};
     ClosedLoopConfig config_;
     Rng rng_;
 

@@ -5,6 +5,24 @@
  * reaction latency is ~30 ms versus the proactive path's 149 ms+
  * best case, letting the vehicle stop for objects first seen at
  * 4.1 m — near the 4 m braking-distance limit.
+ *
+ * Corridor certificate. The closed loop polls the path every physics
+ * step, but the radar corridor it asks for (RadarModel::nearestInPath,
+ * up to the decision range Q) is nearly always empty. A query that
+ * skipped every box reports a CorridorClearance: the least separation
+ * S of any box from the region it read. The path keeps it with the
+ * issue pose, Q, time and row revision, and a later poll on rows of
+ * the same revision returns none without asking the radar (no trig,
+ * no per-box work) while the motion spent since issue,
+ *
+ *     |dp|_1 + |dheading| * D + v_max * dt + max(0, Q - Q0),
+ *
+ * widened for rounding, stays below S. The motion is measured from
+ * the issue pose, so polls a radar dropout skips and every change of
+ * Q (latch, stop, release; -inf and NaN included) are covered. The
+ * first poll it cannot cover asks the radar and reissues. Returned
+ * values and both brake decisions stay bitwise those of asking every
+ * poll (DESIGN.md, Broadphase, corridor certificate).
  */
 #pragma once
 
@@ -60,6 +78,12 @@ class ReactivePath final : private EventTarget
     std::uint64_t triggerCount() const { return triggers_; }
     bool active() const { return ecu_.emergencyLatched(); }
 
+    /** evaluate() calls so far. */
+    std::uint64_t evaluations() const { return evaluations_; }
+    /** evaluate() calls the corridor certificate answered without
+     *  asking the radar. */
+    std::uint64_t certifiedSkips() const { return certified_skips_; }
+
     /** The center-to-obstacle distance below which braking fires, at
      *  speed @p v with deceleration @p decel. */
     double
@@ -72,14 +96,35 @@ class ReactivePath final : private EventTarget
     }
 
   private:
+    /** A corridor query that found every box clear, and what it
+     *  proved (see the file comment). */
+    struct Certificate
+    {
+        std::uint64_t revision = 0; //!< 0 = none held
+        Vec2 position;
+        double heading = 0.0;
+        double range = 0.0;
+        double time_s = 0.0;
+        CorridorClearance clearance;
+    };
+
     /** The reactive signal reaches the ECU. */
     void onEvent(std::uint64_t) override { ecu_.emergencyBrake(); }
+
+    /** The corridor reading up to @p range: none when the certificate
+     *  covers the poll, else the radar's answer (reissuing). */
+    std::optional<double> corridor(const WorldSnapshot &world,
+                                   const Pose2 &body, Timestamp t,
+                                   double range);
 
     Simulator &sim_;
     Ecu &ecu_;
     const RadarModel &radar_;
     ReactiveConfig config_;
     std::uint64_t triggers_ = 0;
+    Certificate certificate_;
+    std::uint64_t evaluations_ = 0;
+    std::uint64_t certified_skips_ = 0;
 };
 
 } // namespace sov

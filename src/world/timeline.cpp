@@ -1,10 +1,27 @@
 #include "world/timeline.h"
 
+#include <atomic>
 #include <utility>
 
 #include "core/logging.h"
 
 namespace sov {
+
+std::uint64_t
+WorldTimeline::Revision::fresh()
+{
+    static std::atomic<std::uint64_t> instances{0};
+    return (instances.fetch_add(1, std::memory_order_relaxed) + 1) << 32;
+}
+
+void
+WorldTimeline::Revision::bump()
+{
+    // 2^32 changes of one instance (13 simulated years of 100 ms
+    // ticks) would carry into the instance bits: take a fresh one.
+    if ((++value_ & 0xffffffffu) == 0)
+        value_ = fresh();
+}
 
 WorldTimeline::WorldTimeline(Duration tick) : tick_(tick)
 {
@@ -28,6 +45,7 @@ WorldTimeline::spawn(std::unique_ptr<Agent> agent)
     published_.push_back(agent->publish(epoch_));
     closed_form_.push_back(agent->reactive() ? 0 : 1);
     agents_.push_back(std::move(agent));
+    revision_.bump();
     return id;
 }
 
@@ -48,6 +66,7 @@ WorldTimeline::stepOnce(const Pose2 &ego_pose, double ego_speed)
     // double-buffer copy and publish loop would be pure overhead.
     if (reactive_count_ == 0)
         return;
+    revision_.bump();
     // Agents observe the previous epoch's rows: double-buffering makes
     // the step independent of agent order within the tick.
     prev_published_ = published_;
@@ -74,6 +93,7 @@ WorldTimeline::clear()
     next_id_ = 0;
     epoch_ = Timestamp::origin();
     ticks_ = 0;
+    revision_.renew();
 }
 
 } // namespace sov

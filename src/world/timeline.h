@@ -23,6 +23,14 @@
  * rebased — their spawn row is republished verbatim — so a timeline
  * holding only CV agents is bit-identical to the legacy analytic
  * World at every query time, ticked or not.
+ *
+ * Revision: a number that names one state of the published rows,
+ * unique across every timeline in the process. It moves only when a
+ * row may change — a spawn, a clear, or a tick with behavioural agents
+ * — so a consumer that kept a proof about the rows (the reactive
+ * path's corridor certificate) can tell, from one compare, that they
+ * are the rows it proved it for. Ticks of a constant-velocity timeline
+ * leave it alone.
  */
 #pragma once
 
@@ -56,6 +64,10 @@ class WorldTimeline
      */
     void advanceTo(Timestamp t, const Pose2 &ego_pose, double ego_speed);
 
+    /** The revision of published() (see the file comment): equal
+     *  revisions mean equal rows, bit for bit. Never 0. */
+    std::uint64_t revision() const { return revision_.value(); }
+
     /** The current epoch (last tick boundary crossed). */
     Timestamp epoch() const { return epoch_; }
     Duration tick() const { return tick_; }
@@ -80,6 +92,36 @@ class WorldTimeline
     void clear();
 
   private:
+    /** A revision that stays unique when its timeline is moved: the
+     *  moved-from one takes a fresh number. */
+    class Revision
+    {
+      public:
+        Revision() : value_(fresh()) {}
+        Revision(Revision &&other) noexcept : value_(other.value_)
+        {
+            other.value_ = fresh();
+        }
+        Revision &operator=(Revision &&other) noexcept
+        {
+            value_ = other.value_;
+            other.value_ = fresh();
+            return *this;
+        }
+        std::uint64_t value() const { return value_; }
+        /** The rows may have changed. */
+        void bump();
+        /** The rows were replaced wholesale (clear). */
+        void renew() { value_ = fresh(); }
+
+      private:
+        /** A number no revision has held: a process-wide instance
+         *  count in the high 32 bits, zero below. */
+        static std::uint64_t fresh();
+
+        std::uint64_t value_;
+    };
+
     void stepOnce(const Pose2 &ego_pose, double ego_speed);
 
     Duration tick_;
@@ -91,6 +133,7 @@ class WorldTimeline
     std::size_t reactive_count_ = 0;
     std::vector<std::unique_ptr<Agent>> agents_;
     std::vector<Obstacle> published_;
+    Revision revision_;
     std::vector<std::uint8_t> closed_form_;
     /** Previous epoch's rows, handed to agents as observations. */
     std::vector<Obstacle> prev_published_;

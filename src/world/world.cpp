@@ -95,9 +95,12 @@ WorldSnapshot::raycast(const Vec2 &origin, const Vec2 &direction,
 std::optional<double>
 WorldSnapshot::corridorcast(const Vec2 &origin, const Vec2 &direction,
                             double half_width, double max_range,
-                            Timestamp t, double range) const
+                            Timestamp t, double range,
+                            CorridorClearance *clearance) const
 {
     SOV_ASSERT(max_range > 0.0);
+    if (clearance)
+        *clearance = CorridorClearance{};
     // raycast()'s zero-direction rule and normalized() (which panics on
     // a NaN direction) come first, as in the three casts.
     if (direction.squaredNorm() == 0.0)
@@ -148,6 +151,63 @@ WorldSnapshot::corridorcast(const Vec2 &origin, const Vec2 &direction,
     const double per_range = 1.0 / max_range;
     const double time_s = t.toSeconds();
 
+    // Corridor certificate (DESIGN.md, Broadphase): while every box is
+    // skipped, each one's separation from the region this query reads,
+    // taken at twice its scale so that it bounds every later query the
+    // certificate admits (which cannot grow the scale by more than the
+    // separation, and the scale caps it), less the rounding of this
+    // query and of a later one: 64 ulps of that scale and of the row's
+    // base position (footprintAt()'s v * t), plus a floor that keeps
+    // the later query's squares normal.
+    bool certifying = clearance != nullptr &&
+                      std::fabs(direction.squaredNorm() - 1.0) <= 1e-15;
+    double separation = std::numeric_limits<double>::infinity();
+    double turn_reach = 2.0 * std::fabs(half_width);
+    double speed = 0.0;
+    const auto certify = [&](const Obstacle &obs, const Vec2 &center) {
+        const double hl = obs.footprint.half_length;
+        const double hw = obs.footprint.half_width;
+        const double ahl = std::fabs(hl), ahw = std::fabs(hw);
+        const Vec2 d = center - origin;
+        const double scale = ray_scale + maxAbs(center) + (ahl + ahw);
+        const double wide = 2.0 * scale;
+        const double margin = 2.0 * PreparedBox::broadphaseMargin(wide) *
+                              (1.0 + (wide + 1.0) * per_range);
+        const double rho = std::sqrt(hl * hl + hw * hw);
+        const double along = d.x() * dir.x() + d.y() * dir.y();
+        // The strip route, then the range route where its conditions
+        // hold at the wide scale: behind, or beyond a range of at most
+        // the scale (a larger later range is spent growth).
+        double sep = std::fabs(d.x() * dir.y() - d.y() * dir.x()) - reach -
+                     margin - rho;
+        if (ahl >= 1e-6 * wide && ahw >= 1e-6 * wide && wide < 1e100) {
+            double span = -along - reach - margin - rho;
+            if (std::fabs(range) <= scale ||
+                range == -std::numeric_limits<double>::infinity())
+                span = std::max(span, along - reach - margin - range - rho);
+            const double band = 5e-4 * (ahl + ahw) + margin;
+            for (const Vec2 &o : from) {
+                const Vec2 di = center - o;
+                const double lat_i = std::fabs(di.x() * dir.y() - di.y() * dir.x());
+                span = std::min({span, std::fabs(lat_i - ahw) - band,
+                                 std::fabs(lat_i - ahl) - band});
+            }
+            sep = std::max(sep, span);
+        }
+        const double cover =
+            64.0 * (std::numeric_limits<double>::epsilon() / 2.0) *
+                (wide + maxAbs(obs.footprint.pose.position)) +
+            2e-150;
+        sep = std::min(sep, scale) - cover;
+        if (!(sep > 0.0))
+            certifying = false;
+        separation = std::min(separation, sep);
+        turn_reach = std::max(turn_reach, std::fabs(d.x()) + std::fabs(d.y()) +
+                                              2.0 * std::fabs(half_width));
+        speed = std::max(speed, std::fabs(obs.velocity.x()) +
+                                    std::fabs(obs.velocity.y()));
+    };
+
     std::optional<PreparedRay> rays[3];
     std::optional<double> best[3];
     // One pass over the obstacles, skipping boxes wholly beyond
@@ -168,8 +228,11 @@ WorldSnapshot::corridorcast(const Vec2 &origin, const Vec2 &direction,
                                       (1.0 + (scale + 1.0) * per_range);
                 const double rho2 = hl * hl + hw * hw;
                 const double clear = lat - reach - margin;
-                if (clear > 0.0 && clear * clear > rho2)
+                if (clear > 0.0 && clear * clear > rho2) {
+                    if (certifying)
+                        certify(obs, center);
                     continue;
+                }
                 const double along = d.x() * dir.x() + d.y() * dir.y();
                 const double ahead = along - reach - margin - beyond;
                 const double behind = -along - reach - margin;
@@ -189,10 +252,13 @@ WorldSnapshot::corridorcast(const Vec2 &origin, const Vec2 &direction,
                     }
                     if (clear_of_edges) {
                         skipped_beyond = skipped_beyond || is_beyond;
+                        if (certifying)
+                            certify(obs, center);
                         continue;
                     }
                 }
             }
+            certifying = false;
             if (!rays[0]) {
                 for (std::size_t i = 0; i < 3; ++i)
                     rays[i].emplace(Segment2{from[i], from[i] + dir * max_range});
@@ -217,6 +283,11 @@ WorldSnapshot::corridorcast(const Vec2 &origin, const Vec2 &direction,
         for (auto &hit : best)
             hit.reset();
         fold(std::numeric_limits<double>::infinity());
+    }
+    if (certifying) {
+        // Every box was skipped, so there is no hit.
+        *clearance = CorridorClearance{true, separation, turn_reach, speed};
+        return std::nullopt;
     }
     std::optional<double> nearest;
     for (const auto &hit : best) {

@@ -16,6 +16,15 @@
  * steps the scene and hands out its parts (map(), obstacles(),
  * landmarks()).
  *
+ * Revision: every snapshot carries its rows' revision
+ * (WorldTimeline::revision). Equal nonzero revisions promise equal
+ * rows, bit for bit, so a consumer may keep a proof about one
+ * snapshot's rows and reuse it on a later snapshot of the same
+ * revision (ReactivePath's corridor certificate does). A world's
+ * revision moves only on a spawn, a clear, or a tick with behavioural
+ * agents; a snapshot built over bare vectors has revision 0 unless its
+ * owner supplies one, and 0 promises nothing.
+ *
  * Motion semantics: an un-stepped world (nobody calls advanceTo) is
  * bit-identical to the legacy analytic model — every addObstacle()
  * wraps a constant-velocity agent whose published row *is* the spawn
@@ -45,6 +54,37 @@ namespace sov {
 class World;
 
 /**
+ * What a corridorcast() that skipped every box proves about later
+ * corridor queries on rows of the same revision (DESIGN.md,
+ * Broadphase, corridor certificate). Let the query have had origin
+ * o0, direction (cos h0, sin h0), range Q0 and time t0. A later query
+ * with the same half-width and max range, origin o, direction
+ * (cos h, sin h), range Q and time t skips every box again, and so
+ * returns none, while
+ *
+ *     (|o - o0|_1 + |h - h0| * turn_reach + speed * |t - t0|
+ *      + (Q <= Q0 ? 0 : Q - Q0)) * (1 + 4e-9)  <  separation
+ *
+ * (a NaN term fails it). The rounding of both queries is already
+ * taken out of separation.
+ */
+struct CorridorClearance
+{
+    /** Every box was skipped with separation > 0 and the direction
+     *  was a unit vector to rounding; the fields below are set only
+     *  then. */
+    bool valid = false;
+    /** The least separation of any box from the region the query
+     *  reads (+inf with no rows), less rounding. */
+    double separation = 0.0;
+    /** How far a unit turn moves a box against the rays: the largest
+     *  |center - origin|_1, plus twice the half-width. */
+    double turn_reach = 0.0;
+    /** The rows' largest speed, |velocity|_1. */
+    double speed = 0.0;
+};
+
+/**
  * Immutable time-indexed view of a world at one timeline epoch: what
  * every sensor model queries. Holds references — valid only while the
  * backing world outlives it and is not advanced (take it, query it,
@@ -57,11 +97,15 @@ class WorldSnapshot
      *  this conversion is the consumers' migration path). */
     WorldSnapshot(const World &world);
 
+    /** View of bare vectors. @p revision must change whenever a row
+     *  of @p obstacles may have (see the file comment); 0, the
+     *  default, promises nothing. */
     WorldSnapshot(const LaneMap &map,
                   const std::vector<Obstacle> &obstacles,
-                  const std::vector<Landmark> &landmarks, Timestamp epoch)
+                  const std::vector<Landmark> &landmarks, Timestamp epoch,
+                  std::uint64_t revision = 0)
         : map_(&map), obstacles_(&obstacles), landmarks_(&landmarks),
-          epoch_(epoch)
+          epoch_(epoch), revision_(revision)
     {
     }
 
@@ -70,6 +114,8 @@ class WorldSnapshot
     const std::vector<Landmark> &landmarks() const { return *landmarks_; }
     /** The timeline epoch the obstacle rows were published at. */
     Timestamp epoch() const { return epoch_; }
+    /** The rows' revision (see the file comment); 0 = unversioned. */
+    std::uint64_t revision() const { return revision_; }
 
     /**
      * Distance from @p origin along @p direction to the first obstacle
@@ -98,12 +144,15 @@ class WorldSnapshot
      * @p range along it (see world.cpp) is skipped before its
      * footprint is built, the rest fold into all three rays, and a
      * pass with no such box builds no ray. The rays keep @p max_range,
-     * so every hit they return keeps its bits.
+     * so every hit they return keeps its bits. A non-null
+     * @p clearance receives what this query proves about later ones
+     * (see CorridorClearance); the hit does not depend on it.
      */
     std::optional<double> corridorcast(
         const Vec2 &origin, const Vec2 &direction, double half_width,
         double max_range, Timestamp t,
-        double range = std::numeric_limits<double>::infinity()) const;
+        double range = std::numeric_limits<double>::infinity(),
+        CorridorClearance *clearance = nullptr) const;
 
     /** Obstacles whose center is within @p range of @p position at t. */
     std::vector<Obstacle> obstaclesNear(const Vec2 &position, double range,
@@ -114,6 +163,7 @@ class WorldSnapshot
     const std::vector<Obstacle> *obstacles_;
     const std::vector<Landmark> *landmarks_;
     Timestamp epoch_;
+    std::uint64_t revision_;
 };
 
 /** The complete synthetic environment: scene + agent timeline. */
@@ -163,7 +213,7 @@ class World
     WorldSnapshot snapshot() const
     {
         return WorldSnapshot(map_, timeline_.published(), landmarks_,
-                             timeline_.epoch());
+                             timeline_.epoch(), timeline_.revision());
     }
 
     /** Add a landmark; returns its id. */
@@ -189,7 +239,8 @@ class World
 
 inline WorldSnapshot::WorldSnapshot(const World &world)
     : map_(&world.map()), obstacles_(&world.obstacles()),
-      landmarks_(&world.landmarks()), epoch_(world.timeline().epoch())
+      landmarks_(&world.landmarks()), epoch_(world.timeline().epoch()),
+      revision_(world.timeline().revision())
 {
 }
 

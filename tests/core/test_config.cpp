@@ -58,5 +58,39 @@ TEST(Config, KeysSorted)
     EXPECT_EQ(keys[1], "zeta");
 }
 
+TEST(Config, RejectUnreadPassesWhenEveryKeyWasAskedFor)
+{
+    const char *argv[] = {"prog", "speed=5.6", "out=x.json", "name=sov"};
+    const Config cfg = Config::fromArgs(4, argv);
+    (void)cfg.getDouble("speed", 0.0);
+    (void)cfg.getString("out", "");
+    // has() counts as asking, and so does a getter of an absent key.
+    EXPECT_TRUE(cfg.has("name"));
+    (void)cfg.getInt("frames", 1);
+    cfg.rejectUnread("usage: prog");
+    SUCCEED();
+}
+
+TEST(ConfigDeathTest, RejectUnreadExitsTwoOnAKeyNobodyRead)
+{
+    const char *argv[] = {"prog", "smoke=1", "max_thread=1"};
+    const Config cfg = Config::fromArgs(3, argv);
+    (void)cfg.getBool("smoke", false);
+    (void)cfg.getInt("max_threads", 4);
+    EXPECT_EXIT(cfg.rejectUnread("usage: prog [smoke=1] [max_threads=N]"),
+                ::testing::ExitedWithCode(2),
+                "unknown key: 'max_thread'\nusage: prog \\[smoke=1\\]");
+}
+
+TEST(ConfigDeathTest, RejectUnreadExitsTwoOnATokenThatIsNoFlag)
+{
+    const char *argv[] = {"prog", "smoke", "=7"};
+    const Config cfg = Config::fromArgs(3, argv);
+    (void)cfg.getBool("smoke", false);
+    EXPECT_EXIT(cfg.rejectUnread("usage: prog [smoke=1]"),
+                ::testing::ExitedWithCode(2),
+                "not a key=value flag: 'smoke'\nnot a key=value flag: '=7'");
+}
+
 } // namespace
 } // namespace sov

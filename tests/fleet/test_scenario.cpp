@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "fleet/fleet_runner.h"
 #include "fleet/scenario.h"
 
 namespace sov::fleet {
@@ -120,6 +125,89 @@ TEST(ScenarioPresets, SuddenWallPlacesOneObstacleAtX)
     ASSERT_EQ(w.numObstacles(), 1u);
     EXPECT_DOUBLE_EQ(
         w.obstacles()[0].positionAt(Timestamp::origin()).x(), 40.0);
+}
+
+TEST(ScenarioPresets, RadarCorridorCertificateCoversMostPolls)
+{
+    // The reactive path's corridor certificate must answer most radar
+    // polls of the sweep's obstacle-light closed loops without asking
+    // the radar, and the route-end watch most route-end tests: a
+    // certificate that silently stopped issuing would still be exact,
+    // so only these counts can tell.
+    for (const WorldPreset &preset :
+         {openRoadWorld(), trafficWorld(6), crossingPedestrianWorld(150.0, 0.5)}) {
+        for (const StackPreset &stack : {bareStack(), supervisedStack()}) {
+            World world;
+            Rng rng(3);
+            preset.build(world, rng);
+            ClosedLoopSim sim(world, preset.route, stack.loop, stack.pipeline,
+                              Rng(5));
+            sim.run(Duration::seconds(preset.horizon_s));
+            const ReactivePath &reactive = sim.reactivePath();
+            ASSERT_GT(reactive.evaluations(), 1000u) << preset.name;
+            EXPECT_GE(reactive.certifiedSkips() * 10, reactive.evaluations() * 8)
+                << preset.name << "/" << stack.name << ": "
+                << reactive.certifiedSkips() << " of " << reactive.evaluations();
+            EXPECT_GE(sim.routeEnd().certifiedSkips() * 10,
+                      reactive.evaluations() * 8)
+                << preset.name << "/" << stack.name;
+        }
+    }
+}
+
+/** The open road with one field broken. */
+WorldPreset
+brokenWorld(const char *name, double horizon_s, std::vector<Vec2> route)
+{
+    WorldPreset w = openRoadWorld();
+    w.name = name;
+    w.horizon_s = horizon_s;
+    w.route = Polyline2(std::move(route));
+    return w;
+}
+
+TEST(ScenarioMatrixDeathTest, RefusesHorizonsNoLoopCanRun)
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const std::vector<Vec2> road{Vec2(0, 0), Vec2(300, 0)};
+    for (const double horizon_s :
+         {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf, 0.0, -5.0}) {
+        ScenarioMatrix m;
+        EXPECT_DEATH(m.addWorld(brokenWorld("bad-horizon", horizon_s, road)),
+                     "world 'bad-horizon': horizon_s .* is not a positive "
+                     "finite number")
+            << horizon_s;
+    }
+}
+
+TEST(ScenarioMatrixDeathTest, RefusesRoutesNoLoopCanDrive)
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const std::vector<std::vector<Vec2>> routes{
+        {},                                           // empty
+        {Vec2(0, 0)},                                 // one point
+        {Vec2(0, 0), Vec2(0, 0)},                     // zero length
+        {Vec2(0, 0), Vec2(kInf, 0)},                  // infinite length
+        {Vec2(0, 0), Vec2(std::nan(""), 0)},          // NaN length
+    };
+    for (const std::vector<Vec2> &route : routes) {
+        ScenarioMatrix m;
+        EXPECT_DEATH(m.addWorld(brokenWorld("bad-route", 10.0, route)),
+                     "world 'bad-route': route of [0-9]+ points")
+            << route.size();
+    }
+}
+
+TEST(ScenarioMatrixDeathTest, RunnerRefusesABadWorldPatchedIntoASpec)
+{
+    // A spec edited after enumeration never reaches the closed loop.
+    ScenarioMatrix m;
+    m.addWorld(openRoadWorld());
+    std::vector<ScenarioSpec> specs = m.enumerate();
+    specs[0].world.horizon_s = -1.0;
+    const FleetRunner runner;
+    EXPECT_DEATH(runner.runScenario(specs[0], nullptr),
+                 "world 'open-road': horizon_s");
 }
 
 } // namespace

@@ -2,6 +2,8 @@
 
 #include <cstddef>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -151,6 +153,79 @@ TEST(MetricRegistry, EmptyAndClear)
     EXPECT_FALSE(m.empty());
     m.clear();
     EXPECT_TRUE(m.empty());
+}
+
+TEST(MetricRegistry, RecordingByHandleMatchesRecordingByName)
+{
+    // The dataflow executor's pattern: intern once, record by handle.
+    // The registry it fills must equal one filled by name, sample for
+    // sample, through clear(), merges, and moves out of it.
+    const std::vector<std::string> names{"perception", "queue:perception",
+                                         "total", "planning"};
+    MetricRegistry by_name, by_handle;
+    std::vector<HistogramId> ids;
+    for (const std::string &n : names)
+        ids.push_back(by_handle.histogramId(n));
+    // Interning creates nothing, and interning again is the same handle.
+    EXPECT_TRUE(by_handle.empty());
+    EXPECT_EQ(by_handle.histogramId("total"), ids[2]);
+
+    const auto fill = [&](int round) {
+        for (int i = 0; i < 40; ++i) {
+            const std::size_t k = static_cast<std::size_t>((i * 7 + round) % 3);
+            const Duration d = Duration::micros(137 * i + round);
+            by_name.record(names[k], d);
+            by_handle.record(ids[k], d);
+        }
+        by_name.recordTotal(Duration::millis(round));
+        by_handle.record(ids[2], Duration::millis(round));
+    };
+    const auto same = [&] {
+        EXPECT_EQ(by_handle.fingerprint(), by_name.fingerprint());
+        EXPECT_EQ(by_handle.histogramNames(), by_name.histogramNames());
+        std::ostringstream a, b;
+        by_name.toJson(a);
+        by_handle.toJson(b);
+        EXPECT_EQ(a.str(), b.str());
+    };
+    fill(1);
+    same();
+    // "planning" was interned but never recorded: it does not exist.
+    EXPECT_EQ(by_handle.count("planning"), 0u);
+
+    by_name.clear();
+    by_handle.clear();
+    fill(2);
+    same();
+
+    // Merging grows the map; the handles keep recording into it.
+    MetricRegistry other;
+    other.record("queue:perception", Duration::micros(5));
+    other.record("extra", Duration::micros(9));
+    by_name.merge(other);
+    by_handle.merge(other);
+    fill(3);
+    same();
+
+    // A move takes the contents; the moved-from registry keeps its
+    // handles and records into itself again.
+    MetricRegistry taken_by_name = std::move(by_name);
+    MetricRegistry taken_by_handle = std::move(by_handle);
+    EXPECT_EQ(taken_by_handle.fingerprint(), taken_by_name.fingerprint());
+    EXPECT_TRUE(by_handle.empty());
+    fill(4);
+    same();
+    EXPECT_EQ(taken_by_handle.fingerprint(), taken_by_name.fingerprint());
+
+    // So does a registry that a copy or a move was assigned into.
+    by_name = taken_by_name;
+    by_handle = taken_by_handle;
+    fill(5);
+    same();
+    by_name = std::move(taken_by_name);
+    by_handle = std::move(taken_by_handle);
+    fill(6);
+    same();
 }
 
 } // namespace

@@ -1,8 +1,9 @@
 // Allocation gate for the event core: once warmed up, fixed-rate
 // lanes, typed one-shots, the dataflow executor's per-frame path, the
 // closed loop's frame release (with or without a silent fault plan),
-// the planner's cycle and its collision sweep and a physics step's
-// obstacle pass (radar corridor plus gap monitor) allocate nothing.
+// the planner's cycle and its collision sweep, a physics step's
+// obstacle pass (radar corridor plus gap monitor) and the reactive
+// path's certified radar polls allocate nothing.
 // This binary replaces the global operator new with a counting one, so
 // it runs apart from the other runtime tests.
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "sovpipe/fig5_graph.h"
 #include "vehicle/can_bus.h"
 #include "vehicle/ecu.h"
+#include "vehicle/reactive.h"
 
 namespace {
 
@@ -297,6 +299,53 @@ TEST(EventAlloc, WarmObstaclePassAllocatesNothing)
     // The constant-velocity cars sleep on wake certificates.
     EXPECT_GT(certified, 0u);
     EXPECT_EQ(warmPassAllocations(fleet::fuzzWorldPreset(3), &certified), 0u);
+}
+
+/**
+ * Poll the reactive path as the closed loop does, at 200 Hz for 10 s
+ * with the ego at 5 m/s along @p preset's route but 3 m to its left
+ * (beside the lane, so the corridor passes near its obstacles and no
+ * trigger fires), and count the allocations made by the polls after
+ * the first second.
+ */
+std::uint64_t
+warmRadarPollAllocations(const fleet::WorldPreset &preset,
+                         std::uint64_t *certified)
+{
+    World world;
+    Rng rng(7);
+    preset.build(world, rng);
+    Simulator sim;
+    VehicleDynamics car;
+    Ecu ecu(sim, car);
+    const RadarModel radar(RadarConfig{}, Rng(1));
+    ReactivePath reactive(sim, ecu, radar);
+    const double heading = preset.route.headingAt(0.0);
+    const Vec2 dir(std::cos(heading), std::sin(heading));
+    const Vec2 start = preset.route.sample(0.0) + Vec2(-dir.y(), dir.x()) * 3.0;
+    std::uint64_t counted = 0;
+    for (int k = 0; k < 2000; ++k) {
+        const Timestamp t = Timestamp::nanos(5'000'000LL * k);
+        const Pose2 ego{start + dir * (5.0 * t.toSeconds()), heading};
+        world.advanceTo(t, ego, 5.0);
+        const WorldSnapshot snap = world.snapshot();
+        const std::uint64_t before = allocations();
+        (void)reactive.evaluate(snap, ego, 5.0, t);
+        if (k >= 200)
+            counted += allocations() - before;
+    }
+    EXPECT_EQ(reactive.triggerCount(), 0u) << preset.name;
+    *certified = reactive.certifiedSkips();
+    return counted;
+}
+
+TEST(EventAlloc, WarmCertifiedRadarPollsAllocateNothing)
+{
+    std::uint64_t certified = 0;
+    EXPECT_EQ(warmRadarPollAllocations(fleet::trafficWorld(6), &certified), 0u);
+    EXPECT_GT(certified, 1000u);
+    EXPECT_EQ(warmRadarPollAllocations(fleet::fuzzWorldPreset(3), &certified), 0u);
+    EXPECT_GT(certified, 500u);
 }
 
 } // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "fault/perception_miss_spec.h"
 #include "sovpipe/closed_loop.h"
@@ -209,6 +212,54 @@ TEST(ClosedLoop, FollowsCurvedRoute)
         route.project(sim.vehicle().pose().position);
     (void)s;
     EXPECT_LT(std::fabs(offset), 0.6);
+}
+
+TEST(RouteEndWatch, StopsOnTheStepProjectingEveryStepStops)
+{
+    // A point drives each route at 5.6 m/s in 5 ms steps, weaving up to
+    // 1.6 m either side (so on the U-turn and the zigzag the nearest
+    // segment jumps between legs), with now and then a jump or a NaN
+    // position: the watch must answer the projected route-end test at
+    // every step, bit for bit, and skip most projections.
+    std::vector<std::pair<const char *, Polyline2>> routes;
+    routes.emplace_back("straight", Polyline2({Vec2(0, 0), Vec2(300, 0)}));
+    routes.emplace_back("far straight",
+                        Polyline2({Vec2(1e6, -1e6), Vec2(1e6 + 120.0, -1e6 + 50.0)}));
+    Polyline2 zigzag;
+    for (int i = 0; i <= 12; ++i)
+        zigzag.append(Vec2(10.0 * i, i % 2 == 0 ? 0.0 : 3.0));
+    routes.emplace_back("zigzag", zigzag);
+    routes.emplace_back("u-turn", Polyline2({Vec2(0, 0), Vec2(60, 0), Vec2(60, 3),
+                                             Vec2(0, 3)}));
+    routes.emplace_back("diagonal", Polyline2({Vec2(0, 0), Vec2(80, 80)}));
+    routes.emplace_back("short", Polyline2({Vec2(0, 0), Vec2(0.5, 0)}));
+    Rng rng(31);
+    for (const auto &[name, route] : routes) {
+        for (int phase = 0; phase < 16; ++phase) {
+            RouteEndWatch watch(route);
+            int stop = -1, steps = 0;
+            for (double s = 0.0; s < route.length() + 2.0; s += 5.6 * 0.005) {
+                const double h = route.headingAt(s);
+                Vec2 p = route.sample(s) + Vec2(-std::sin(h), std::cos(h)) *
+                                               (1.6 * std::sin(s / 3.0 + phase * 0.4));
+                if (rng.bernoulli(0.002))
+                    p += Vec2(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0));
+                if (rng.bernoulli(0.002))
+                    p.x() = std::numeric_limits<double>::quiet_NaN();
+                const bool want = route.project(p).first >= route.length() - 1.0;
+                ASSERT_EQ(watch.reached(p), want) << name << " step " << steps;
+                if (want && stop < 0)
+                    stop = steps;
+                ++steps;
+            }
+            EXPECT_GE(stop, 0) << name;
+            if (route.length() > 10.0) {
+                EXPECT_GT(watch.certifiedSkips() * 2,
+                          static_cast<std::uint64_t>(steps))
+                    << name;
+            }
+        }
+    }
 }
 
 } // namespace
