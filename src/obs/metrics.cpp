@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <ostream>
 #include <sstream>
-#include <utility>
 
 #include "core/hash.h"
 #include "core/logging.h"
@@ -24,43 +23,6 @@ keysOf(const Map &map)
 }
 
 } // namespace
-
-MetricRegistry::MetricRegistry(const MetricRegistry &other)
-    : counters_(other.counters_), gauges_(other.gauges_), hists_(other.hists_)
-{
-}
-
-MetricRegistry::MetricRegistry(MetricRegistry &&other) noexcept
-    : counters_(std::move(other.counters_)), gauges_(std::move(other.gauges_)),
-      hists_(std::move(other.hists_))
-{
-    other.clear();
-}
-
-MetricRegistry &
-MetricRegistry::operator=(const MetricRegistry &other)
-{
-    if (this != &other) {
-        counters_ = other.counters_;
-        gauges_ = other.gauges_;
-        hists_ = other.hists_;
-        forgetInterned();
-    }
-    return *this;
-}
-
-MetricRegistry &
-MetricRegistry::operator=(MetricRegistry &&other) noexcept
-{
-    if (this != &other) {
-        counters_ = std::move(other.counters_);
-        gauges_ = std::move(other.gauges_);
-        hists_ = std::move(other.hists_);
-        forgetInterned();
-        other.clear();
-    }
-    return *this;
-}
 
 void
 MetricRegistry::incr(const std::string &name, std::uint64_t delta)
@@ -116,29 +78,23 @@ MetricRegistry::recordTotal(Duration latency)
 HistogramId
 MetricRegistry::histogramId(const std::string &name)
 {
-    for (std::size_t i = 0; i < interned_.size(); ++i) {
-        if (interned_[i].name == name)
+    std::vector<Interned> &entries = interned_.entries;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        if (entries[i].name == name)
             return static_cast<HistogramId>(i);
     }
-    interned_.push_back(Interned{name, nullptr});
-    return static_cast<HistogramId>(interned_.size() - 1);
+    entries.push_back(Interned{name, nullptr});
+    return static_cast<HistogramId>(entries.size() - 1);
 }
 
 void
 MetricRegistry::record(HistogramId id, Duration latency)
 {
-    SOV_ASSERT(id < interned_.size());
-    Interned &entry = interned_[id];
+    SOV_ASSERT(id < interned_.entries.size());
+    Interned &entry = interned_.entries[id];
     if (!entry.samples)
         entry.samples = &hists_[entry.name];
     entry.samples->add(latency.toMillis());
-}
-
-void
-MetricRegistry::forgetInterned()
-{
-    for (Interned &entry : interned_)
-        entry.samples = nullptr;
 }
 
 void
@@ -313,7 +269,7 @@ MetricRegistry::clear()
     counters_.clear();
     gauges_.clear();
     hists_.clear();
-    forgetInterned();
+    interned_.forget();
 }
 
 } // namespace sov::obs

@@ -51,19 +51,12 @@ namespace sov::obs {
 /** An interned histogram name: MetricRegistry::histogramId(). */
 using HistogramId = std::uint32_t;
 
-/** Named counters, gauges and histograms; copyable and mergeable. */
+/** Named counters, gauges and histograms; copyable and mergeable.
+ *  Copies and moves carry counters, gauges and histograms; the handles
+ *  a registry issued stay its own (a moved-from registry keeps them). */
 class MetricRegistry
 {
   public:
-    MetricRegistry() = default;
-    /** Copies and moves carry counters, gauges and histograms; the
-     *  handles a registry issued stay its own (a moved-from registry
-     *  is empty and keeps them). */
-    MetricRegistry(const MetricRegistry &other);
-    MetricRegistry(MetricRegistry &&other) noexcept;
-    MetricRegistry &operator=(const MetricRegistry &other);
-    MetricRegistry &operator=(MetricRegistry &&other) noexcept;
-
     // Counters.
     /** Add @p delta to counter @p name (creating it at zero). */
     void incr(const std::string &name, std::uint64_t delta = 1);
@@ -131,16 +124,49 @@ class MetricRegistry
         PercentileBuffer *samples = nullptr;
     };
 
+    /**
+     * The interned names, which belong to the registry object that
+     * interned them: a copy or move constructs an empty table and an
+     * assignment keeps the target's names. Either way every table
+     * involved drops its histogram pointers, since the histogram map
+     * was copied, moved or replaced beside it; record() finds the
+     * histogram again by name.
+     */
+    class InternTable
+    {
+      public:
+        InternTable() = default;
+        InternTable(const InternTable &) {}
+        InternTable(InternTable &&other) noexcept { other.forget(); }
+        InternTable &operator=(const InternTable &)
+        {
+            forget();
+            return *this;
+        }
+        InternTable &operator=(InternTable &&other) noexcept
+        {
+            forget();
+            other.forget();
+            return *this;
+        }
+
+        /** Drop every histogram pointer; names and handles stay. */
+        void forget()
+        {
+            for (Interned &entry : entries)
+                entry.samples = nullptr;
+        }
+
+        std::vector<Interned> entries;
+    };
+
     PercentileBuffer *findHist(const std::string &name) const;
-    /** Drop every interned name's histogram pointer (the map changed
-     *  wholesale); names and handles stay. */
-    void forgetInterned();
 
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, double> gauges_;
     // mutable: percentile queries sort the sample buffers lazily.
     mutable std::map<std::string, PercentileBuffer> hists_;
-    std::vector<Interned> interned_;
+    InternTable interned_;
 };
 
 } // namespace sov::obs

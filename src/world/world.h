@@ -22,8 +22,8 @@
  * snapshot's rows and reuse it on a later snapshot of the same
  * revision (ReactivePath's corridor certificate does). A world's
  * revision moves only on a spawn, a clear, or a tick with behavioural
- * agents; a snapshot built over bare vectors has revision 0 unless its
- * owner supplies one, and 0 promises nothing.
+ * agents; a snapshot built over bare vectors always has revision 0,
+ * and 0 promises nothing.
  *
  * Motion semantics: an un-stepped world (nobody calls advanceTo) is
  * bit-identical to the legacy analytic model — every addObstacle()
@@ -97,15 +97,13 @@ class WorldSnapshot
      *  this conversion is the consumers' migration path). */
     WorldSnapshot(const World &world);
 
-    /** View of bare vectors. @p revision must change whenever a row
-     *  of @p obstacles may have (see the file comment); 0, the
-     *  default, promises nothing. */
+    /** View of bare vectors; its revision is 0, which promises
+     *  nothing (see the file comment). */
     WorldSnapshot(const LaneMap &map,
                   const std::vector<Obstacle> &obstacles,
-                  const std::vector<Landmark> &landmarks, Timestamp epoch,
-                  std::uint64_t revision = 0)
+                  const std::vector<Landmark> &landmarks, Timestamp epoch)
         : map_(&map), obstacles_(&obstacles), landmarks_(&landmarks),
-          epoch_(epoch), revision_(revision)
+          epoch_(epoch), revision_(0)
     {
     }
 
@@ -212,8 +210,7 @@ class World
     /** View of the current epoch for the sensing layers. */
     WorldSnapshot snapshot() const
     {
-        return WorldSnapshot(map_, timeline_.published(), landmarks_,
-                             timeline_.epoch(), timeline_.revision());
+        return WorldSnapshot(*this);
     }
 
     /** Add a landmark; returns its id. */

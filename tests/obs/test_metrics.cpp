@@ -207,6 +207,15 @@ TEST(MetricRegistry, RecordingByHandleMatchesRecordingByName)
     fill(3);
     same();
 
+    // A copy takes the contents and no handles: the original keeps
+    // recording into itself, and the copy stays as it was.
+    const MetricRegistry copied = by_handle;
+    const std::uint64_t copied_print = copied.fingerprint();
+    fill(7);
+    same();
+    EXPECT_EQ(copied.fingerprint(), copied_print);
+    EXPECT_NE(by_handle.fingerprint(), copied_print);
+
     // A move takes the contents; the moved-from registry keeps its
     // handles and records into itself again.
     MetricRegistry taken_by_name = std::move(by_name);

@@ -574,5 +574,44 @@ TEST(ReactiveCertificate, MatchesTheQueryOnEveryPollOverSequences)
     EXPECT_GT(releases, 20u);
 }
 
+TEST(ReactiveCertificate, BareVectorSnapshotsNeverSleep)
+{
+    // Only a timeline vouches that its rows did not change. Rows in a
+    // bare vector can be rewritten in place between polls, so every
+    // poll over them asks the radar; the same rows in a world sleep.
+    const double speed = 5.6;
+    const LaneMap map;
+    const std::vector<Landmark> landmarks;
+    std::vector<Obstacle> rows(1);
+    Rig bare, versioned;
+    const double trigger = bare.reactive.triggerDistance(speed, 4.0);
+    rows[0].footprint = OrientedBox2{
+        Pose2{Vec2(trigger + 5.0, 0.0), 0.0}, 1.0, 2.0};
+    World world;
+    world.addObstacle(rows[0]);
+    const Pose2 body{Vec2(0, 0), 0.0};
+    for (int k = 0; k < 5; ++k) {
+        const Timestamp t = Timestamp::millisF(k);
+        EXPECT_FALSE(bare.reactive.evaluate(
+            WorldSnapshot(map, rows, landmarks, Timestamp::origin()), body,
+            speed, t));
+        EXPECT_FALSE(versioned.reactive.evaluate(world, body, speed, t));
+    }
+    EXPECT_EQ(bare.reactive.certifiedSkips(), 0u);
+    EXPECT_EQ(versioned.reactive.certifiedSkips(), 4u);
+
+    // The wall jumps inside the trigger distance in place.
+    rows[0].footprint.pose.position.x() = trigger;
+    const WorldSnapshot moved(map, rows, landmarks, Timestamp::origin());
+    const Timestamp t = Timestamp::millisF(5);
+    const auto seen = bare.reactive.evaluate(moved, body, speed, t);
+    ASSERT_TRUE(seen);
+    EXPECT_EQ(*seen, *moved.corridorcast(body.position, body.direction(), 0.8,
+                                         RadarConfig{}.max_range, t, trigger));
+    bare.sim.run();
+    EXPECT_EQ(bare.reactive.triggerCount(), 1u);
+    EXPECT_EQ(bare.reactive.certifiedSkips(), 0u);
+}
+
 } // namespace
 } // namespace sov
